@@ -14,7 +14,8 @@ one of three representations:
 The central quantity is the one-period response
 F_T(f) = integral_0^T e^{A(T-s)} f(s) ds, computed either by panelwise
 Gauss-Legendre quadrature with a refinement guard, or in closed form
-per harmonic for Fourier data.
+for Fourier data, with every harmonic solved against one Schur form of
+the deflated block.
 """
 
 from __future__ import annotations
@@ -29,9 +30,17 @@ from .errors import (
     DerivativesUnavailable,
     NonFiniteInput,
     QuadratureUnderResolved,
-    ResonantHarmonic,
 )
-from .operator_core import Model, StateSpace, deflated_block, propagate, propagator_matrix
+from .operator_core import (
+    Model,
+    StateSpace,
+    from_block,
+    harmonic_solve,
+    propagate,
+    propagated_columns,
+    propagator_matrix,
+    to_block,
+)
 
 _PER0_DETECT_MAX = 12
 
@@ -85,6 +94,11 @@ class PeriodicForcing:
         if self.space is not None:
             return self.space.norm(vec)
         return float(np.linalg.norm(vec))
+
+    def _row_norms(self, vals: np.ndarray) -> np.ndarray:
+        if self.space is not None:
+            return self.space.row_norms(vals)
+        return np.linalg.norm(vals, axis=1)
 
 
 class FourierForcing(PeriodicForcing):
@@ -320,8 +334,7 @@ def check_class(f: PeriodicForcing, k: int, tol: float = 1e-10,
     wk1 = 0.0
     sup_by_order = []
     for j in range(k + 1):
-        vals = f.eval_many(nodes, j)
-        norms = np.array([f._norm(v) for v in vals])
+        norms = f._row_norms(f.eval_many(nodes, j))
         contrib = float(np.dot(weights, norms))
         if j == 0:
             l1 = contrib
@@ -343,21 +356,6 @@ def check_class(f: PeriodicForcing, k: int, tol: float = 1e-10,
 # Duhamel responses
 # ---------------------------------------------------------------------------
 
-def _weighted_propagated_sum(model: Model, offsets, states, weights) -> np.ndarray:
-    """sum_i weights[i] * e^{offsets[i] A} states[i], batched on the eig path."""
-    from .operator_core import _eig_data
-    w, V, Vinv, cond = _eig_data(model)
-    states = np.asarray(states, dtype=complex)
-    if cond <= 1e8 and Vinv is not None:
-        Y = Vinv @ states.T
-        Z = np.exp(np.outer(w, offsets)) * Y
-        return V @ (Z @ np.asarray(weights, dtype=complex))
-    acc = np.zeros(model.dim, dtype=complex)
-    for off, st, wt in zip(offsets, states, weights):
-        acc += wt * (propagator_matrix(model, off) @ st)
-    return acc
-
-
 def _default_panels(f: PeriodicForcing) -> int:
     if isinstance(f, FourierForcing):
         kmax = int(np.max(np.abs(f.harmonics), initial=0))
@@ -374,8 +372,10 @@ def duhamel_FT(model: Model, f: PeriodicForcing, panels: int | None = None,
     method "quadrature" uses composite Gauss-Legendre panels and raises
     QuadratureUnderResolved unless doubling the panel count moves the
     result by less than tol (relative to its size). method
-    "closed_form" (Fourier data only) solves one shifted linear system
-    per harmonic; "auto" picks the closed form for Fourier data.
+    "closed_form" (Fourier data only) sums the harmonic terms
+    (i omega_k - A)^{-1} (I - e^{TA}) c_k, all solved against one cached
+    Schur form of the deflated block; "auto" picks the closed form for
+    Fourier data.
     """
     vec, _ = duhamel_FT_diagnostics(model, f, panels, order, tol, method)
     return vec
@@ -411,42 +411,18 @@ def _duhamel_quadrature(model: Model, f: PeriodicForcing, panels: int, order: in
     vals = f.eval_many(nodes)
     if not np.all(np.isfinite(vals)):
         raise NonFiniteInput("forcing evaluated to non-finite values")
-    return _weighted_propagated_sum(model, T - nodes, vals, weights)
+    return propagated_columns(model, T - nodes, vals, weights, summed=True)
 
 
 def _duhamel_closed_form(model: Model, f: FourierForcing) -> np.ndarray:
     T = f.period
-    A_r, _, Q = deflated_block(model)
-    n = A_r.shape[0]
-    eigs = model._cache.get("deflated_eigs")
-    if eigs is None:
-        eigs = np.linalg.eigvals(A_r)
-        model._cache["deflated_eigs"] = eigs
-    scale = max(1.0, float(np.max(np.abs(eigs), initial=1.0)))
-    monodromy = propagator_matrix(model, T)
-    if Q is not None:
-        P = np.eye(model.dim) - model.pi0
-        mono_r = Q.conj().T @ monodromy @ Q
-    else:
-        mono_r = monodromy
-    acc = np.zeros(model.dim, dtype=complex)
-    for kk, c in zip(f.harmonics, f.coefficients):
-        om = 2.0 * np.pi * kk / T
-        if np.min(np.abs(1j * om - eigs), initial=np.inf) < 1e-10 * scale:
-            raise ResonantHarmonic(
-                f"harmonic k={kk} hits the spectrum of the deflated block")
-        if Q is not None:
-            c_r = Q.conj().T @ (P @ c)
-        else:
-            c_r = c
-        contrib_r = np.linalg.solve(1j * om * np.eye(n) - A_r,
-                                    c_r - mono_r @ c_r)
-        if Q is not None:
-            acc += Q @ contrib_r
-            if kk == 0:
-                acc += T * (model.pi0 @ c)
-        else:
-            acc += contrib_r
+    C = f.coefficients
+    # e^{TA} commutes with pi0, so (I - e^{TA}) c_k is reduced after the product
+    rhs = to_block(model, C - C @ propagator_matrix(model, T).T)
+    acc = from_block(model, harmonic_solve(model, f.harmonics, T, rhs).sum(axis=0))
+    if model.has_kernel:
+        # the mean harmonic grows linearly along the kernel
+        acc = acc + T * (model.pi0 @ C[f.harmonics == 0].sum(axis=0))
     return acc
 
 
@@ -512,7 +488,7 @@ def control_duhamel(model: Model, g: PeriodicForcing, tau: float | None = None,
         if not np.all(np.isfinite(vals)):
             raise NonFiniteInput("boundary signal evaluated to non-finite values")
         states = vals @ model.B.T
-        return _weighted_propagated_sum(model, tau - nodes, states, weights)
+        return propagated_columns(model, tau - nodes, states, weights, summed=True)
 
     coarse = assemble(panels)
     fine = assemble(2 * panels)
@@ -534,7 +510,6 @@ def admissibility_constant(model: Model, T: float, panels: int = 24,
     if model.B is None:
         raise ValueError("model has no input matrix")
     nodes, weights = gauss_panels(T, panels, order)
-    cols = np.empty((model.dim, nodes.size), dtype=complex)
-    for i, (s, w) in enumerate(zip(nodes, weights)):
-        cols[:, i] = math.sqrt(w) * (propagator_matrix(model, T - s) @ model.B[:, 0])
+    states = np.broadcast_to(model.B[:, 0], (nodes.size, model.dim))
+    cols = propagated_columns(model, T - nodes, states, np.sqrt(weights))
     return float(np.linalg.norm(model.space.sqrt_gram @ cols, 2))

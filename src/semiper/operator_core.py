@@ -27,6 +27,7 @@ from .errors import (
     NonHermitian,
     NotPositiveDefinite,
     OnSpectrum,
+    ResonantHarmonic,
     SpectrumOnCut,
 )
 
@@ -73,6 +74,12 @@ class StateSpace:
         x = np.asarray(x, dtype=complex)
         q = np.real(np.vdot(x, self.gram @ x))
         return float(np.sqrt(max(q, 0.0)))
+
+    def row_norms(self, X) -> np.ndarray:
+        """Norm of each row of the state stack X, in one contraction."""
+        X = np.asarray(X, dtype=complex)
+        q = np.einsum("ij,ij->i", X.conj(), X @ self.gram.T).real
+        return np.sqrt(np.maximum(q, 0.0))
 
     def inner(self, x, y) -> complex:
         return complex(np.vdot(np.asarray(x, dtype=complex), self.gram @ np.asarray(y, dtype=complex)))
@@ -237,6 +244,26 @@ def propagator_matrix(model: Model, t: float) -> np.ndarray:
     return P
 
 
+def propagated_columns(model: Model, offsets, states, weights,
+                       summed: bool = False) -> np.ndarray:
+    """The terms weights[i] * e^{offsets[i] A} states[i] for all i.
+
+    Returned as the columns of a dim x len(offsets) matrix, or summed
+    over i when ``summed`` is set. On the eigendecomposition path every
+    term comes from one contraction in the eigenbasis; when cond(V)
+    exceeds EIG_COND_LIMIT each term takes its own propagator_matrix.
+    """
+    states = np.asarray(states, dtype=complex)
+    weights = np.asarray(weights, dtype=complex)
+    w, V, Vinv, cond = _eig_data(model)
+    if cond <= EIG_COND_LIMIT:
+        Z = np.exp(np.outer(w, offsets)) * (Vinv @ states.T)
+        return V @ (Z @ weights if summed else Z * weights)
+    cols = np.stack([propagator_matrix(model, off) @ st
+                     for off, st in zip(offsets, states)], axis=1) * weights
+    return cols.sum(axis=1) if summed else cols
+
+
 def propagate(model: Model, t: float, x) -> np.ndarray:
     """Apply e^{tA} to the state x.
 
@@ -288,6 +315,41 @@ def deflated_block(model: Model):
     return model._cache["deflated"]
 
 
+def to_block(model: Model, x) -> np.ndarray:
+    """Reduced coordinates Q* (I - pi0) x on the deflated block.
+
+    ``x`` is one state or a stack of states along the last axis; for
+    kernel-free models it is returned unchanged.
+    """
+    _, _, Q = deflated_block(model)
+    if Q is None:
+        return x
+    x = np.asarray(x, dtype=complex)
+    return (x - x @ model.pi0.T) @ Q.conj()
+
+
+def from_block(model: Model, x_r) -> np.ndarray:
+    """The state Q x_r for reduced coordinates x_r (inverse of to_block)."""
+    _, _, Q = deflated_block(model)
+    return x_r if Q is None else Q @ x_r
+
+
+def deflated_schur(model: Model):
+    """Complex Schur form A_r = Z R Z* of the deflated block, cached.
+
+    Returns (R, Z) with R upper triangular and Z unitary.
+    """
+    if "schur" not in model._cache:
+        A_r, _, _ = deflated_block(model)
+        model._cache["schur"] = sla.schur(A_r, output="complex")
+    return model._cache["schur"]
+
+
+def deflated_eigs(model: Model) -> np.ndarray:
+    """Eigenvalues of the deflated block: the diagonal of its Schur form."""
+    return np.diag(deflated_schur(model)[0])
+
+
 def _gram_sqrts(model: Model):
     if "gram_r" not in model._cache:
         _, G_r, Q = deflated_block(model)
@@ -323,6 +385,54 @@ def resolvent_norm(model: Model, eta: float) -> float:
     return float(np.linalg.norm(S @ X, 2))
 
 
+def _schur_back_substitute(R: np.ndarray, shifts: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Rows y_k solving (shifts[k] I - R) y_k = C[k] for upper-triangular R."""
+    n = R.shape[0]
+    denom = shifts[:, None] - np.diag(R)[None, :]
+    Y = np.empty_like(C)
+    for i in range(n - 1, -1, -1):
+        Y[:, i] = (C[:, i] + Y[:, i + 1:] @ R[i, i + 1:]) / denom[:, i]
+    return Y
+
+
+def harmonic_solve(model: Model, harmonics, period: float, rhs) -> np.ndarray:
+    """Rows x_k solving (i omega_k I - A_r) x_k = rhs[k], omega_k = 2 pi k / T.
+
+    All harmonics are solved against the one cached Schur form of the
+    deflated block: Z* and Z are applied with one matmul each, the
+    triangular back substitution runs once over the rows of R for every
+    harmonic together (O(n^2) per harmonic), and one step of iterative
+    refinement is taken with the residual against A_r. ``rhs`` and the
+    result are in the reduced coordinates of :func:`to_block`.
+
+    Raises
+    ------
+    ResonantHarmonic
+        Naming the first harmonic whose frequency i omega_k lies within
+        1e-10 (relative to the spectral radius) of a deflated eigenvalue.
+    """
+    harmonics = np.asarray(harmonics)
+    A_r, _, _ = deflated_block(model)
+    R, Z = deflated_schur(model)
+    eigs = deflated_eigs(model)
+    shifts = 2j * np.pi * harmonics / float(period)
+    scale = max(1.0, float(np.max(np.abs(eigs), initial=1.0)))
+    dist = np.min(np.abs(shifts[:, None] - eigs[None, :]), axis=1, initial=np.inf)
+    resonant = np.flatnonzero(dist < 1e-10 * scale)
+    if resonant.size:
+        raise ResonantHarmonic(
+            f"harmonic k={harmonics[resonant[0]]} hits the spectrum of the deflated block")
+    rhs = np.asarray(rhs, dtype=complex)
+    Zc = Z.conj()
+
+    def solve(B):
+        return _schur_back_substitute(R, shifts, B @ Zc) @ Z.T
+
+    X = solve(rhs)
+    residual = rhs - (shifts[:, None] * X - X @ A_r.T)
+    return X + solve(residual)
+
+
 def fractional_power(model: Model, alpha: float, reduced: bool = False) -> np.ndarray:
     """Principal matrix power (-A)^alpha on the deflated block.
 
@@ -348,7 +458,7 @@ def fractional_power(model: Model, alpha: float, reduced: bool = False) -> np.nd
         return cached
     A_r, _, Q = deflated_block(model)
     negA = -A_r
-    mu = np.linalg.eigvals(negA)
+    mu = -deflated_eigs(model)
     scale = max(1.0, float(np.max(np.abs(mu))) if mu.size else 1.0)
     on_cut = (np.abs(mu.imag) <= 1e-12 * scale) & (mu.real <= 1e-12 * scale)
     if alpha != int(alpha) and np.any(on_cut):
@@ -454,8 +564,8 @@ def spectrum_report(model: Model) -> SpectrumReport:
     the open left half plane.
     """
     w, _, _, _ = _eig_data(model)
-    A_r, _, Q = deflated_block(model)
-    wr = np.linalg.eigvals(A_r) if Q is not None else w
+    _, _, Q = deflated_block(model)
+    wr = deflated_eigs(model) if Q is not None else w
     abscissa = float(np.max(w.real)) if w.size else -np.inf
     defl_abs = float(np.max(wr.real)) if wr.size else -np.inf
     dist = float(np.min(np.abs(wr.real))) if wr.size else np.inf

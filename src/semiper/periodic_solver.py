@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 
 from .errors import (
     Diverged,
@@ -39,7 +40,15 @@ from .forcing import (
     gauss_panels,
     admissibility_constant,
 )
-from .operator_core import Model, deflated_block, propagator_matrix
+from .operator_core import (
+    Model,
+    deflated_block,
+    deflated_eigs,
+    from_block,
+    harmonic_solve,
+    propagator_matrix,
+    to_block,
+)
 
 _KERNEL_TOL = 1e-10
 
@@ -79,9 +88,33 @@ def _strip_kernel(model: Model, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _fixed_point_factor(model: Model, T: float):
+    """LU factors of I - e^{TA} on the deflated block, cached per period.
+
+    Returns (lu_piv, condition) with the 2-norm condition number of the
+    fixed-point matrix. The singularity check runs before the matrix is
+    factored, so a singular monodromy never reaches the LU.
+    """
+    key = ("fixed_point_lu", float(T))
+    if key not in model._cache:
+        M = propagator_matrix(model, T)
+        _, _, Q = deflated_block(model)
+        M_r = M if Q is None else Q.conj().T @ M @ Q
+        fixed = np.eye(M_r.shape[0]) - M_r
+        svals = np.linalg.svd(fixed, compute_uv=False)
+        smin = float(svals[-1])
+        if smin < 1e-13 * max(1.0, float(svals[0])):
+            raise SingularMonodromy(
+                f"I - e(TA) is numerically singular on the deflated block "
+                f"(sigma_min = {smin:.3e})")
+        model._cache[key] = (sla.lu_factor(fixed), float(svals[0]) / smin)
+    return model._cache[key]
+
+
 def _finish_report(model: Model, f: PeriodicForcing, w0, method, n_periods,
-                   tail=None, condition=None, quad=None) -> PeriodicSolveReport:
-    residuals, gap = verify_orbit(model, f, w0, n_periods, **(quad or {}))
+                   FT=None, tail=None, condition=None,
+                   quad=None) -> PeriodicSolveReport:
+    residuals, gap = verify_orbit(model, f, w0, n_periods, FT=FT, **(quad or {}))
     denom = _forcing_norm_for_ratio(f)
     ratio = model.space.norm(w0) / denom if denom > 0 else np.inf
     return PeriodicSolveReport(w0=w0, method=method,
@@ -124,7 +157,7 @@ def periodic_w0_series(model: Model, f: PeriodicForcing, tol: float = 1e-12,
                 f"(last term {cur:.3e}); the monodromy contracts too slowly")
     w0 = _strip_kernel(model, acc)
     return _finish_report(model, f, w0, f"series(N={n_terms})", n_periods,
-                          tail=tail, quad=quad)
+                          FT=FT, tail=tail, quad=quad)
 
 
 def periodic_w0_direct(model: Model, f: PeriodicForcing, n_periods: int = 1,
@@ -133,41 +166,28 @@ def periodic_w0_direct(model: Model, f: PeriodicForcing, n_periods: int = 1,
 
     On kernel models the system is solved on the deflated block. The
     report's ``condition`` is the 2-norm condition number of the
-    deflated fixed-point matrix.
+    deflated fixed-point matrix. The matrix is checked and LU-factored
+    once per (model, period); later solves reuse the factors.
     """
     FT = duhamel_FT(model, f, **quad)
     _kernel_guard(model, FT)
-    M = propagator_matrix(model, f.period)
-    _, _, Q = deflated_block(model)
-    if Q is not None:
-        P = np.eye(model.dim) - model.pi0
-        M_r = Q.conj().T @ M @ Q
-        rhs = Q.conj().T @ (P @ FT)
-    else:
-        M_r = M
-        rhs = FT
-    fixed = np.eye(M_r.shape[0]) - M_r
-    svals = np.linalg.svd(fixed, compute_uv=False)
-    smin = float(svals[-1])
-    if smin < 1e-13 * max(1.0, float(svals[0])):
-        raise SingularMonodromy(
-            f"I - e(TA) is numerically singular on the deflated block "
-            f"(sigma_min = {smin:.3e})")
-    w0_r = np.linalg.solve(fixed, rhs)
-    w0 = Q @ w0_r if Q is not None else w0_r
+    lu_piv, condition = _fixed_point_factor(model, f.period)
+    w0 = from_block(model, sla.lu_solve(lu_piv, to_block(model, FT)))
     w0 = _strip_kernel(model, w0)
-    return _finish_report(model, f, w0, "direct", n_periods,
-                          condition=float(svals[0]) / smin, quad=quad)
+    return _finish_report(model, f, w0, "direct", n_periods, FT=FT,
+                          condition=condition, quad=quad)
 
 
 def periodic_w0_harmonic_balance(model: Model, f: PeriodicForcing,
                                  n_periods: int = 1, **quad) -> PeriodicSolveReport:
-    """Per-harmonic resolvent solves, summed at t = 0.
+    """Resolvent solves for all harmonics, summed at t = 0.
 
     Needs Fourier data (sampled forcings are interpolated
-    trigonometrically). Raises ResonantHarmonic when a harmonic
-    frequency hits the spectrum of the deflated block, and
-    KernelObstruction when the mean harmonic pumps the kernel.
+    trigonometrically). Raises KernelObstruction when the mean harmonic
+    pumps the kernel, and ResonantHarmonic when a harmonic frequency
+    hits the spectrum of the deflated block. On kernel models the
+    oscillating kernel components of the nonzero harmonics are dropped:
+    the zero-mean convention on the returned state removes them.
     """
     if isinstance(f, SampledForcing):
         four = f.to_fourier()
@@ -175,39 +195,15 @@ def periodic_w0_harmonic_balance(model: Model, f: PeriodicForcing,
         four = f
     else:
         raise ValueError("harmonic balance needs Fourier or sampled data")
-    A_r, _, Q = deflated_block(model)
-    eigs = model._cache.get("deflated_eigs")
-    if eigs is None:
-        eigs = np.linalg.eigvals(A_r)
-        model._cache["deflated_eigs"] = eigs
-    scale = max(1.0, float(np.max(np.abs(eigs), initial=1.0)))
-    T = four.period
-    n = A_r.shape[0]
-    if Q is not None:
-        P = np.eye(model.dim) - model.pi0
-    w0 = np.zeros(model.dim, dtype=complex)
-    for kk, c in zip(four.harmonics, four.coefficients):
-        om = 2.0 * np.pi * kk / T
-        if kk == 0 and model.has_kernel:
+    if model.has_kernel:
+        for c in four.coefficients[four.harmonics == 0]:
             bad = model.space.norm(model.pi0 @ c)
             if bad > _KERNEL_TOL * (1.0 + model.space.norm(c)):
                 raise KernelObstruction(
                     f"mean harmonic has kernel component {bad:.3e}")
-        if np.min(np.abs(1j * om - eigs), initial=np.inf) < 1e-10 * scale:
-            from .errors import ResonantHarmonic
-            raise ResonantHarmonic(
-                f"harmonic k={kk} hits the spectrum of the deflated block")
-        if Q is not None:
-            c_r = Q.conj().T @ (P @ c)
-            u_r = np.linalg.solve(1j * om * np.eye(n) - A_r, c_r)
-            w0 += Q @ u_r
-            if kk != 0:
-                # kernel-direction oscillation, fixed by the zero-mean
-                # convention on the returned state
-                w0 += (model.pi0 @ c) / (1j * om)
-        else:
-            w0 += np.linalg.solve(1j * om * np.eye(n) - A_r, c)
-    w0 = _strip_kernel(model, w0)
+    X_r = harmonic_solve(model, four.harmonics, four.period,
+                         to_block(model, four.coefficients))
+    w0 = _strip_kernel(model, from_block(model, X_r.sum(axis=0)))
     return _finish_report(model, f, w0,
                           f"harmonic_balance(K={four.harmonics.size})",
                           n_periods, quad=quad)
@@ -218,16 +214,19 @@ def periodic_w0_harmonic_balance(model: Model, f: PeriodicForcing,
 # ---------------------------------------------------------------------------
 
 def verify_orbit(model: Model, f: PeriodicForcing, w0, n_periods: int = 1,
-                 **quad):
+                 FT=None, **quad):
     """Propagate the candidate orbit and measure the per-period residual.
 
     Returns (residuals, crosscheck_gap): residuals[n-1] = |u(nT) - w0|
     from per-period stepping u <- e^{TA} u + F_T, and the largest
     discrepancy against the independent closed form
     u(nT) = e^{nTA} w0 + sum_m e^{mTA} F_T evaluated at whole times.
+    A solver that already holds F_T passes it as ``FT``; otherwise it is
+    computed with the ``quad`` options.
     """
     w0 = np.asarray(w0, dtype=complex)
-    FT = duhamel_FT(model, f, **quad)
+    if FT is None:
+        FT = duhamel_FT(model, f, **quad)
     M = propagator_matrix(model, f.period)
     T = f.period
     residuals = []
@@ -262,12 +261,7 @@ def convergence_gap(model: Model, f: PeriodicForcing, v0, n_periods: int,
         w0 = periodic_w0_direct(model, f, **quad).w0
     FT = duhamel_FT(model, f, **quad)
     M = propagator_matrix(model, f.period)
-    A_r, _, _ = deflated_block(model)
-    eigs = model._cache.get("deflated_eigs")
-    if eigs is None:
-        eigs = np.linalg.eigvals(A_r)
-        model._cache["deflated_eigs"] = eigs
-    rho = float(np.max(np.exp(f.period * eigs.real)))
+    rho = float(np.max(np.exp(f.period * deflated_eigs(model).real)))
     u = np.asarray(v0, dtype=complex).copy()
     gaps = [model.space.norm(u - w0)]
     for _ in range(n_periods):
@@ -383,16 +377,16 @@ def picard_nonlinear(model: Model, f: PeriodicForcing, poly: dict,
     wq = 0.5 * wq * dt
     step_mat = propagator_matrix(model, dt)
     lag_mats = [propagator_matrix(model, dt * (1.0 - x)) for x in xi]
+    quad_times = (times[:-1, None] + dt * xi).ravel()
 
     def advance(w0_loc, source: FourierForcing) -> np.ndarray:
+        svals = source.eval_many(quad_times).reshape(n_nodes - 1, gauss_order, model.dim)
+        inc = sum(wq[q] * (svals[:, q] @ lag_mats[q].T) for q in range(gauss_order))
         traj = np.empty((n_nodes, model.dim), dtype=complex)
         traj[0] = w0_loc
         u = w0_loc
         for i in range(n_nodes - 1):
-            svals = source.eval_many(times[i] + dt * xi)
-            u = step_mat @ u
-            for q in range(gauss_order):
-                u = u + wq[q] * (lag_mats[q] @ svals[q])
+            u = step_mat @ u + inc[i]
             traj[i + 1] = u
         return traj
 
@@ -414,7 +408,7 @@ def picard_nonlinear(model: Model, f: PeriodicForcing, poly: dict,
             [_nonlinear_source(model, poly, traj[i], structure)
              for i in range(n_nodes)])
         new_traj, source_fourier = linear_periodic(src)
-        gap = max(model.space.norm(new_traj[i] - traj[i]) for i in range(n_nodes))
+        gap = float(model.space.row_norms(new_traj - traj).max())
         if not np.isfinite(gap):
             raise Diverged(f"iteration produced non-finite states at sweep {it}")
         gaps.append(gap)
@@ -426,7 +420,7 @@ def picard_nonlinear(model: Model, f: PeriodicForcing, poly: dict,
                 raise Diverged(
                     f"gap grew for three consecutive sweeps (last ratio {r:.3f})")
         traj = new_traj
-        scale = max(model.space.norm(traj[i]) for i in range(n_nodes))
+        scale = float(model.space.row_norms(traj).max())
         if gap <= tol * (1.0 + scale):
             converged = True
             break

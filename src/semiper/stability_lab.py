@@ -25,6 +25,7 @@ from .errors import NonMonotone, PoorFit
 from .operator_core import (
     Model,
     deflated_block,
+    deflated_eigs,
     domain_gram,
     propagator_matrix,
     resolvent_norm,
@@ -134,12 +135,7 @@ def resolvent_scan(model: Model, eta_grid, threads: int = 1,
     """
     eta_grid = np.asarray(eta_grid, dtype=float)
     if include_spectrum:
-        A_r, _, Q = deflated_block(model)
-        eigs = model._cache.get("deflated_eigs")
-        if eigs is None:
-            eigs = np.linalg.eigvals(A_r)
-            model._cache["deflated_eigs"] = eigs
-        freqs = np.abs(eigs.imag)
+        freqs = np.abs(deflated_eigs(model).imag)
         freqs = freqs[(freqs >= eta_grid.min()) & (freqs <= eta_grid.max())]
         eta_grid = np.unique(np.concatenate([eta_grid, freqs]))
     values = np.array(_pmap(lambda e: resolvent_norm(model, e), eta_grid, threads))

@@ -74,6 +74,15 @@ def test_norm_matches_quadratic_form(rng):
         assert space.norm(x) == pytest.approx(brute, rel=1e-12)
 
 
+def test_row_norms_match_per_state_norm(rng):
+    n = 6
+    B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    G = B @ B.conj().T + n * np.eye(n)
+    space = make_state_space(n, G, "complex")
+    X = rng.standard_normal((9, n)) + 1j * rng.standard_normal((9, n))
+    assert_allclose(space.row_norms(X), [space.norm(x) for x in X], rtol=1e-13)
+
+
 def test_inner_product_conjugate_symmetry(rng):
     n = 4
     B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

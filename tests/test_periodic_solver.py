@@ -7,9 +7,11 @@ against direct time integration with scipy's adaptive stepper.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
@@ -131,10 +133,32 @@ def test_verify_orbit_flags_wrong_candidate(wave16):
 
 
 def test_singular_monodromy_refused():
+    """The singularity check runs before I - e^{TA} is LU-factored, so the
+    singular matrix never reaches the LU and raises no LinAlgWarning."""
     model = build_diagonal_model([0.0])
     f = make_fourier_forcing(1.0, {1: [1.0]}, model.space)
-    with pytest.raises(SingularMonodromy):
-        periodic_w0_direct(model, f)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMonodromy):
+            periodic_w0_direct(model, f)
+
+
+def test_direct_solver_factors_once_per_period(monkeypatch):
+    calls = []
+    original = scipy.linalg.lu_factor
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", counting)
+    model = build_damped_wave_interval(16, 1.0, DampingProfile("constant", amplitude=1.0))
+    first = periodic_w0_direct(model, bump_on_velocity(model))
+    second = periodic_w0_direct(model, bump_on_velocity(model, order=3))
+    assert len(calls) == 1
+    assert second.condition == first.condition
+    periodic_w0_direct(model, bump_on_velocity(model, T=2.0))
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
