@@ -2,20 +2,23 @@
 """Run every shipped config through the CLI driver and tabulate the results.
 
 One config (circle_obstruction) deliberately pumps the conserved mode
-and is expected to fail with KernelObstruction; its success would be a
-bug. Everything else must exit 0. The script exits nonzero if any run
-lands outside its expectation.
+and is expected to fail with KernelObstruction; its success, or a failure
+of any other kind, would be a bug. Everything else must exit 0. A run that
+raises anything is reported as a row of the table (traceback on stderr)
+and the next config still runs. The script exits nonzero if any run lands
+outside its expectation.
 """
 
 import argparse
 import sys
 import time
+import traceback
 from pathlib import Path
 
 from semiper.cli import run
-from semiper.errors import SemiperError
+from semiper.errors import KernelObstruction
 
-EXPECTED_FAILURES = {"circle_obstruction"}
+EXPECTED_FAILURES = {"circle_obstruction": KernelObstruction}
 
 
 def main():
@@ -40,24 +43,25 @@ def main():
 
     failures = 0
     for cfg in configs:
-        expect_fail = cfg.stem in EXPECTED_FAILURES
+        expected = EXPECTED_FAILURES.get(cfg.stem)
         t0 = time.perf_counter()
         try:
             manifest = run(cfg, out_dir=Path(args.out) / cfg.stem,
                            threads=args.threads)
             elapsed = time.perf_counter() - t0
-            if expect_fail:
+            if expected is not None:
                 failures += 1
-                status = "UNEXPECTED PASS"
+                status = f"UNEXPECTED PASS (expected {expected.__name__})"
             else:
                 status = f"ok      {len(manifest.outputs):2d} files"
-        except SemiperError as e:
+        except Exception as e:  # one config's fault must not hide the rest
             elapsed = time.perf_counter() - t0
-            if expect_fail:
+            if expected is not None and isinstance(e, expected):
                 status = f"ok (expected failure: {type(e).__name__})"
             else:
                 failures += 1
                 status = f"FAIL    {type(e).__name__}: {e}"
+                traceback.print_exc()
         print(f"{cfg.stem:28s} {elapsed:7.2f}s  {status}")
 
     print(f"\n{len(configs)} configs, {failures} unexpected outcomes")

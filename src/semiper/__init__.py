@@ -7,6 +7,8 @@ decay/resolvent scans with power-law fits, and the resonant-growth
 experiment on spherical-harmonic blocks.
 """
 
+__version__ = "0.1.0"
+
 from .errors import *  # noqa: F401,F403
 from .operator_core import (  # noqa: F401
     DecayFunction,
@@ -95,5 +97,3 @@ from .resonance_lab import (  # noqa: F401
     resonant_horizon,
     truncation_tail,
 )
-
-__version__ = "0.1.0"

@@ -28,6 +28,7 @@ import jsonschema
 import numpy as np
 import scipy
 
+from . import __version__
 from .errors import InvalidGrid, IoError, SemiperError
 from .forcing import (
     FourierForcing,
@@ -80,8 +81,6 @@ from .stability_lab import (
     mlog_bound_curve,
     resolvent_scan,
 )
-
-__version__ = "0.1.0"
 
 _NO_MODEL_TASKS = {"concentration", "invariants"}
 

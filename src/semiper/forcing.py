@@ -31,6 +31,7 @@ from .errors import (
     NonFiniteInput,
     QuadratureUnderResolved,
 )
+from .models import gauss_legendre_rule
 from .operator_core import (
     Model,
     StateSpace,
@@ -47,7 +48,7 @@ _PER0_DETECT_MAX = 12
 
 def gauss_panels(T: float, panels: int, order: int):
     """Composite Gauss-Legendre nodes and weights on [0, T]."""
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = gauss_legendre_rule(order)
     edges = np.linspace(0.0, T, panels + 1)
     mid = 0.5 * (edges[:-1, None] + edges[1:, None])
     half = 0.5 * (edges[1:, None] - edges[:-1, None])

@@ -40,6 +40,7 @@ from .forcing import (
     gauss_panels,
     admissibility_constant,
 )
+from .models import gauss_legendre_rule
 from .operator_core import (
     Model,
     deflated_block,
@@ -372,7 +373,7 @@ def picard_nonlinear(model: Model, f: PeriodicForcing, poly: dict,
     T = f.period
     times = T * np.arange(n_nodes) / n_nodes
     dt = T / n_nodes
-    xi, wq = np.polynomial.legendre.leggauss(gauss_order)
+    xi, wq = gauss_legendre_rule(gauss_order)
     xi = 0.5 * (xi + 1.0)
     wq = 0.5 * wq * dt
     step_mat = propagator_matrix(model, dt)

@@ -1,13 +1,19 @@
-"""Config-driven runs: artifacts, determinism and exit codes."""
+"""Config-driven runs: artifacts, determinism, exit codes, the version and the
+acceptance script."""
 
 import hashlib
+import importlib.util
 import json
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import semiper
 from semiper import cli
+from semiper.errors import KernelObstruction, SingularMonodromy
 
 
 def run_config(name, out_dir, config_dir, **kwargs):
@@ -191,3 +197,54 @@ def test_main_kernel_obstruction_exit_three(tmp_path, config_dir, capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert "error: semiper.errors.KernelObstruction" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# version and the acceptance script
+# ---------------------------------------------------------------------------
+
+def test_one_version(config_dir):
+    tomllib = pytest.importorskip("tomllib")
+    with open(config_dir.parent / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert semiper.__version__ == cli.__version__ == project["version"]
+
+
+def load_acceptance_script(repo_root):
+    path = repo_root / "scripts" / "run_all_acceptance.py"
+    spec = importlib.util.spec_from_file_location("run_all_acceptance", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("obstruction_error, unexpected", [
+    (KernelObstruction, 1),       # only the crash
+    (SingularMonodromy, 2),       # the crash and the wrong kind of failure
+])
+def test_acceptance_script_reports_every_config(tmp_path, config_dir, monkeypatch,
+                                                capsys, obstruction_error, unexpected):
+    """A crash in one config is a table row; only KernelObstruction is expected."""
+    script = load_acceptance_script(config_dir.parent)
+    for stem in ("a_crashes", "b_passes", "circle_obstruction"):
+        (tmp_path / f"{stem}.json").write_text("{}")
+
+    def fake_run(cfg, out_dir, threads):
+        if cfg.stem == "a_crashes":
+            raise RuntimeError("boom")
+        if cfg.stem == "circle_obstruction":
+            raise obstruction_error("pumped")
+        return SimpleNamespace(outputs=["x.csv"])
+
+    monkeypatch.setattr(script, "run", fake_run)
+    monkeypatch.setattr(sys, "argv", ["run_all_acceptance.py", "--configs",
+                                      str(tmp_path), "--out", str(tmp_path / "out")])
+    assert script.main() == 1
+    rows = capsys.readouterr().out.splitlines()
+    assert "FAIL    RuntimeError: boom" in rows[0]
+    assert "ok       1 files" in rows[1]
+    if obstruction_error is KernelObstruction:
+        assert "ok (expected failure: KernelObstruction)" in rows[2]
+    else:
+        assert "FAIL    SingularMonodromy: pumped" in rows[2]
+    assert rows[-1] == f"3 configs, {unexpected} unexpected outcomes"

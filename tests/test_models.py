@@ -30,6 +30,7 @@ from semiper.models import (
     build_synthetic_resolvent_model,
     equatorial_cap_mass,
     equatorial_harmonic,
+    gauss_legendre_rule,
     heat_wave_layout,
     normalized_legendre_block,
 )
@@ -200,6 +201,44 @@ def test_legendre_block_matches_scipy_harmonics():
         ref = np.array([scipy.special.sph_harm_y(l, m, th, 0.0).real
                         for th in theta])
         assert_allclose(X[l - m], np.sqrt(2 * np.pi) * ref, rtol=1e-11)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 80, 360])
+def test_gauss_legendre_rule_matches_leggauss(n):
+    s, w = gauss_legendre_rule(n)
+    s_ref, w_ref = np.polynomial.legendre.leggauss(n)
+    assert_allclose(s, s_ref, rtol=0, atol=1e-15)
+    assert_allclose(w, w_ref, rtol=0, atol=1e-13)
+
+
+def test_gauss_legendre_rule_exact_to_degree_2n_minus_1():
+    n = 2000
+    s, w = gauss_legendre_rule(n)
+    for k in (0, 1, 2, 3, 10, 101, 500, 1000, 1999, 2000, 3001, 3998, 3999):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert math.fsum(w * s**k) == pytest.approx(exact, rel=0, abs=1e-13), k
+
+
+def test_gauss_legendre_rule_cached_read_only():
+    s, w = gauss_legendre_rule(80)
+    for arr in (s, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    s2, w2 = gauss_legendre_rule(80)
+    assert s2 is s and w2 is w
+
+
+def test_sphere_multiplier_matches_leggauss_assembly():
+    """The multiplier on the package rule against one built on numpy's rule."""
+    from semiper.models import _sphere_multiplier
+
+    m, Jmax, nodes = 10, 30, 360
+    cap = DampingProfile("cap", amplitude=1.0, width=0.5, cutoff=0.3)
+    s, w = np.polynomial.legendre.leggauss(nodes)
+    X = normalized_legendre_block(m, Jmax, s)
+    ref = (X * (w * cap(s))) @ X.T
+    M = _sphere_multiplier(m, Jmax, cap, nodes)
+    assert np.max(np.abs(M - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_legendre_block_orthonormal():
