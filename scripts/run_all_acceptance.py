@@ -29,7 +29,6 @@ def main():
                     help="root output directory")
     ap.add_argument("--only", nargs="*", default=None,
                     help="run only the named configs (stem names)")
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
 
     cfg_dir = Path(args.configs) if args.configs else \
@@ -46,8 +45,7 @@ def main():
         expected = EXPECTED_FAILURES.get(cfg.stem)
         t0 = time.perf_counter()
         try:
-            manifest = run(cfg, out_dir=Path(args.out) / cfg.stem,
-                           threads=args.threads)
+            manifest = run(cfg, out_dir=Path(args.out) / cfg.stem)
             elapsed = time.perf_counter() - t0
             if expected is not None:
                 failures += 1

@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .errors import *  # noqa: F401,F403
 from .operator_core import (  # noqa: F401
-    DecayFunction,
     Model,
     SpectrumReport,
     StateSpace,
@@ -20,7 +19,6 @@ from .operator_core import (  # noqa: F401
     deflated_block,
     domain_gram,
     fractional_power,
-    kernel_projector,
     make_state_space,
     norm_domain,
     propagate,

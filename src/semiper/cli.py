@@ -1,6 +1,6 @@
 """Command-line front end: JSON experiment configs in, CSV/JSON artifacts out.
 
-``semiper run --config cfg.json [--out DIR] [--seed N] [--threads K]``
+``semiper run --config cfg.json [--out DIR] [--seed N]``
 validates the config against the shipped JSON schema, builds the model,
 runs the requested task and writes its results as CSV tables (17
 significant digits, header row with units), JSON reports (stable key
@@ -400,11 +400,10 @@ def _jsonable(o):
 class RunContext:
     """Holds the output directory and the list of files written so far."""
 
-    def __init__(self, out_dir: Path, prefix: str, seed: int, threads: int):
+    def __init__(self, out_dir: Path, prefix: str, seed: int):
         self.out_dir = out_dir
         self.prefix = prefix
         self.seed = seed
-        self.threads = threads
         self.rng = np.random.default_rng(seed)
         self.files: list[str] = []
 
@@ -587,7 +586,7 @@ def _task_decay_scan(cfg, bundle, ctx):
     scan_spec = cfg["scan"]
     alpha = scan_spec.get("alpha", 1.0)
     t = _grid(scan_spec["t_grid"])
-    scan = decay_envelope(bundle.model, alpha, t, threads=ctx.threads)
+    scan = decay_envelope(bundle.model, alpha, t)
     fit = fit_decay_exponent(scan, window=scan_spec.get("t_window"))
     ctx.emit_csv("decay.csv",
                  [("t", "t"), ("h_alpha", "1"), ("running_min", "1")],
@@ -617,7 +616,7 @@ def _task_decay_scan(cfg, bundle, ctx):
 def _task_resolvent_scan(cfg, bundle, ctx):
     scan_spec = cfg["scan"]
     eta = _grid(scan_spec["eta_grid"])
-    scan = resolvent_scan(bundle.model, eta, threads=ctx.threads)
+    scan = resolvent_scan(bundle.model, eta)
     fit = fit_power_law(scan, window=scan_spec.get("eta_window"),
                         use="running_max")
     ctx.emit_csv("resolvent.csv",
@@ -647,8 +646,7 @@ def _task_bt_crosscheck(cfg, bundle, ctx):
                         _grid(scan_spec["t_grid"]),
                         _grid(scan_spec["eta_grid"]),
                         t_window=scan_spec.get("t_window"),
-                        eta_window=scan_spec.get("eta_window"),
-                        threads=ctx.threads)
+                        eta_window=scan_spec.get("eta_window"))
     ctx.emit_csv("decay.csv",
                  [("t", "t"), ("h_1", "1"), ("running_min", "1")],
                  zip(rep.decay.abscissae, rep.decay.values,
@@ -681,12 +679,11 @@ def _task_interpolation_check(cfg, bundle, ctx):
     alpha = scan_spec["alpha"]
     g = scan_spec["t_grid"]
     t = _grid(g)
-    base = interpolation_check(bundle.model, alpha, t, threads=ctx.threads)
+    base = interpolation_check(bundle.model, alpha, t)
     ext_spec = dict(g)
     ext_spec["stop"] = g["stop"] * scan_spec.get("extension_factor", 1.5)
     ext_spec["num"] = 2 * g["num"] - 1
-    ext = interpolation_check(bundle.model, alpha, _grid(ext_spec),
-                              threads=ctx.threads)
+    ext = interpolation_check(bundle.model, alpha, _grid(ext_spec))
     sup0, sup1 = base.extras["sup"], ext.extras["sup"]
     ctx.emit_csv("interpolation.csv",
                  [("t", "t"), ("ratio", "1"), ("h_alpha", "1"), ("h_one", "1")],
@@ -704,7 +701,7 @@ def _task_interpolation_check(cfg, bundle, ctx):
 def _task_mlog_bound(cfg, bundle, ctx):
     scan_spec = cfg["scan"]
     rep = mlog_bound_curve(bundle.model, _grid(scan_spec["eta_grid"]),
-                           _grid(scan_spec["t_grid"]), threads=ctx.threads)
+                           _grid(scan_spec["t_grid"]))
     ctx.emit_csv("mlog_resolvent.csv",
                  [("eta", "1/t"), ("M", "1"), ("M_log", "1")],
                  zip(rep.eta_grid, rep.resolvent_max, rep.m_log))
@@ -1075,7 +1072,6 @@ class RunManifest:
     config_path: str
     config_sha256: str
     seed: int
-    threads: int
     package_version: str
     numpy_version: str
     scipy_version: str
@@ -1090,7 +1086,7 @@ def _sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run(config_path, out_dir=None, seed=None, threads: int = 1) -> RunManifest:
+def run(config_path, out_dir=None, seed=None) -> RunManifest:
     config_path = Path(config_path)
     raw = config_path.read_bytes()
     cfg = json.loads(raw)
@@ -1102,7 +1098,7 @@ def run(config_path, out_dir=None, seed=None, threads: int = 1) -> RunManifest:
     out_dir = Path(out_dir) if out_dir is not None else Path("out") / config_path.stem
     out_dir.mkdir(parents=True, exist_ok=True)
     prefix = cfg.get("outputs", {}).get("prefix", "")
-    ctx = RunContext(out_dir, prefix, int(seed), int(threads))
+    ctx = RunContext(out_dir, prefix, int(seed))
 
     clock = {}
     t0 = time.perf_counter()
@@ -1132,7 +1128,6 @@ def run(config_path, out_dir=None, seed=None, threads: int = 1) -> RunManifest:
         config_path=str(config_path),
         config_sha256=_sha256_bytes(raw),
         seed=int(seed),
-        threads=int(threads),
         package_version=__version__,
         numpy_version=np.__version__,
         scipy_version=scipy.__version__,
@@ -1156,13 +1151,10 @@ def main(argv=None) -> int:
     runp.add_argument("--out", default=None, help="output directory")
     runp.add_argument("--seed", type=int, default=None,
                       help="override the config seed")
-    runp.add_argument("--threads", type=int, default=1,
-                      help="worker threads for scans")
     args = parser.parse_args(argv)
 
     try:
-        manifest = run(args.config, out_dir=args.out, seed=args.seed,
-                       threads=args.threads)
+        manifest = run(args.config, out_dir=args.out, seed=args.seed)
     except (jsonschema.ValidationError, json.JSONDecodeError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

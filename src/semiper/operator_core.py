@@ -15,7 +15,9 @@ the complementary invariant block (the "deflated block").
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg as sla
@@ -28,6 +30,7 @@ from .errors import (
     NotPositiveDefinite,
     OnSpectrum,
     ResonantHarmonic,
+    SingularMonodromy,
     SpectrumOnCut,
 )
 
@@ -40,6 +43,22 @@ EIG_COND_LIMIT = 1e8
 BACKWARD_WARN_RATIO = 1e6
 
 _HERMITIAN_RTOL = 1e-12
+
+
+def _per_instance_lru(maxsize: int | None):
+    """Turn a method into one ``lru_cache`` per instance, built on first use.
+
+    The cache is stored on the instance and reaches it through a weak
+    reference, so instance -> cache -> instance is no reference cycle and
+    the instance is still freed as soon as its last reference goes.
+    Arguments are the cache key and must be passed positionally.
+    """
+    def decorate(method):
+        def build(self):
+            ref = weakref.ref(self)
+            return lru_cache(maxsize=maxsize)(lambda *key: method(ref(), *key))
+        return cached_property(build)
+    return decorate
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -63,12 +82,14 @@ class StateSpace:
     field_tag : str
         "real" or "complex"; a bookkeeping tag only, all arithmetic is
         done in complex128.
+    gram_roots : tuple of ndarray
+        (G^{1/2}, G^{-1/2}), cached on first use; ``sqrt_gram`` and
+        ``inv_sqrt_gram`` read it.
     """
 
     dim: int
     gram: np.ndarray
     field_tag: str = "real"
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def norm(self, x) -> float:
         x = np.asarray(x, dtype=complex)
@@ -84,21 +105,21 @@ class StateSpace:
     def inner(self, x, y) -> complex:
         return complex(np.vdot(np.asarray(x, dtype=complex), self.gram @ np.asarray(y, dtype=complex)))
 
+    @cached_property
+    def gram_roots(self) -> tuple[np.ndarray, np.ndarray]:
+        vals, vecs = np.linalg.eigh(self.gram)
+        vals = np.maximum(vals, 0.0)
+        with np.errstate(divide="ignore"):
+            inv = np.where(vals > 0, 1.0 / np.sqrt(vals), 0.0)
+        return (vecs * np.sqrt(vals)) @ vecs.conj().T, (vecs * inv) @ vecs.conj().T
+
     @property
     def sqrt_gram(self) -> np.ndarray:
-        if "sqrt" not in self._cache:
-            vals, vecs = np.linalg.eigh(self.gram)
-            vals = np.maximum(vals, 0.0)
-            self._cache["sqrt"] = (vecs * np.sqrt(vals)) @ vecs.conj().T
-            with np.errstate(divide="ignore"):
-                inv = np.where(vals > 0, 1.0 / np.sqrt(vals), 0.0)
-            self._cache["isqrt"] = (vecs * inv) @ vecs.conj().T
-        return self._cache["sqrt"]
+        return self.gram_roots[0]
 
     @property
     def inv_sqrt_gram(self) -> np.ndarray:
-        self.sqrt_gram
-        return self._cache["isqrt"]
+        return self.gram_roots[1]
 
     def op_norm(self, M) -> float:
         """Operator norm of M as a map (X, gram) -> (X, gram)."""
@@ -142,8 +163,29 @@ class Model:
     ``pi0`` is the spectral projector onto ker A (zero when the kernel is
     trivial); ``kernel_basis`` spans the same kernel. ``B`` is an optional
     input matrix for boundary-forced models. The instance is treated as
-    immutable after construction; ``_cache`` only memoizes derived
-    factorizations.
+    immutable after construction. Its derived factorizations are cached
+    on it, each computed on first use:
+
+    ``eig``
+        (w, V, Vinv, cond): eigenvalues and eigenvectors of A, the
+        inverse eigenvector matrix (None if singular) and cond(V).
+    ``deflated``
+        (A_r, G_r, Q), see :func:`deflated_block`.
+    ``schur``
+        (R, Z), see :func:`deflated_schur`.
+    ``reduced_gram_roots``
+        (G_r^{1/2}, G_r^{-1/2}) on the deflated block.
+    ``propagator(t)``
+        e^{tA} for the 12 most recently used times.
+    ``fractional_power(alpha, reduced)``
+        see :func:`fractional_power`.
+    ``fixed_point_lu(T)``
+        LU factors of I - e^{TA} on the deflated block and its
+        condition number.
+    ``domain_inv_sqrt(alpha)``
+        inverse square root of :func:`domain_gram`.
+
+    The keyed caches take their key as positional arguments.
     """
 
     space: StateSpace
@@ -153,7 +195,6 @@ class Model:
     B: np.ndarray | None = None
     label: str = ""
     group_allowed: bool = True
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -162,6 +203,93 @@ class Model:
     @property
     def has_kernel(self) -> bool:
         return len(self.kernel_basis) > 0
+
+    @cached_property
+    def eig(self) -> tuple:
+        w, V = np.linalg.eig(self.A)
+        try:
+            Vinv = np.linalg.inv(V)
+            cond = np.linalg.cond(V)
+        except np.linalg.LinAlgError:
+            Vinv, cond = None, np.inf
+        return w, V, Vinv, cond
+
+    @cached_property
+    def deflated(self) -> tuple:
+        if not self.has_kernel:
+            return self.A, self.space.gram, None
+        P = np.eye(self.dim) - self.pi0
+        Q = sla.orth(P, rcond=1e-10)
+        A_r = Q.conj().T @ self.A @ Q
+        G_r = Q.conj().T @ self.space.gram @ Q
+        return A_r, 0.5 * (G_r + G_r.conj().T), Q
+
+    @cached_property
+    def schur(self) -> tuple:
+        return sla.schur(self.deflated[0], output="complex")
+
+    @cached_property
+    def reduced_gram_roots(self) -> tuple:
+        _, G_r, Q = self.deflated
+        if Q is None:
+            return self.space.gram_roots
+        vals, vecs = np.linalg.eigh(G_r)
+        vals = np.maximum(vals, 1e-300)
+        S = (vecs * np.sqrt(vals)) @ vecs.conj().T
+        Si = (vecs / np.sqrt(vals)) @ vecs.conj().T
+        return S, Si
+
+    @_per_instance_lru(12)
+    def propagator(self, t: float) -> np.ndarray:
+        w, V, Vinv, cond = self.eig
+        if cond <= EIG_COND_LIMIT:
+            return (V * np.exp(w * t)) @ Vinv
+        return sla.expm(self.A * t)
+
+    @_per_instance_lru(None)
+    def fractional_power(self, alpha: float, reduced: bool) -> np.ndarray:
+        A_r, _, Q = self.deflated
+        negA = -A_r
+        mu = -deflated_eigs(self)
+        scale = max(1.0, float(np.max(np.abs(mu))) if mu.size else 1.0)
+        on_cut = (np.abs(mu.imag) <= 1e-12 * scale) & (mu.real <= 1e-12 * scale)
+        if alpha != int(alpha) and np.any(on_cut):
+            raise SpectrumOnCut("an eigenvalue of -A lies on (-inf, 0]")
+        if alpha == int(alpha) and alpha >= 0:
+            F = np.linalg.matrix_power(negA, int(alpha))
+        else:
+            w, V = np.linalg.eig(negA)
+            cond = np.linalg.cond(V)
+            if cond <= EIG_COND_LIMIT:
+                F = (V * np.power(w.astype(complex), alpha)) @ np.linalg.inv(V)
+            else:
+                F = sla.fractional_matrix_power(negA, alpha)
+        if not reduced and Q is not None:
+            P = np.eye(self.dim) - self.pi0
+            F = Q @ F @ (Q.conj().T @ P)
+        return F
+
+    @_per_instance_lru(None)
+    def fixed_point_lu(self, T: float) -> tuple:
+        # The singularity check runs before the matrix is factored, so a
+        # singular monodromy never reaches the LU.
+        M = propagator_matrix(self, T)
+        _, _, Q = self.deflated
+        M_r = M if Q is None else Q.conj().T @ M @ Q
+        fixed = np.eye(M_r.shape[0]) - M_r
+        svals = np.linalg.svd(fixed, compute_uv=False)
+        smin = float(svals[-1])
+        if smin < 1e-13 * max(1.0, float(svals[0])):
+            raise SingularMonodromy(
+                f"I - e(TA) is numerically singular on the deflated block "
+                f"(sigma_min = {smin:.3e})")
+        return sla.lu_factor(fixed), float(svals[0]) / smin
+
+    @_per_instance_lru(None)
+    def domain_inv_sqrt(self, alpha: float) -> np.ndarray:
+        vals, vecs = np.linalg.eigh(domain_gram(self, alpha))
+        vals = np.maximum(vals, 1e-300)
+        return (vecs / np.sqrt(vals)) @ vecs.conj().T
 
 
 def build_model(space: StateSpace, A, kernel_basis=(), pi0=None, B=None,
@@ -213,35 +341,12 @@ def _spectral_kernel_projector(A: np.ndarray, kdim: int) -> np.ndarray:
 # propagation
 # ---------------------------------------------------------------------------
 
-def _eig_data(model: Model):
-    if "eig" not in model._cache:
-        w, V = np.linalg.eig(model.A)
-        try:
-            Vinv = np.linalg.inv(V)
-            cond = np.linalg.cond(V)
-        except np.linalg.LinAlgError:
-            Vinv, cond = None, np.inf
-        model._cache["eig"] = (w, V, Vinv, cond)
-    return model._cache["eig"]
-
-
 def propagator_matrix(model: Model, t: float) -> np.ndarray:
-    """Dense matrix of e^{tA}; eigendecomposition path with expm fallback."""
-    key = ("prop", float(t))
-    cached = model._cache.get(key)
-    if cached is not None:
-        return cached
-    w, V, Vinv, cond = _eig_data(model)
-    if cond <= EIG_COND_LIMIT:
-        P = (V * np.exp(w * t)) @ Vinv
-    else:
-        P = sla.expm(model.A * t)
-    lru = model._cache.setdefault("prop_keys", [])
-    lru.append(key)
-    if len(lru) > 12:
-        model._cache.pop(lru.pop(0), None)
-    model._cache[key] = P
-    return P
+    """Dense matrix of e^{tA}; eigendecomposition path with expm fallback.
+
+    The result is cached on the model and shared between callers.
+    """
+    return model.propagator(float(t))
 
 
 def propagated_columns(model: Model, offsets, states, weights,
@@ -255,7 +360,7 @@ def propagated_columns(model: Model, offsets, states, weights,
     """
     states = np.asarray(states, dtype=complex)
     weights = np.asarray(weights, dtype=complex)
-    w, V, Vinv, cond = _eig_data(model)
+    w, V, Vinv, cond = model.eig
     if cond <= EIG_COND_LIMIT:
         Z = np.exp(np.outer(w, offsets)) * (Vinv @ states.T)
         return V @ (Z @ weights if summed else Z * weights)
@@ -276,7 +381,7 @@ def propagate(model: Model, t: float, x) -> np.ndarray:
         raise NonFiniteInput("state has non-finite entries")
     if t < 0 and not model.group_allowed:
         raise BackwardTimeDisallowed(f"t = {t} on a forward-only model")
-    w, V, Vinv, cond = _eig_data(model)
+    w, V, Vinv, cond = model.eig
     if cond <= EIG_COND_LIMIT:
         out = V @ (np.exp(w * t) * (Vinv @ x))
     else:
@@ -302,17 +407,7 @@ def deflated_block(model: Model):
     the reduced Gram. For kernel-free models Q is the identity and the
     originals are returned.
     """
-    if "deflated" not in model._cache:
-        if not model.has_kernel:
-            model._cache["deflated"] = (model.A, model.space.gram, None)
-        else:
-            P = np.eye(model.dim) - model.pi0
-            Q = sla.orth(P, rcond=1e-10)
-            A_r = Q.conj().T @ model.A @ Q
-            G_r = Q.conj().T @ model.space.gram @ Q
-            G_r = 0.5 * (G_r + G_r.conj().T)
-            model._cache["deflated"] = (A_r, G_r, Q)
-    return model._cache["deflated"]
+    return model.deflated
 
 
 def to_block(model: Model, x) -> np.ndarray:
@@ -339,29 +434,12 @@ def deflated_schur(model: Model):
 
     Returns (R, Z) with R upper triangular and Z unitary.
     """
-    if "schur" not in model._cache:
-        A_r, _, _ = deflated_block(model)
-        model._cache["schur"] = sla.schur(A_r, output="complex")
-    return model._cache["schur"]
+    return model.schur
 
 
 def deflated_eigs(model: Model) -> np.ndarray:
     """Eigenvalues of the deflated block: the diagonal of its Schur form."""
     return np.diag(deflated_schur(model)[0])
-
-
-def _gram_sqrts(model: Model):
-    if "gram_r" not in model._cache:
-        _, G_r, Q = deflated_block(model)
-        if Q is None:
-            model._cache["gram_r"] = (model.space.sqrt_gram, model.space.inv_sqrt_gram)
-        else:
-            vals, vecs = np.linalg.eigh(G_r)
-            vals = np.maximum(vals, 1e-300)
-            S = (vecs * np.sqrt(vals)) @ vecs.conj().T
-            Si = (vecs / np.sqrt(vals)) @ vecs.conj().T
-            model._cache["gram_r"] = (S, Si)
-    return model._cache["gram_r"]
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +458,7 @@ def resolvent_norm(model: Model, eta: float) -> float:
     smin = np.linalg.svd(M, compute_uv=False)[-1]
     if smin < 1e-13:
         raise OnSpectrum(f"i*{eta} lies on the spectrum (sigma_min = {smin:.3e})")
-    S, Si = _gram_sqrts(model)
+    S, Si = model.reduced_gram_roots
     X = np.linalg.solve(M, Si)
     return float(np.linalg.norm(S @ X, 2))
 
@@ -451,32 +529,7 @@ def fractional_power(model: Model, alpha: float, reduced: bool = False) -> np.nd
         If -A has an eigenvalue on (-inf, 0], where the principal branch
         is not defined.
     """
-    alpha = float(alpha)
-    key = ("fpow", alpha, reduced)
-    cached = model._cache.get(key)
-    if cached is not None:
-        return cached
-    A_r, _, Q = deflated_block(model)
-    negA = -A_r
-    mu = -deflated_eigs(model)
-    scale = max(1.0, float(np.max(np.abs(mu))) if mu.size else 1.0)
-    on_cut = (np.abs(mu.imag) <= 1e-12 * scale) & (mu.real <= 1e-12 * scale)
-    if alpha != int(alpha) and np.any(on_cut):
-        raise SpectrumOnCut("an eigenvalue of -A lies on (-inf, 0]")
-    if alpha == int(alpha) and alpha >= 0:
-        F = np.linalg.matrix_power(negA, int(alpha))
-    else:
-        w, V = np.linalg.eig(negA)
-        cond = np.linalg.cond(V)
-        if cond <= EIG_COND_LIMIT:
-            F = (V * np.power(w.astype(complex), alpha)) @ np.linalg.inv(V)
-        else:
-            F = sla.fractional_matrix_power(negA, alpha)
-    if not reduced and Q is not None:
-        P = np.eye(model.dim) - model.pi0
-        F = Q @ F @ (Q.conj().T @ P)
-    model._cache[key] = F
-    return F
+    return model.fractional_power(float(alpha), reduced)
 
 
 def norm_domain(model: Model, alpha: float, x) -> float:
@@ -512,13 +565,8 @@ def domain_gram(model: Model, alpha: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# kernel projector and spectrum report
+# contour projector and spectrum report
 # ---------------------------------------------------------------------------
-
-def kernel_projector(model: Model) -> np.ndarray:
-    """The spectral projector onto ker A (zero matrix when trivial)."""
-    return model.pi0.copy()
-
 
 def contour_spectral_projector(model: Model, center: complex = 0.0,
                                radius: float | None = None,
@@ -529,7 +577,7 @@ def contour_spectral_projector(model: Model, center: complex = 0.0,
     default radius is half the distance from ``center`` to the nearest
     eigenvalue outside a 1e-8 neighborhood of it.
     """
-    w, _, _, _ = _eig_data(model)
+    w, _, _, _ = model.eig
     if radius is None:
         d = np.abs(w - center)
         outside = d[d > 1e-8]
@@ -563,7 +611,7 @@ def spectrum_report(model: Model) -> SpectrumReport:
     1e-10 and every eigenvalue of the deflated block lies strictly in
     the open left half plane.
     """
-    w, _, _, _ = _eig_data(model)
+    w, _, _, _ = model.eig
     _, _, Q = deflated_block(model)
     wr = deflated_eigs(model) if Q is not None else w
     abscissa = float(np.max(w.real)) if w.size else -np.inf
@@ -580,18 +628,3 @@ def spectrum_report(model: Model) -> SpectrumReport:
         assumptions_ok=bool(ok),
     )
 
-
-# ---------------------------------------------------------------------------
-# decay data carrier
-# ---------------------------------------------------------------------------
-
-@dataclass
-class DecayFunction:
-    """A measured decay envelope t -> h_alpha(t) on a grid."""
-
-    alpha: float
-    t_grid: np.ndarray
-    values: np.ndarray
-
-    def __call__(self, t):
-        return np.interp(t, self.t_grid, self.values)

@@ -24,12 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import (
-    Diverged,
-    KernelObstruction,
-    SingularMonodromy,
-    SlowConvergence,
-)
+from .errors import Diverged, KernelObstruction, SlowConvergence
 from .forcing import (
     FourierForcing,
     PeriodicForcing,
@@ -43,7 +38,6 @@ from .forcing import (
 from .models import gauss_legendre_rule
 from .operator_core import (
     Model,
-    deflated_block,
     deflated_eigs,
     from_block,
     harmonic_solve,
@@ -87,29 +81,6 @@ def _strip_kernel(model: Model, x: np.ndarray) -> np.ndarray:
     if model.has_kernel:
         return x - model.pi0 @ x
     return x
-
-
-def _fixed_point_factor(model: Model, T: float):
-    """LU factors of I - e^{TA} on the deflated block, cached per period.
-
-    Returns (lu_piv, condition) with the 2-norm condition number of the
-    fixed-point matrix. The singularity check runs before the matrix is
-    factored, so a singular monodromy never reaches the LU.
-    """
-    key = ("fixed_point_lu", float(T))
-    if key not in model._cache:
-        M = propagator_matrix(model, T)
-        _, _, Q = deflated_block(model)
-        M_r = M if Q is None else Q.conj().T @ M @ Q
-        fixed = np.eye(M_r.shape[0]) - M_r
-        svals = np.linalg.svd(fixed, compute_uv=False)
-        smin = float(svals[-1])
-        if smin < 1e-13 * max(1.0, float(svals[0])):
-            raise SingularMonodromy(
-                f"I - e(TA) is numerically singular on the deflated block "
-                f"(sigma_min = {smin:.3e})")
-        model._cache[key] = (sla.lu_factor(fixed), float(svals[0]) / smin)
-    return model._cache[key]
 
 
 def _finish_report(model: Model, f: PeriodicForcing, w0, method, n_periods,
@@ -168,11 +139,12 @@ def periodic_w0_direct(model: Model, f: PeriodicForcing, n_periods: int = 1,
     On kernel models the system is solved on the deflated block. The
     report's ``condition`` is the 2-norm condition number of the
     deflated fixed-point matrix. The matrix is checked and LU-factored
-    once per (model, period); later solves reuse the factors.
+    once per (model, period); later solves reuse the factors. Raises
+    SingularMonodromy when the matrix is numerically singular.
     """
     FT = duhamel_FT(model, f, **quad)
     _kernel_guard(model, FT)
-    lu_piv, condition = _fixed_point_factor(model, f.period)
+    lu_piv, condition = model.fixed_point_lu(f.period)
     w0 = from_block(model, sla.lu_solve(lu_piv, to_block(model, FT)))
     w0 = _strip_kernel(model, w0)
     return _finish_report(model, f, w0, "direct", n_periods, FT=FT,
@@ -291,12 +263,8 @@ def boundary_periodic_solve(model: Model, g: PeriodicForcing,
     T = g.period
     FT = control_duhamel(model, g, T, panels=panels, order=order)
     M = propagator_matrix(model, T)
-    fixed = np.eye(model.dim) - M
-    svals = np.linalg.svd(fixed, compute_uv=False)
-    smin = float(svals[-1])
-    if smin < 1e-13 * max(1.0, float(svals[0])):
-        raise SingularMonodromy("I - e(TA) is numerically singular")
-    w0 = np.linalg.solve(fixed, FT)
+    lu_piv, condition = model.fixed_point_lu(T)
+    w0 = from_block(model, sla.lu_solve(lu_piv, to_block(model, FT)))
 
     residuals = []
     u = w0.copy()
@@ -311,7 +279,7 @@ def boundary_periodic_solve(model: Model, g: PeriodicForcing,
     return PeriodicSolveReport(w0=w0, method="boundary_direct",
                                residual_per_period=residuals,
                                norm_ratio=ratio,
-                               condition=float(svals[0]) / smin,
+                               condition=condition,
                                admissibility=admissibility_constant(model, T))
 
 

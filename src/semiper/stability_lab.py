@@ -15,7 +15,6 @@ measured decay.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +25,6 @@ from .operator_core import (
     Model,
     deflated_block,
     deflated_eigs,
-    domain_gram,
     propagator_matrix,
     resolvent_norm,
 )
@@ -48,43 +46,14 @@ class ScanResult:
     fit: FitResult | None = None
     extras: dict = field(default_factory=dict)
 
-    def to_decay_function(self, alpha: float):
-        from .operator_core import DecayFunction
-        return DecayFunction(alpha=alpha, t_grid=self.abscissae,
-                             values=self.values)
-
-
-def _pmap(fn, xs, threads: int):
-    if threads <= 1:
-        return [fn(x) for x in xs]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, xs))
-
 
 def _is_normal(model: Model) -> bool:
     A_r, _, _ = deflated_block(model)
-    S, Si = _weighted(model)
+    S, Si = model.reduced_gram_roots
     W = S @ A_r @ Si
     comm = W @ W.conj().T - W.conj().T @ W
     scale = max(np.linalg.norm(W) ** 2, 1e-300)
     return bool(np.linalg.norm(comm) <= 1e-10 * scale)
-
-
-def _weighted(model: Model):
-    from .operator_core import _gram_sqrts
-    return _gram_sqrts(model)
-
-
-def _domain_inv_sqrt(model: Model, alpha: float) -> np.ndarray:
-    key = ("dom_isqrt", float(alpha))
-    cached = model._cache.get(key)
-    if cached is None:
-        Gd = domain_gram(model, alpha)
-        vals, vecs = np.linalg.eigh(Gd)
-        vals = np.maximum(vals, 1e-300)
-        cached = (vecs / np.sqrt(vals)) @ vecs.conj().T
-        model._cache[key] = cached
-    return cached
 
 
 def _reduced_propagator(model: Model, t: float) -> np.ndarray:
@@ -95,7 +64,7 @@ def _reduced_propagator(model: Model, t: float) -> np.ndarray:
     return Q.conj().T @ P @ Q
 
 
-def decay_envelope(model: Model, alpha: float, t_grid, threads: int = 1) -> ScanResult:
+def decay_envelope(model: Model, alpha: float, t_grid) -> ScanResult:
     """Measured envelope h_alpha on a time grid.
 
     Each value is the largest generalized singular value of e^{tA} from
@@ -105,14 +74,10 @@ def decay_envelope(model: Model, alpha: float, t_grid, threads: int = 1) -> Scan
     curve was nonincreasing to within 1e-10.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    S, _ = _weighted(model)
-    Di = _domain_inv_sqrt(model, alpha)
-
-    def value(t):
-        E = _reduced_propagator(model, t)
-        return float(np.linalg.norm(S @ E @ Di, 2))
-
-    values = np.array(_pmap(value, t_grid, threads))
+    S, _ = model.reduced_gram_roots
+    Di = model.domain_inv_sqrt(float(alpha))
+    values = np.array([np.linalg.norm(S @ _reduced_propagator(model, t) @ Di, 2)
+                       for t in t_grid])
     running = np.minimum.accumulate(values)
     rises = np.diff(values)
     monotone = bool(np.all(rises <= 1e-10 * np.maximum(values[:-1], 1e-300)))
@@ -122,7 +87,7 @@ def decay_envelope(model: Model, alpha: float, t_grid, threads: int = 1) -> Scan
                               "normal": _is_normal(model), "alpha": alpha})
 
 
-def resolvent_scan(model: Model, eta_grid, threads: int = 1,
+def resolvent_scan(model: Model, eta_grid,
                    include_spectrum: bool = True) -> ScanResult:
     """Pointwise |R(i eta)| on the deflated block, with its running max.
 
@@ -138,7 +103,7 @@ def resolvent_scan(model: Model, eta_grid, threads: int = 1,
         freqs = np.abs(deflated_eigs(model).imag)
         freqs = freqs[(freqs >= eta_grid.min()) & (freqs <= eta_grid.max())]
         eta_grid = np.unique(np.concatenate([eta_grid, freqs]))
-    values = np.array(_pmap(lambda e: resolvent_norm(model, e), eta_grid, threads))
+    values = np.array([resolvent_norm(model, e) for e in eta_grid])
     return ScanResult(kind="resolvent_scan", abscissae=eta_grid, values=values,
                       extras={"running_max": np.maximum.accumulate(values)})
 
@@ -200,7 +165,7 @@ class BTReport:
 
 
 def bt_crosscheck(model: Model, t_grid, eta_grid, t_window=None,
-                  eta_window=None, threads: int = 1) -> BTReport:
+                  eta_window=None) -> BTReport:
     """Fitted resolvent growth against fitted smoothed decay.
 
     alpha_hat is the log-log slope of the running max of |R(i eta)|;
@@ -209,9 +174,9 @@ def bt_crosscheck(model: Model, t_grid, eta_grid, t_window=None,
     resolvent families on Hilbert spaces the two are reciprocal, so the
     reported product is the quantity to compare with 1.
     """
-    dscan = decay_envelope(model, 1.0, t_grid, threads)
+    dscan = decay_envelope(model, 1.0, t_grid)
     dfit = fit_decay_exponent(dscan, window=t_window)
-    rscan = resolvent_scan(model, eta_grid, threads)
+    rscan = resolvent_scan(model, eta_grid)
     rfit = fit_power_law(rscan, window=eta_window, use="running_max")
     alpha_hat = rfit.exponent
     beta_hat = -dfit.exponent
@@ -219,8 +184,7 @@ def bt_crosscheck(model: Model, t_grid, eta_grid, t_window=None,
                     product=alpha_hat * beta_hat, decay=dscan, resolvent=rscan)
 
 
-def interpolation_check(model: Model, alpha: float, t_grid,
-                        threads: int = 1) -> ScanResult:
+def interpolation_check(model: Model, alpha: float, t_grid) -> ScanResult:
     """Ratio of h_alpha(t) to h_1(t / ceil(alpha))^alpha.
 
     Boundedness of this ratio is the quantitative form of the
@@ -229,8 +193,8 @@ def interpolation_check(model: Model, alpha: float, t_grid,
     """
     t_grid = np.asarray(t_grid, dtype=float)
     ceil_a = int(np.ceil(alpha))
-    num = decay_envelope(model, alpha, t_grid, threads)
-    den = decay_envelope(model, 1.0, t_grid / ceil_a, threads)
+    num = decay_envelope(model, alpha, t_grid)
+    den = decay_envelope(model, 1.0, t_grid / ceil_a)
     ratio = num.values / np.maximum(den.values ** alpha, 1e-300)
     sup_idx = int(np.argmax(ratio))
     return ScanResult(kind=f"interpolation_ratio(alpha={alpha})",
@@ -252,7 +216,7 @@ class MlogReport:
     fraction_satisfied: float
 
 
-def mlog_bound_curve(model: Model, eta_grid, t_grid, threads: int = 1) -> MlogReport:
+def mlog_bound_curve(model: Model, eta_grid, t_grid) -> MlogReport:
     """Inverted log-corrected resolvent bound against the measured decay.
 
     Builds M(eta) as the running max of the resolvent scan and
@@ -263,7 +227,7 @@ def mlog_bound_curve(model: Model, eta_grid, t_grid, threads: int = 1) -> MlogRe
     which fraction of the time grid the bound lies above the
     measurement.
     """
-    rscan = resolvent_scan(model, eta_grid, threads)
+    rscan = resolvent_scan(model, eta_grid)
     M = rscan.extras["running_max"]
     eta = rscan.abscissae
     m_log = M * (np.log1p(M) + np.log1p(eta))
@@ -273,7 +237,7 @@ def mlog_bound_curve(model: Model, eta_grid, t_grid, threads: int = 1) -> MlogRe
                           "refine the frequency grid")
     m_log = np.maximum.accumulate(m_log)
 
-    dscan = decay_envelope(model, 1.0, t_grid, threads)
+    dscan = decay_envelope(model, 1.0, t_grid)
     d = dscan.extras["running_min"]
     t = dscan.abscissae
 

@@ -70,7 +70,7 @@ def test_csv_header_units_and_full_precision(tmp_path, config_dir):
 
 
 def test_read_csv_inverts_emit(tmp_path):
-    ctx = cli.RunContext(tmp_path, "", seed=0, threads=1)
+    ctx = cli.RunContext(tmp_path, "", seed=0)
     rows = [[1.0, np.pi], [2.0, np.exp(1) * 1e-7]]
     ctx.emit_csv("table.csv", [("t", "s"), ("value", "1")], rows)
     names, data = cli.read_csv(tmp_path / "table.csv")
@@ -121,14 +121,6 @@ def test_seed_override_changes_sampled_outputs(tmp_path, config_dir):
     h1 = {e["name"]: e["sha256"] for e in m1.outputs}
     h2 = {e["name"]: e["sha256"] for e in m2.outputs}
     assert any(h1[name] != h2[name] for name in h1)
-
-
-def test_threads_do_not_change_results(tmp_path):
-    cfg = tiny_decay_config(tmp_path)
-    m1 = cli.run(cfg, out_dir=tmp_path / "a", threads=1)
-    m2 = cli.run(cfg, out_dir=tmp_path / "b", threads=4)
-    assert [e["sha256"] for e in m1.outputs] == \
-        [e["sha256"] for e in m2.outputs]
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +221,7 @@ def test_acceptance_script_reports_every_config(tmp_path, config_dir, monkeypatc
     for stem in ("a_crashes", "b_passes", "circle_obstruction"):
         (tmp_path / f"{stem}.json").write_text("{}")
 
-    def fake_run(cfg, out_dir, threads):
+    def fake_run(cfg, out_dir):
         if cfg.stem == "a_crashes":
             raise RuntimeError("boom")
         if cfg.stem == "circle_obstruction":

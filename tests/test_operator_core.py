@@ -6,9 +6,14 @@ forms for Gram norms, explicit inverse plus SVD for weighted resolvent
 norms, and closed-form powers of diagonal generators.
 """
 
+import gc
+import weakref
+from collections import Counter
+
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+import scipy.linalg
+from numpy.testing import assert_allclose, assert_array_equal
 
 from semiper.errors import (
     BackwardTimeDisallowed,
@@ -26,13 +31,15 @@ from semiper.operator_core import (
     deflated_block,
     domain_gram,
     fractional_power,
-    kernel_projector,
+    harmonic_solve,
     make_state_space,
     norm_domain,
     propagate,
+    propagated_columns,
     propagator_matrix,
     resolvent_norm,
     spectrum_report,
+    to_block,
 )
 
 
@@ -319,7 +326,7 @@ def test_contour_projector_matches_spectral_projector():
     A = np.array([[0.0, 0.3, 0.0], [0.0, -2.0, 0.1], [0.0, 0.0, -3.0]])
     model = build_model(space, A, kernel_basis=(e0,))
     P = contour_spectral_projector(model)
-    assert_allclose(P, kernel_projector(model), atol=1e-9)
+    assert_allclose(P, model.pi0, atol=1e-9)
     assert_allclose(P @ P, P, atol=1e-9)
     assert np.trace(P).real == pytest.approx(1.0, abs=1e-9)
 
@@ -374,3 +381,76 @@ def test_build_model_rejects_bad_shapes():
         build_model(space, np.eye(3))
     with pytest.raises(NonFiniteInput):
         build_model(space, [[np.inf, 0.0], [0.0, -1.0]])
+
+
+# ---------------------------------------------------------------------------
+# factorizations cached on the model
+# ---------------------------------------------------------------------------
+
+def kernel_model():
+    space = make_state_space(3, np.diag([1.0, 2.0, 0.5]))
+    A = np.array([[0.0, 0.3, 0.0], [0.0, -2.0, 0.1], [0.0, 0.0, -3.0]])
+    return build_model(space, A, kernel_basis=(np.array([1.0, 0.0, 0.0]),))
+
+
+def use_spectral_paths(model):
+    x = np.array([0.3, -1.0, 2.0])
+    propagate(model, 0.5, x)
+    propagator_matrix(model, 0.7)
+    propagated_columns(model, [0.1, 0.2], np.stack([x, 2 * x]), [1.0, -0.5])
+    spectrum_report(model)
+    harmonic_solve(model, np.arange(-3, 4), 2.0,
+                   to_block(model, np.outer(np.arange(1.0, 8.0), x)))
+    resolvent_norm(model, 1.3)
+
+
+def test_eig_and_schur_run_once_per_model(monkeypatch):
+    model = kernel_model()
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eig", counted("eig", np.linalg.eig))
+    monkeypatch.setattr(scipy.linalg, "schur", counted("schur", scipy.linalg.schur))
+    use_spectral_paths(model)
+    use_spectral_paths(model)
+    assert calls == {"eig": 1, "schur": 1}
+
+
+def test_propagator_cache_keeps_the_twelve_latest_times(rng):
+    model = random_stable_model(rng)
+    first = propagator_matrix(model, 0.5)
+    assert propagator_matrix(model, np.float64(0.5)) is first
+    for k in range(11):
+        propagator_matrix(model, 1.0 + k)
+    assert propagator_matrix(model, 0.5) is first
+    for k in range(12):
+        propagator_matrix(model, 20.0 + k)
+    again = propagator_matrix(model, 0.5)
+    assert again is not first
+    assert_array_equal(again, first)
+
+
+def test_cached_model_is_freed_by_refcount():
+    """The caches hold no reference back to their model, so dropping the
+    last reference frees it without the cycle collector."""
+    model = kernel_model()
+    use_spectral_paths(model)
+    fractional_power(model, 0.5)
+    y = np.array([0.0, 1.0, -1.0])
+    norm_domain(model, 0.5, y - model.pi0 @ y)
+    contour_spectral_projector(model)
+    model.fixed_point_lu(2.0)
+    model.domain_inv_sqrt(1.0)
+    model.space.sqrt_gram
+    ref = weakref.ref(model)
+    gc.disable()
+    try:
+        del model
+        assert ref() is None
+    finally:
+        gc.enable()

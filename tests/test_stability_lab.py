@@ -60,14 +60,6 @@ def test_decay_envelope_fractional_orders(alpha):
     assert_allclose(scan.values, oracle, rtol=1e-9)
 
 
-def test_decay_envelope_threads_match_serial():
-    model = build_synthetic_resolvent_model(12, 1.0)
-    t_grid = np.geomspace(0.5, 30.0, 17)
-    serial = decay_envelope(model, 1.0, t_grid)
-    threaded = decay_envelope(model, 1.0, t_grid, threads=4)
-    assert_allclose(serial.values, threaded.values, rtol=1e-13)
-
-
 def test_resolvent_scan_diagonal_closed_form():
     eigs = np.array([-0.5 + 1.0j, -0.1 + 3.0j])
     model = build_diagonal_model(eigs)
@@ -194,12 +186,3 @@ def test_mlog_bound_tracks_decay_shape():
     assert ok.sum() >= 20
     gap = np.abs(np.log(rep.bound[ok]) - np.log(rep.decay[ok]))
     assert gap.max() <= 1.5
-
-
-def test_decay_function_export():
-    model = build_diagonal_model([-1.0 + 2.0j, -0.5])
-    t_grid = np.linspace(0.5, 10.0, 12)
-    scan = decay_envelope(model, 1.0, t_grid)
-    h = scan.to_decay_function(1.0)
-    assert h.alpha == 1.0
-    assert h(t_grid[3]) == pytest.approx(scan.values[3])
