@@ -16,7 +16,6 @@ from .operator_core import (  # noqa: F401
     StateSpace,
     build_model,
     contour_spectral_projector,
-    deflated_block,
     domain_gram,
     fractional_power,
     make_state_space,
@@ -46,7 +45,6 @@ from .forcing import (  # noqa: F401
     ForcingNormReport,
     FourierForcing,
     PeriodicForcing,
-    SampledForcing,
     SemigroupPullbackForcing,
     admissibility_constant,
     check_class,
@@ -54,10 +52,9 @@ from .forcing import (  # noqa: F401
     duhamel_FT,
     duhamel_FT_diagnostics,
     endpoint_defect,
+    fourier_from_samples,
     make_fourier_forcing,
-    make_sampled_forcing,
     per0_bump_forcing,
-    shift_derivative_FT,
 )
 from .periodic_solver import (  # noqa: F401
     ConvergenceReport,

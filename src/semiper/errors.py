@@ -62,16 +62,6 @@ class SpectrumOnCut(SemiperError):
     pass
 
 
-# ---- forcing ----
-
-class DerivativesUnavailable(SemiperError):
-    pass
-
-
-class ClassViolation(SemiperError):
-    pass
-
-
 # ---- periodic solves ----
 
 class SlowConvergence(SemiperError):

@@ -1,12 +1,11 @@
 """Time-periodic forcings and one-period Duhamel responses.
 
 A forcing is a T-periodic map t -> f(t) into a model's state space with
-one of three representations:
+one of two representations:
 
 * Fourier: finitely many harmonics exp(i 2 pi k t / T), with exact
-  derivatives of every order,
-* sampled: values on a uniform grid carrying explicit derivative stacks
-  (no numerical differentiation is ever performed on samples),
+  derivatives of every order; samples on a uniform grid enter through
+  their discrete Fourier transform (:func:`fourier_from_samples`),
 * semigroup pullback: f(s) = scale * e^{(s-T)A} phi / T, the profile
   used to drive a mode resonantly; derivatives are again exact since
   d/ds maps the profile to the pullback of A phi.
@@ -25,12 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ClassViolation,
-    DerivativesUnavailable,
-    NonFiniteInput,
-    QuadratureUnderResolved,
-)
+from .errors import NonFiniteInput, QuadratureUnderResolved
 from .models import gauss_legendre_rule
 from .operator_core import (
     Model,
@@ -76,11 +70,6 @@ class PeriodicForcing:
 
     def derivative_forcing(self, order: int) -> "PeriodicForcing":
         raise NotImplementedError
-
-    @property
-    def max_derivative_order(self) -> int | None:
-        """Highest available derivative order (None means unlimited)."""
-        return None
 
     @property
     def per0_order(self) -> int:
@@ -178,74 +167,17 @@ def per0_bump_forcing(period: float, order: int, vector, space=None) -> FourierF
     return make_fourier_forcing(period, coeffs, space)
 
 
-class SampledForcing(PeriodicForcing):
-    """Values on a uniform time grid with explicit derivative stacks.
+def fourier_from_samples(period: float, samples, space=None) -> FourierForcing:
+    """Trigonometric interpolant of values on the uniform grid T j / n.
 
-    ``stacks[j]`` holds the j-th derivative sampled on the same grid;
-    evaluation between nodes uses trigonometric interpolation of the
-    requested stack. Requesting a derivative beyond the stack raises
-    DerivativesUnavailable.
+    ``samples`` has one row per grid time (a 1-d array is one scalar
+    channel). For even n the Nyquist bin is split evenly between the
+    harmonics -n/2 and n/2, so real samples interpolate to a real
+    forcing.
     """
-
-    def __init__(self, period: float, values, stacks=None, space=None,
-                 per0_order: int = 0):
-        self.period = float(period)
-        V = np.asarray(values, dtype=complex)
-        if V.ndim == 1:
-            V = V[:, None]
-        self.values = V
-        self.n_nodes = V.shape[0]
-        self.dim = V.shape[1]
-        self.space = space
-        self._declared_per0 = int(per0_order)
-        stacks = [] if stacks is None else [np.asarray(s, dtype=complex) for s in stacks]
-        for s in stacks:
-            if s.shape != V.shape:
-                raise ValueError("derivative stack shape mismatch")
-        self.stacks = [V] + stacks
-        self._fourier: dict[int, FourierForcing] = {}
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.period * np.arange(self.n_nodes) / self.n_nodes
-
-    @property
-    def max_derivative_order(self) -> int:
-        return len(self.stacks) - 1
-
-    @property
-    def per0_order(self) -> int:
-        return self._declared_per0
-
-    @property
-    def tag(self) -> str:
-        k = self.per0_order
-        return f"Wk1_per0({k})" if k >= 1 else "L1_per"
-
-    def _stack_fourier(self, j: int) -> FourierForcing:
-        if j > self.max_derivative_order:
-            raise DerivativesUnavailable(
-                f"derivative order {j} exceeds the stack depth {self.max_derivative_order}")
-        if j not in self._fourier:
-            self._fourier[j] = _fourier_from_samples(self.period, self.stacks[j], self.space)
-        return self._fourier[j]
-
-    def eval_many(self, ts, deriv: int = 0) -> np.ndarray:
-        return self._stack_fourier(deriv).eval_many(ts, 0)
-
-    def derivative_forcing(self, order: int) -> "SampledForcing":
-        if order > self.max_derivative_order:
-            raise DerivativesUnavailable(
-                f"derivative order {order} exceeds the stack depth {self.max_derivative_order}")
-        return SampledForcing(self.period, self.stacks[order],
-                              self.stacks[order + 1:], self.space,
-                              per0_order=max(self._declared_per0 - order, 0))
-
-    def to_fourier(self) -> FourierForcing:
-        return self._stack_fourier(0)
-
-
-def _fourier_from_samples(period: float, samples: np.ndarray, space) -> FourierForcing:
+    samples = np.asarray(samples, dtype=complex)
+    if samples.ndim == 1:
+        samples = samples[:, None]
     n = samples.shape[0]
     coeff = np.fft.fft(samples, axis=0) / n
     ks = np.fft.fftfreq(n, d=1.0 / n).astype(int)
@@ -257,10 +189,6 @@ def _fourier_from_samples(period: float, samples: np.ndarray, space) -> FourierF
         coeff[ny] *= 0.5
     order = np.argsort(ks)
     return FourierForcing(period, ks[order], coeff[order], space)
-
-
-def make_sampled_forcing(period, values, stacks=None, space=None, per0_order=0):
-    return SampledForcing(period, values, stacks, space, per0_order)
 
 
 class SemigroupPullbackForcing(PeriodicForcing):
@@ -291,12 +219,6 @@ class SemigroupPullbackForcing(PeriodicForcing):
             out[i] = (self.scale / self.period) * propagate(self.model, s - self.period, base)
         return out
 
-    def derivative_forcing(self, order: int) -> "SemigroupPullbackForcing":
-        base = self.phi
-        for _ in range(order):
-            base = self.model.A @ base
-        return SemigroupPullbackForcing(self.model, base, self.scale, self.period)
-
     @property
     def tag(self) -> str:
         return "L1_per"
@@ -326,10 +248,6 @@ def check_class(f: PeriodicForcing, k: int, tol: float = 1e-10,
     corresponding derivative. ``class_verified`` reflects the endpoint
     checks only; the norms are always reported.
     """
-    if f.max_derivative_order is not None and k > f.max_derivative_order:
-        raise DerivativesUnavailable(
-            f"class check at order {k} needs {k} derivatives, "
-            f"stack depth is {f.max_derivative_order}")
     nodes, weights = gauss_panels(f.period, panels, order)
     l1 = 0.0
     wk1 = 0.0
@@ -356,15 +274,6 @@ def check_class(f: PeriodicForcing, k: int, tol: float = 1e-10,
 # ---------------------------------------------------------------------------
 # Duhamel responses
 # ---------------------------------------------------------------------------
-
-def _default_panels(f: PeriodicForcing) -> int:
-    if isinstance(f, FourierForcing):
-        kmax = int(np.max(np.abs(f.harmonics), initial=0))
-        return max(8, kmax)
-    if isinstance(f, SampledForcing):
-        return max(8, f.n_nodes // 4)
-    return 8
-
 
 def duhamel_FT(model: Model, f: PeriodicForcing, panels: int | None = None,
                order: int = 8, tol: float = 1e-9, method: str = "auto") -> np.ndarray:
@@ -394,25 +303,40 @@ def duhamel_FT_diagnostics(model: Model, f: PeriodicForcing,
         return _duhamel_closed_form(model, f), 0.0
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
+    return _refined_quadrature(model, f, f.period, panels, order, tol)
+
+
+def _refined_quadrature(model: Model, f: PeriodicForcing, tau: float,
+                        panels: int | None, order: int, tol: float, B=None):
+    """integral_0^tau e^{A(tau-s)} B f(s) ds and its refinement gap.
+
+    ``B`` is an input matrix (None: the identity). The integral is
+    assembled on composite Gauss-Legendre panels and again on twice as
+    many; unless the two agree to tol relative to the size of the finer
+    one, QuadratureUnderResolved is raised. The default panel count
+    resolves the highest harmonic of Fourier data.
+    """
     if panels is None:
-        panels = _default_panels(f)
-    coarse = _duhamel_quadrature(model, f, panels, order)
-    fine = _duhamel_quadrature(model, f, 2 * panels, order)
+        kmax = np.max(np.abs(f.harmonics), initial=0) if isinstance(f, FourierForcing) else 0
+        panels = max(8, int(kmax))
+
+    def assemble(p):
+        nodes, weights = gauss_panels(tau, p, order)
+        vals = f.eval_many(nodes)
+        if not np.all(np.isfinite(vals)):
+            raise NonFiniteInput("forcing evaluated to non-finite values")
+        if B is not None:
+            vals = vals @ B.T
+        return propagated_columns(model, tau - nodes, vals, weights, summed=True)
+
+    coarse = assemble(panels)
+    fine = assemble(2 * panels)
     gap = model.space.norm(fine - coarse)
     if gap > tol * (1.0 + model.space.norm(fine)):
         raise QuadratureUnderResolved(
             f"Duhamel quadrature moved by {gap:.3e} when doubling "
             f"{panels} panels (tol {tol:.1e})")
     return fine, gap
-
-
-def _duhamel_quadrature(model: Model, f: PeriodicForcing, panels: int, order: int) -> np.ndarray:
-    T = f.period
-    nodes, weights = gauss_panels(T, panels, order)
-    vals = f.eval_many(nodes)
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteInput("forcing evaluated to non-finite values")
-    return propagated_columns(model, T - nodes, vals, weights, summed=True)
 
 
 def _duhamel_closed_form(model: Model, f: FourierForcing) -> np.ndarray:
@@ -425,27 +349,6 @@ def _duhamel_closed_form(model: Model, f: FourierForcing) -> np.ndarray:
         # the mean harmonic grows linearly along the kernel
         acc = acc + T * (model.pi0 @ C[f.harmonics == 0].sum(axis=0))
     return acc
-
-
-def shift_derivative_FT(model: Model, f: PeriodicForcing, k: int,
-                        enforce_class: bool = True, panels: int | None = None,
-                        order: int = 8, tol: float = 1e-9,
-                        method: str = "auto") -> np.ndarray:
-    """F_T applied to the k-th derivative of the forcing.
-
-    For forcings in the vanishing-trace class of index k this equals
-    A^k F_T(f) (the gain-of-derivatives identity). With
-    ``enforce_class`` the endpoint conditions are checked first and a
-    violation raises ClassViolation; pass False to evaluate the
-    right-hand side for a negative control.
-    """
-    if enforce_class:
-        report = check_class(f, k)
-        if not report.class_verified:
-            raise ClassViolation(
-                f"forcing is not in the vanishing-trace class of index {k}; "
-                f"endpoint residuals {report.endpoint_residuals}")
-    return duhamel_FT(model, f.derivative_forcing(k), panels, order, tol, method)
 
 
 def endpoint_defect(model: Model, f: PeriodicForcing, k: int) -> np.ndarray:
@@ -480,24 +383,7 @@ def control_duhamel(model: Model, g: PeriodicForcing, tau: float | None = None,
         raise ValueError("boundary signal dimension does not match B")
     if tau is None:
         tau = g.period
-    if panels is None:
-        panels = _default_panels(g)
-
-    def assemble(p):
-        nodes, weights = gauss_panels(tau, p, order)
-        vals = g.eval_many(nodes)
-        if not np.all(np.isfinite(vals)):
-            raise NonFiniteInput("boundary signal evaluated to non-finite values")
-        states = vals @ model.B.T
-        return propagated_columns(model, tau - nodes, states, weights, summed=True)
-
-    coarse = assemble(panels)
-    fine = assemble(2 * panels)
-    gap = model.space.norm(fine - coarse)
-    if gap > tol * (1.0 + model.space.norm(fine)):
-        raise QuadratureUnderResolved(
-            f"boundary quadrature moved by {gap:.3e} when doubling panels")
-    return fine
+    return _refined_quadrature(model, g, tau, panels, order, tol, model.B)[0]
 
 
 def admissibility_constant(model: Model, T: float, panels: int = 24,

@@ -170,9 +170,14 @@ class Model:
         (w, V, Vinv, cond): eigenvalues and eigenvectors of A, the
         inverse eigenvector matrix (None if singular) and cond(V).
     ``deflated``
-        (A_r, G_r, Q), see :func:`deflated_block`.
+        (A_r, G_r, Q): reduced coordinates of the invariant complement
+        of the kernel. Q is a Euclidean-orthonormal basis of
+        range(I - pi0), A_r = Q* A Q the reduced generator and
+        G_r = Q* G Q the reduced Gram. For kernel-free models Q is None
+        and A_r, G_r are A and G.
     ``schur``
-        (R, Z), see :func:`deflated_schur`.
+        (R, Z): complex Schur form A_r = Z R Z* of the deflated block,
+        R upper triangular and Z unitary.
     ``reduced_gram_roots``
         (G_r^{1/2}, G_r^{-1/2}) on the deflated block.
     ``propagator(t)``
@@ -399,24 +404,13 @@ def propagate(model: Model, t: float, x) -> np.ndarray:
 # deflation helpers
 # ---------------------------------------------------------------------------
 
-def deflated_block(model: Model):
-    """Reduced coordinates of the invariant complement of the kernel.
-
-    Returns (A_r, G_r, Q) with Q a Euclidean-orthonormal basis of
-    range(I - pi0), A_r = Q* A Q the reduced generator and G_r = Q* G Q
-    the reduced Gram. For kernel-free models Q is the identity and the
-    originals are returned.
-    """
-    return model.deflated
-
-
 def to_block(model: Model, x) -> np.ndarray:
     """Reduced coordinates Q* (I - pi0) x on the deflated block.
 
     ``x`` is one state or a stack of states along the last axis; for
     kernel-free models it is returned unchanged.
     """
-    _, _, Q = deflated_block(model)
+    _, _, Q = model.deflated
     if Q is None:
         return x
     x = np.asarray(x, dtype=complex)
@@ -425,21 +419,13 @@ def to_block(model: Model, x) -> np.ndarray:
 
 def from_block(model: Model, x_r) -> np.ndarray:
     """The state Q x_r for reduced coordinates x_r (inverse of to_block)."""
-    _, _, Q = deflated_block(model)
+    _, _, Q = model.deflated
     return x_r if Q is None else Q @ x_r
-
-
-def deflated_schur(model: Model):
-    """Complex Schur form A_r = Z R Z* of the deflated block, cached.
-
-    Returns (R, Z) with R upper triangular and Z unitary.
-    """
-    return model.schur
 
 
 def deflated_eigs(model: Model) -> np.ndarray:
     """Eigenvalues of the deflated block: the diagonal of its Schur form."""
-    return np.diag(deflated_schur(model)[0])
+    return np.diag(model.schur[0])
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +438,7 @@ def resolvent_norm(model: Model, eta: float) -> float:
     Raises OnSpectrum when i*eta is numerically an eigenvalue (smallest
     singular value below 1e-13).
     """
-    A_r, _, _ = deflated_block(model)
+    A_r, _, _ = model.deflated
     n = A_r.shape[0]
     M = 1j * float(eta) * np.eye(n) - A_r
     smin = np.linalg.svd(M, compute_uv=False)[-1]
@@ -490,8 +476,8 @@ def harmonic_solve(model: Model, harmonics, period: float, rhs) -> np.ndarray:
         1e-10 (relative to the spectral radius) of a deflated eigenvalue.
     """
     harmonics = np.asarray(harmonics)
-    A_r, _, _ = deflated_block(model)
-    R, Z = deflated_schur(model)
+    A_r, _, _ = model.deflated
+    R, Z = model.schur
     eigs = deflated_eigs(model)
     shifts = 2j * np.pi * harmonics / float(period)
     scale = max(1.0, float(np.max(np.abs(eigs), initial=1.0)))
@@ -558,7 +544,7 @@ def domain_gram(model: Model, alpha: float) -> np.ndarray:
     block and induces a norm equivalent to the sum norm of
     :func:`norm_domain` (with constants between 1/sqrt(2) and 1).
     """
-    _, G_r, _ = deflated_block(model)
+    _, G_r, _ = model.deflated
     F = fractional_power(model, alpha, reduced=True)
     Gd = G_r + F.conj().T @ G_r @ F
     return 0.5 * (Gd + Gd.conj().T)
@@ -612,7 +598,7 @@ def spectrum_report(model: Model) -> SpectrumReport:
     the open left half plane.
     """
     w, _, _, _ = model.eig
-    _, _, Q = deflated_block(model)
+    _, _, Q = model.deflated
     wr = deflated_eigs(model) if Q is not None else w
     abscissa = float(np.max(w.real)) if w.size else -np.inf
     defl_abs = float(np.max(wr.real)) if wr.size else -np.inf

@@ -28,12 +28,12 @@ from .errors import Diverged, KernelObstruction, SlowConvergence
 from .forcing import (
     FourierForcing,
     PeriodicForcing,
-    SampledForcing,
+    admissibility_constant,
     check_class,
     control_duhamel,
     duhamel_FT,
+    fourier_from_samples,
     gauss_panels,
-    admissibility_constant,
 )
 from .models import gauss_legendre_rule
 from .operator_core import (
@@ -60,14 +60,6 @@ class PeriodicSolveReport:
     admissibility: float | None = None
 
 
-def _forcing_norm_for_ratio(f: PeriodicForcing) -> float:
-    k = f.per0_order
-    if k >= 1:
-        rep = check_class(f, min(k, f.max_derivative_order or k))
-        return rep.wk1_norm
-    return check_class(f, 0).l1_norm
-
-
 def _kernel_guard(model: Model, FT: np.ndarray):
     if model.has_kernel:
         bad = model.space.norm(model.pi0 @ FT)
@@ -87,7 +79,8 @@ def _finish_report(model: Model, f: PeriodicForcing, w0, method, n_periods,
                    FT=None, tail=None, condition=None,
                    quad=None) -> PeriodicSolveReport:
     residuals, gap = verify_orbit(model, f, w0, n_periods, FT=FT, **(quad or {}))
-    denom = _forcing_norm_for_ratio(f)
+    # W^{k,1} norm at the detected class index k (the L^1 norm at k = 0)
+    denom = check_class(f, f.per0_order).wk1_norm
     ratio = model.space.norm(w0) / denom if denom > 0 else np.inf
     return PeriodicSolveReport(w0=w0, method=method,
                                residual_per_period=residuals,
@@ -151,34 +144,29 @@ def periodic_w0_direct(model: Model, f: PeriodicForcing, n_periods: int = 1,
                           condition=condition, quad=quad)
 
 
-def periodic_w0_harmonic_balance(model: Model, f: PeriodicForcing,
+def periodic_w0_harmonic_balance(model: Model, f: FourierForcing,
                                  n_periods: int = 1, **quad) -> PeriodicSolveReport:
     """Resolvent solves for all harmonics, summed at t = 0.
 
-    Needs Fourier data (sampled forcings are interpolated
-    trigonometrically). Raises KernelObstruction when the mean harmonic
+    Needs Fourier data. Raises KernelObstruction when the mean harmonic
     pumps the kernel, and ResonantHarmonic when a harmonic frequency
     hits the spectrum of the deflated block. On kernel models the
     oscillating kernel components of the nonzero harmonics are dropped:
     the zero-mean convention on the returned state removes them.
     """
-    if isinstance(f, SampledForcing):
-        four = f.to_fourier()
-    elif isinstance(f, FourierForcing):
-        four = f
-    else:
-        raise ValueError("harmonic balance needs Fourier or sampled data")
+    if not isinstance(f, FourierForcing):
+        raise ValueError("harmonic balance needs Fourier data")
     if model.has_kernel:
-        for c in four.coefficients[four.harmonics == 0]:
+        for c in f.coefficients[f.harmonics == 0]:
             bad = model.space.norm(model.pi0 @ c)
             if bad > _KERNEL_TOL * (1.0 + model.space.norm(c)):
                 raise KernelObstruction(
                     f"mean harmonic has kernel component {bad:.3e}")
-    X_r = harmonic_solve(model, four.harmonics, four.period,
-                         to_block(model, four.coefficients))
+    X_r = harmonic_solve(model, f.harmonics, f.period,
+                         to_block(model, f.coefficients))
     w0 = _strip_kernel(model, from_block(model, X_r.sum(axis=0)))
     return _finish_report(model, f, w0,
-                          f"harmonic_balance(K={four.harmonics.size})",
+                          f"harmonic_balance(K={f.harmonics.size})",
                           n_periods, quad=quad)
 
 
@@ -360,8 +348,7 @@ def picard_nonlinear(model: Model, f: PeriodicForcing, poly: dict,
         return traj
 
     def linear_periodic(source_samples: np.ndarray):
-        sf = SampledForcing(T, source_samples, space=model.space)
-        four = sf.to_fourier()
+        four = fourier_from_samples(T, source_samples, model.space)
         rep = periodic_w0_direct(model, four, n_periods=1)
         return advance(rep.w0, four), four
 

@@ -12,15 +12,9 @@ import pytest
 import scipy.integrate
 from numpy.testing import assert_allclose
 
-from semiper.errors import (
-    ClassViolation,
-    DerivativesUnavailable,
-    QuadratureUnderResolved,
-    ResonantHarmonic,
-)
+from semiper.errors import QuadratureUnderResolved, ResonantHarmonic
 from semiper.forcing import (
     FourierForcing,
-    SampledForcing,
     SemigroupPullbackForcing,
     admissibility_constant,
     check_class,
@@ -28,11 +22,10 @@ from semiper.forcing import (
     duhamel_FT,
     duhamel_FT_diagnostics,
     endpoint_defect,
+    fourier_from_samples,
     gauss_panels,
     make_fourier_forcing,
-    make_sampled_forcing,
     per0_bump_forcing,
-    shift_derivative_FT,
 )
 from semiper.models import (
     DampingProfile,
@@ -165,12 +158,6 @@ def test_class_verification_pass_and_fail():
     assert len(rep.endpoint_residuals) == 1
 
 
-def test_class_check_needs_stacked_derivatives():
-    f = make_sampled_forcing(1.0, np.cos(2 * np.pi * np.arange(16) / 16))
-    with pytest.raises(DerivativesUnavailable):
-        check_class(f, 1)
-
-
 # ---------------------------------------------------------------------------
 # Duhamel responses
 # ---------------------------------------------------------------------------
@@ -244,7 +231,7 @@ def test_sampled_band_limited_round_trip(rng):
     n = 32
     tgrid = T * np.arange(n) / n
     vals = np.cos(3 * 2 * np.pi * tgrid / T)
-    f = make_sampled_forcing(T, vals)
+    f = fourier_from_samples(T, vals)
     ts = rng.uniform(0, T, 20)
     assert_allclose(f.eval_many(ts)[:, 0].real,
                     np.cos(3 * 2 * np.pi * ts / T), atol=1e-12)
@@ -256,28 +243,11 @@ def test_sampled_nyquist_mode_stays_real():
     n = 8
     tgrid = T * np.arange(n) / n
     vals = np.cos(2 * np.pi * (n // 2) * tgrid / T)
-    f = make_sampled_forcing(T, vals)
+    f = fourier_from_samples(T, vals)
     ts = np.linspace(0, T, 33)
     out = f.eval_many(ts)[:, 0]
     assert_allclose(out.real, np.cos(2 * np.pi * (n // 2) * ts / T), atol=1e-12)
     assert np.max(np.abs(out.imag)) < 1e-12
-
-
-def test_sampled_derivative_stacks():
-    T = 2.0
-    n = 24
-    om = 2 * np.pi / T
-    tgrid = T * np.arange(n) / n
-    f = make_sampled_forcing(T, np.cos(om * tgrid),
-                             stacks=[(-om * np.sin(om * tgrid))[:, None]])
-    assert f.max_derivative_order == 1
-    ts = np.array([0.3, 1.2])
-    assert_allclose(f.eval_many(ts, deriv=1)[:, 0].real, -om * np.sin(om * ts),
-                    atol=1e-12)
-    g = f.derivative_forcing(1)
-    assert_allclose(g.eval_many(ts)[:, 0].real, -om * np.sin(om * ts), atol=1e-12)
-    with pytest.raises(DerivativesUnavailable):
-        f.eval_many(ts, deriv=2)
 
 
 def test_sampled_duhamel_matches_fourier(wave8):
@@ -286,7 +256,7 @@ def test_sampled_duhamel_matches_fourier(wave8):
     tgrid = T * np.arange(n) / n
     profile = np.sin(np.pi * tgrid / T) ** 4
     vals = np.outer(profile, velocity_profile(wave8))
-    f = make_sampled_forcing(T, vals, space=wave8.space, per0_order=4)
+    f = fourier_from_samples(T, vals, wave8.space)
     ref = per0_bump_forcing(T, 2, velocity_profile(wave8), wave8.space)
     FT_s = duhamel_FT(wave8, f, method="quadrature")
     FT_r = duhamel_FT(wave8, ref)
@@ -302,16 +272,8 @@ def test_derivative_shift_identity(wave8, k):
     f = per0_bump_forcing(1.0, 3, velocity_profile(wave8), wave8.space)
     FT = duhamel_FT(wave8, f)
     lhs = np.linalg.matrix_power(wave8.A, k) @ FT
-    rhs = shift_derivative_FT(wave8, f, k)
+    rhs = duhamel_FT(wave8, f.derivative_forcing(k))
     assert wave8.space.norm(lhs - rhs) <= 1e-8 * wave8.space.norm(lhs)
-
-
-def test_shift_refuses_class_violation(wave8):
-    cos = make_fourier_forcing(1.0, {1: 0.5 * velocity_profile(wave8),
-                                     -1: 0.5 * velocity_profile(wave8)},
-                               wave8.space)
-    with pytest.raises(ClassViolation):
-        shift_derivative_FT(wave8, cos, 1)
 
 
 def test_endpoint_defect_restores_identity(wave8):
@@ -320,7 +282,7 @@ def test_endpoint_defect_restores_identity(wave8):
                                      -1: 0.5 * velocity_profile(wave8)},
                                wave8.space)
     FT = duhamel_FT(wave8, cos)
-    FT1 = shift_derivative_FT(wave8, cos, 1, enforce_class=False)
+    FT1 = duhamel_FT(wave8, cos.derivative_forcing(1))
     lhs = wave8.A @ FT
     rhs = FT1 + endpoint_defect(wave8, cos, 1)
     assert wave8.space.norm(lhs - rhs) <= 1e-10 * wave8.space.norm(lhs)

@@ -35,17 +35,21 @@ from semiper.models import (
 from semiper.operator_core import (
     EIG_COND_LIMIT,
     build_model,
-    deflated_block,
+    fractional_power,
     make_state_space,
     propagator_matrix,
 )
-from semiper.periodic_solver import periodic_w0_harmonic_balance
+from semiper.periodic_solver import (
+    periodic_w0_direct,
+    periodic_w0_harmonic_balance,
+    periodic_w0_series,
+)
 
 
 def _oracle_closed_form(model, f):
     """F_T with one dense solve per harmonic on the deflated block."""
     T = f.period
-    A_r, _, Q = deflated_block(model)
+    A_r, _, Q = model.deflated
     n = A_r.shape[0]
     mono = propagator_matrix(model, T)
     P = np.eye(model.dim) - model.pi0
@@ -63,7 +67,7 @@ def _oracle_closed_form(model, f):
 
 def _oracle_harmonic_balance(model, f):
     """Periodic start w0 = sum_k (i omega_k - A)^{-1} c_k, one solve per harmonic."""
-    A_r, _, Q = deflated_block(model)
+    A_r, _, Q = model.deflated
     n = A_r.shape[0]
     P = np.eye(model.dim) - model.pi0
     w0 = np.zeros(model.dim, dtype=complex)
@@ -210,3 +214,40 @@ def test_quadrature_sums_fallback_match_expm(near_defective, counted_propagator)
         lambda s: sla.expm(A * (T - s)) @ (near_defective.B[:, 0] * g.eval(s)[0]),
         0.0, T, epsabs=1e-13, epsrel=1e-13)
     assert np.linalg.norm(Phi - ref_phi) <= 1e-10 * np.linalg.norm(ref_phi)
+
+
+def test_periodic_solvers_fallback_match_expm(near_defective, monkeypatch):
+    """Series, direct and harmonic balance on the expm path agree with a dense reference."""
+    T = 1.0
+    A = near_defective.A
+    vec = np.array([1.0, -0.5, 0.25])
+    f = make_fourier_forcing(T, {-1: 0.5j * vec, 0: vec, 1: -0.5j * vec},
+                             near_defective.space)
+    FT_ref, _ = scipy.integrate.quad_vec(lambda s: sla.expm(A * (T - s)) @ f.eval(s),
+                                         0.0, T, epsabs=1e-13, epsrel=1e-13)
+    ref = np.linalg.solve(np.eye(3) - sla.expm(T * A), FT_ref)
+
+    expm_calls = []
+    original = sla.expm
+    monkeypatch.setattr(sla, "expm", lambda M: expm_calls.append(M) or original(M))
+    for solver in (periodic_w0_series, periodic_w0_direct, periodic_w0_harmonic_balance):
+        expm_calls.clear()
+        model = build_model(near_defective.space, A)    # cold propagator cache
+        w0 = solver(model, f).w0
+        assert expm_calls, solver.__name__
+        assert np.linalg.norm(w0 - ref) <= 1e-9 * np.linalg.norm(ref), solver.__name__
+
+
+def test_fractional_power_fallback_squares_to_minus_a(near_defective, monkeypatch):
+    calls = []
+    original = sla.fractional_matrix_power
+
+    def counting(M, alpha):
+        calls.append(alpha)
+        return original(M, alpha)
+
+    monkeypatch.setattr(sla, "fractional_matrix_power", counting)
+    F = fractional_power(near_defective, 0.5)
+    assert calls == [0.5]
+    minus_A = -near_defective.A
+    assert np.linalg.norm(F @ F - minus_A) <= 1e-10 * np.linalg.norm(minus_A)

@@ -28,7 +28,6 @@ from semiper.models import build_diagonal_model, build_scalar_model
 from semiper.operator_core import (
     build_model,
     contour_spectral_projector,
-    deflated_block,
     domain_gram,
     fractional_power,
     harmonic_solve,
@@ -341,7 +340,7 @@ def test_deflated_block_removes_kernel_direction():
     space = make_state_space(2, np.eye(2))
     e0 = np.array([1.0, 0.0])
     model = build_model(space, np.diag([0.0, -4.0]), kernel_basis=(e0,))
-    A_r, G_r, Q = deflated_block(model)
+    A_r, G_r, Q = model.deflated
     assert A_r.shape == (1, 1)
     assert A_r[0, 0] == pytest.approx(-4.0)
     assert G_r[0, 0].real == pytest.approx(1.0)

@@ -172,6 +172,20 @@ def test_interpolation_sup_stable_under_grid_extension():
     assert rel_change <= 0.1
 
 
+def test_interpolation_builds_each_propagator_once():
+    """For alpha <= 1 both envelopes share their times and each e^{tA}."""
+    def build():
+        return build_damped_wave_interval(12, np.pi, DampingProfile("constant", amplitude=1.0))
+
+    model = build()
+    t_grid = np.linspace(0.0, 50.0, 60)
+    scan = interpolation_check(model, 0.5, t_grid)
+    assert model.propagator.cache_info().misses == np.unique(t_grid).size
+    ref = build()
+    assert np.array_equal(scan.extras["h_alpha"], decay_envelope(ref, 0.5, t_grid).values)
+    assert np.array_equal(scan.extras["h_one"], decay_envelope(ref, 1.0, t_grid).values)
+
+
 def test_mlog_bound_tracks_decay_shape():
     """The inverted log-corrected bound stays within a small factor of
     the measured envelope once its free constant is fitted."""
