@@ -180,6 +180,9 @@ class Model:
         R upper triangular and Z unitary.
     ``reduced_gram_roots``
         (G_r^{1/2}, G_r^{-1/2}) on the deflated block.
+    ``weighted_generator``
+        W = G_r^{1/2} A_r G_r^{-1/2}, the deflated generator in
+        coordinates where the Gram norm is the Euclidean one.
     ``propagator(t)``
         e^{tA} for the 12 most recently used times.
     ``fractional_power(alpha, reduced)``
@@ -243,6 +246,11 @@ class Model:
         S = (vecs * np.sqrt(vals)) @ vecs.conj().T
         Si = (vecs / np.sqrt(vals)) @ vecs.conj().T
         return S, Si
+
+    @cached_property
+    def weighted_generator(self) -> np.ndarray:
+        S, Si = self.reduced_gram_roots
+        return S @ self.deflated[0] @ Si
 
     @_per_instance_lru(12)
     def propagator(self, t: float) -> np.ndarray:
@@ -435,18 +443,15 @@ def deflated_eigs(model: Model) -> np.ndarray:
 def resolvent_norm(model: Model, eta: float) -> float:
     """Gram-weighted norm of (i eta I - A)^{-1} on the deflated block.
 
-    Raises OnSpectrum when i*eta is numerically an eigenvalue (smallest
-    singular value below 1e-13).
+    Equal to 1 / sigma_min(i eta I - W) for the weighted generator W,
+    one values-only SVD per eta. Raises OnSpectrum when that weighted
+    sigma_min is below 1e-13, i.e. i*eta is numerically an eigenvalue.
     """
-    A_r, _, _ = model.deflated
-    n = A_r.shape[0]
-    M = 1j * float(eta) * np.eye(n) - A_r
-    smin = np.linalg.svd(M, compute_uv=False)[-1]
+    W = model.weighted_generator
+    smin = np.linalg.svd(1j * float(eta) * np.eye(len(W)) - W, compute_uv=False)[-1]
     if smin < 1e-13:
         raise OnSpectrum(f"i*{eta} lies on the spectrum (sigma_min = {smin:.3e})")
-    S, Si = model.reduced_gram_roots
-    X = np.linalg.solve(M, Si)
-    return float(np.linalg.norm(S @ X, 2))
+    return float(1.0 / smin)
 
 
 def _schur_back_substitute(R: np.ndarray, shifts: np.ndarray, C: np.ndarray) -> np.ndarray:

@@ -47,9 +47,7 @@ class ScanResult:
 
 
 def _is_normal(model: Model) -> bool:
-    A_r, _, _ = model.deflated
-    S, Si = model.reduced_gram_roots
-    W = S @ A_r @ Si
+    W = model.weighted_generator
     comm = W @ W.conj().T - W.conj().T @ W
     scale = max(np.linalg.norm(W) ** 2, 1e-300)
     return bool(np.linalg.norm(comm) <= 1e-10 * scale)
@@ -130,10 +128,14 @@ def fit_power_law(scan: ScanResult, window=None, use: str = "values",
 
     ``use`` selects the raw values or a running extremum from the scan
     extras. The default window is the last half decade of abscissae.
-    Raises PoorFit when r^2 falls below ``min_r2``.
+    Raises ValueError when ``use`` names neither "values" nor an array
+    in the extras, and PoorFit when r^2 falls below ``min_r2``.
     """
-    x = scan.abscissae
-    y = scan.extras.get(use, scan.values) if use != "values" else scan.values
+    curves = {k: v for k, v in scan.extras.items() if isinstance(v, np.ndarray)}
+    curves["values"] = scan.values
+    if use not in curves:
+        raise ValueError(f"use={use!r} is not one of {sorted(curves)}")
+    x, y = scan.abscissae, curves[use]
     mask, window = _window_mask(x, window)
     mask &= (x > 0) & (y > 0)
     if mask.sum() < 3:

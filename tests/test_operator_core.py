@@ -24,10 +24,11 @@ from semiper.errors import (
     OnSpectrum,
     SpectrumOnCut,
 )
-from semiper.models import build_diagonal_model, build_scalar_model
+from semiper.models import build_diagonal_model, build_heat_wave_1d, build_scalar_model
 from semiper.operator_core import (
     build_model,
     contour_spectral_projector,
+    deflated_eigs,
     domain_gram,
     fractional_power,
     harmonic_solve,
@@ -40,6 +41,7 @@ from semiper.operator_core import (
     spectrum_report,
     to_block,
 )
+from semiper.stability_lab import resolvent_scan
 
 
 def taylor_expm(A, t, terms=80):
@@ -238,6 +240,32 @@ def test_resolvent_uses_deflated_block():
     assert resolvent_norm(model, 0.0) == pytest.approx(0.5, rel=1e-11)
 
 
+def test_resolvent_norm_matches_weighted_inverse_on_heat_wave():
+    """Non-normal generator, non-identity Gram: grid and spectral frequencies."""
+    model = build_heat_wave_1d(48, 48)
+    vals, vecs = np.linalg.eigh(model.space.gram)
+    S = (vecs * np.sqrt(vals)) @ vecs.conj().T
+    Si = (vecs / np.sqrt(vals)) @ vecs.conj().T
+    # the lowest and highest spectral frequencies inside the bt_heatwave grid
+    freqs = np.sort(np.abs(deflated_eigs(model).imag))
+    freqs = freqs[(freqs >= 0.5) & (freqs <= 90.0)]
+    for eta in [0.5, 3.0, 17.0, 60.0, freqs[0], freqs[-1]]:
+        R = np.linalg.inv(1j * eta * np.eye(model.dim) - model.A)
+        oracle = np.linalg.norm(S @ R @ Si, 2)
+        assert resolvent_norm(model, eta) == pytest.approx(oracle, rel=1e-10)
+
+
+def test_resolvent_guard_reads_weighted_sigma_min():
+    """i*eta one ulp from the eigenvalue 2i of a non-normal generator
+    whose Gram is not the identity."""
+    space = make_state_space(2, np.array([[2.0, 0.5], [0.5, 1.0]]), "complex")
+    model = build_model(space, np.array([[-1.0, 5.0], [0.0, 2.0j]]))
+    eta = np.nextafter(2.0, 3.0)
+    assert abs(1j * eta - 2.0j) < 1e-15
+    with pytest.raises(OnSpectrum):
+        resolvent_norm(model, eta)
+
+
 # ---------------------------------------------------------------------------
 # fractional powers
 # ---------------------------------------------------------------------------
@@ -418,6 +446,29 @@ def test_eig_and_schur_run_once_per_model(monkeypatch):
     use_spectral_paths(model)
     use_spectral_paths(model)
     assert calls == {"eig": 1, "schur": 1}
+
+
+def test_resolvent_scan_takes_one_svd_per_frequency(monkeypatch):
+    model = build_heat_wave_1d(12, 10)
+    eta_grid = np.geomspace(0.5, 30.0, 25)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
+    first = resolvent_scan(model, eta_grid)
+    W = model.weighted_generator
+    assert calls == {"svd": first.abscissae.size}
+    calls.clear()
+    second = resolvent_scan(model, eta_grid)
+    assert model.weighted_generator is W
+    assert calls == {"svd": second.abscissae.size}
+    assert_array_equal(second.values, first.values)
 
 
 def test_propagator_cache_keeps_the_twelve_latest_times(rng):

@@ -118,6 +118,17 @@ def test_fit_needs_enough_points():
         fit_power_law(scan, window=(200.0, 300.0))
 
 
+def test_fit_rejects_unknown_curve_name():
+    x = np.geomspace(1.0, 100.0, 60)
+    scan = ScanResult(kind="synthetic", abscissae=x, values=x ** -1.0,
+                      extras={"running_max": np.maximum.accumulate(x ** -1.0),
+                              "monotone": True})
+    with pytest.raises(ValueError, match=r"'running_maxx'.*\['running_max', 'values'\]"):
+        fit_power_law(scan, window=(1.0, 100.0), use="running_maxx")
+    with pytest.raises(ValueError):
+        fit_power_law(scan, window=(1.0, 100.0), use="monotone")
+
+
 @pytest.mark.parametrize("alpha", [1.0, 2.0])
 def test_synthetic_resolvent_growth_exponent(alpha):
     model = build_synthetic_resolvent_model(40, alpha)
