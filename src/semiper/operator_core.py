@@ -3,9 +3,10 @@
 All states live in C^dim equipped with a Hermitian positive definite Gram
 matrix G; every norm and operator norm in the package is the one induced
 by G (operator norms are computed as the largest singular value of
-G^{1/2} M G^{-1/2}). Generators are dense matrices. Propagation uses a
-cached eigendecomposition of the generator and falls back to
-scaling-and-squaring when the eigenvector basis is ill conditioned.
+G^{1/2} M G^{-1/2}). Generators are dense matrices. Propagation,
+harmonic solves and fractional powers all read one cached
+eigendecomposition per model and fall back to scaling-and-squaring or a
+Schur form when the eigenvector basis is ill conditioned.
 
 Models with a nontrivial kernel carry a spectral projector ``pi0`` onto
 the kernel; resolvents, fractional powers and domain norms are taken on
@@ -166,18 +167,28 @@ class Model:
     immutable after construction. Its derived factorizations are cached
     on it, each computed on first use:
 
-    ``eig``
-        (w, V, Vinv, cond): eigenvalues and eigenvectors of A, the
-        inverse eigenvector matrix (None if singular) and cond(V).
     ``deflated``
         (A_r, G_r, Q): reduced coordinates of the invariant complement
         of the kernel. Q is a Euclidean-orthonormal basis of
         range(I - pi0), A_r = Q* A Q the reduced generator and
         G_r = Q* G Q the reduced Gram. For kernel-free models Q is None
         and A_r, G_r are A and G.
+    ``deflated_eig``
+        (w, V, Vinv, cond): eigenvalues and eigenvectors of A_r, the
+        inverse eigenvector matrix (None if singular) and cond(V). This
+        is the model's one spectral factorization; it is computed in
+        real arithmetic when A_r is real, and cast to complex.
+    ``eig``
+        The same four fields for A on the whole space. For kernel-free
+        models this is ``deflated_eig`` itself; on kernel models it is
+        assembled from it and the kernel basis, so that
+        V e^{tw} Vinv = pi0 + Q e^{tA_r} Q* (I - pi0). ``cond`` is the
+        deflated cond(V), which decides between the eigenbasis and the
+        fallbacks (expm, Schur form, ``fractional_matrix_power``).
     ``schur``
         (R, Z): complex Schur form A_r = Z R Z* of the deflated block,
-        R upper triangular and Z unitary.
+        R upper triangular and Z unitary. Built only on the fallback
+        path, when cond(V) exceeds EIG_COND_LIMIT.
     ``reduced_gram_roots``
         (G_r^{1/2}, G_r^{-1/2}) on the deflated block.
     ``weighted_generator``
@@ -213,16 +224,6 @@ class Model:
         return len(self.kernel_basis) > 0
 
     @cached_property
-    def eig(self) -> tuple:
-        w, V = np.linalg.eig(self.A)
-        try:
-            Vinv = np.linalg.inv(V)
-            cond = np.linalg.cond(V)
-        except np.linalg.LinAlgError:
-            Vinv, cond = None, np.inf
-        return w, V, Vinv, cond
-
-    @cached_property
     def deflated(self) -> tuple:
         if not self.has_kernel:
             return self.A, self.space.gram, None
@@ -231,6 +232,33 @@ class Model:
         A_r = Q.conj().T @ self.A @ Q
         G_r = Q.conj().T @ self.space.gram @ Q
         return A_r, 0.5 * (G_r + G_r.conj().T), Q
+
+    @cached_property
+    def deflated_eig(self) -> tuple:
+        w, V = _eig(self.deflated[0])
+        try:
+            Vinv = np.linalg.inv(V)
+            cond = np.linalg.cond(V)
+        except np.linalg.LinAlgError:
+            Vinv, cond = None, np.inf
+        return w, V, Vinv, cond
+
+    @cached_property
+    def eig(self) -> tuple:
+        if not self.has_kernel:
+            return self.deflated_eig
+        w_r, V_r, Vinv_r, cond = self.deflated_eig
+        _, _, Q = self.deflated
+        K = np.stack(self.kernel_basis, axis=1)
+        w = np.concatenate([np.zeros(K.shape[1], dtype=complex), w_r])
+        V = np.concatenate([K, Q @ V_r], axis=1)
+        if Vinv_r is None:
+            return w, V, None, cond
+        # pi0 = K L with L = K^+ pi0, and Q* (I - pi0) maps onto the block
+        L = np.linalg.lstsq(K, self.pi0, rcond=None)[0]
+        Qh = Q.conj().T
+        Vinv = np.concatenate([L, Vinv_r @ (Qh - Qh @ self.pi0)])
+        return w, V, Vinv, cond
 
     @cached_property
     def schur(self) -> tuple:
@@ -271,10 +299,9 @@ class Model:
         if alpha == int(alpha) and alpha >= 0:
             F = np.linalg.matrix_power(negA, int(alpha))
         else:
-            w, V = np.linalg.eig(negA)
-            cond = np.linalg.cond(V)
+            _, V, Vinv, cond = self.deflated_eig
             if cond <= EIG_COND_LIMIT:
-                F = (V * np.power(w.astype(complex), alpha)) @ np.linalg.inv(V)
+                F = (V * np.power(mu, alpha)) @ Vinv
             else:
                 F = sla.fractional_matrix_power(negA, alpha)
         if not reduced and Q is not None:
@@ -339,15 +366,22 @@ def build_model(space: StateSpace, A, kernel_basis=(), pi0=None, B=None,
                  label=label, group_allowed=group_allowed)
 
 
+def _eig(M: np.ndarray) -> tuple:
+    """Eigenvalues and right eigenvectors of M as complex arrays.
+
+    A matrix without imaginary part goes to the real LAPACK driver,
+    which is faster and returns exact conjugate pairs.
+    """
+    real = not np.any(M.imag)
+    w, V = np.linalg.eig(M.real if real else M)
+    return w.astype(complex, copy=False), V.astype(complex, copy=False)
+
+
 def _spectral_kernel_projector(A: np.ndarray, kdim: int) -> np.ndarray:
-    w, V = np.linalg.eig(A)
-    wl, W = np.linalg.eig(A.conj().T)
+    w, V = _eig(A)
     idx = np.argsort(np.abs(w))[:kdim]
-    idxl = np.argsort(np.abs(wl))[:kdim]
-    Vk = V[:, idx]
-    Wk = W[:, idxl]
-    # oblique projector with range span(Vk) and kernel orthogonal to span(Wk)
-    return Vk @ np.linalg.solve(Wk.conj().T @ Vk, Wk.conj().T)
+    # the rows of V^{-1} are the left eigenvectors dual to the columns of V
+    return V[:, idx] @ np.linalg.inv(V)[idx]
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +466,8 @@ def from_block(model: Model, x_r) -> np.ndarray:
 
 
 def deflated_eigs(model: Model) -> np.ndarray:
-    """Eigenvalues of the deflated block: the diagonal of its Schur form."""
-    return np.diag(model.schur[0])
+    """Eigenvalues of the deflated block, from its cached eigendecomposition."""
+    return model.deflated_eig[0]
 
 
 # ---------------------------------------------------------------------------
@@ -467,12 +501,15 @@ def _schur_back_substitute(R: np.ndarray, shifts: np.ndarray, C: np.ndarray) -> 
 def harmonic_solve(model: Model, harmonics, period: float, rhs) -> np.ndarray:
     """Rows x_k solving (i omega_k I - A_r) x_k = rhs[k], omega_k = 2 pi k / T.
 
-    All harmonics are solved against the one cached Schur form of the
-    deflated block: Z* and Z are applied with one matmul each, the
-    triangular back substitution runs once over the rows of R for every
-    harmonic together (O(n^2) per harmonic), and one step of iterative
-    refinement is taken with the residual against A_r. ``rhs`` and the
-    result are in the reduced coordinates of :func:`to_block`.
+    All harmonics are solved together in the cached eigenbasis of the
+    deflated block, x_k = V (i omega_k - Lambda)^{-1} V^{-1} rhs[k], as
+    one broadcast over the harmonics. When cond(V) exceeds
+    EIG_COND_LIMIT they are solved against the Schur form instead: Z*
+    and Z are applied with one matmul each and the triangular back
+    substitution runs once over the rows of R for every harmonic
+    together. Either way one step of iterative refinement is taken with
+    the residual against A_r. ``rhs`` and the result are in the reduced
+    coordinates of :func:`to_block`.
 
     Raises
     ------
@@ -482,20 +519,26 @@ def harmonic_solve(model: Model, harmonics, period: float, rhs) -> np.ndarray:
     """
     harmonics = np.asarray(harmonics)
     A_r, _, _ = model.deflated
-    R, Z = model.schur
-    eigs = deflated_eigs(model)
+    w, V, Vinv, cond = model.deflated_eig
     shifts = 2j * np.pi * harmonics / float(period)
-    scale = max(1.0, float(np.max(np.abs(eigs), initial=1.0)))
-    dist = np.min(np.abs(shifts[:, None] - eigs[None, :]), axis=1, initial=np.inf)
+    denom = shifts[:, None] - w[None, :]
+    scale = max(1.0, float(np.max(np.abs(w), initial=1.0)))
+    dist = np.min(np.abs(denom), axis=1, initial=np.inf)
     resonant = np.flatnonzero(dist < 1e-10 * scale)
     if resonant.size:
         raise ResonantHarmonic(
             f"harmonic k={harmonics[resonant[0]]} hits the spectrum of the deflated block")
     rhs = np.asarray(rhs, dtype=complex)
-    Zc = Z.conj()
 
-    def solve(B):
-        return _schur_back_substitute(R, shifts, B @ Zc) @ Z.T
+    if cond <= EIG_COND_LIMIT:
+        def solve(B):
+            return ((B @ Vinv.T) / denom) @ V.T
+    else:
+        R, Z = model.schur
+        Zc = Z.conj()
+
+        def solve(B):
+            return _schur_back_substitute(R, shifts, B @ Zc) @ Z.T
 
     X = solve(rhs)
     residual = rhs - (shifts[:, None] * X - X @ A_r.T)
@@ -510,9 +553,10 @@ def fractional_power(model: Model, alpha: float, reduced: bool = False) -> np.nd
     matrix in reduced coordinates is returned instead.
 
     Integer alpha is evaluated by exact matrix powers. Non-integer alpha
-    uses the eigendecomposition of -A (principal branch powers of the
-    eigenvalues) and falls back to a Schur-based computation when the
-    eigenvector basis is ill conditioned.
+    reads the model's cached eigendecomposition of the deflated block
+    (principal branch powers of the eigenvalues of -A) and falls back to
+    a Schur-based computation when the eigenvector basis is ill
+    conditioned.
 
     Raises
     ------
@@ -603,8 +647,7 @@ def spectrum_report(model: Model) -> SpectrumReport:
     the open left half plane.
     """
     w, _, _, _ = model.eig
-    _, _, Q = model.deflated
-    wr = deflated_eigs(model) if Q is not None else w
+    wr = deflated_eigs(model)
     abscissa = float(np.max(w.real)) if w.size else -np.inf
     defl_abs = float(np.max(wr.real)) if wr.size else -np.inf
     dist = float(np.min(np.abs(wr.real))) if wr.size else np.inf

@@ -102,13 +102,17 @@ def resolvent_scan(model: Model, eta_grid,
     resolvents symmetric in eta up to conjugation). Resolvent peaks sit
     at the spectral frequencies, which an evenly spaced grid straddles;
     by default the grid is therefore augmented with the imaginary parts
-    of the eigenvalues falling inside its range.
+    of the eigenvalues falling inside its range. Abscissae that agree to
+    1e-12 relative, such as the two members of a conjugate pair, are
+    merged into the smallest of them.
     """
     eta_grid = np.asarray(eta_grid, dtype=float)
     if include_spectrum:
         freqs = np.abs(deflated_eigs(model).imag)
         freqs = freqs[(freqs >= eta_grid.min()) & (freqs <= eta_grid.max())]
         eta_grid = np.unique(np.concatenate([eta_grid, freqs]))
+        apart = np.diff(eta_grid) > 1e-12 * np.abs(eta_grid[1:])
+        eta_grid = eta_grid[np.concatenate([[True], apart])]
     values = np.array([resolvent_norm(model, e) for e in eta_grid])
     return ScanResult(kind="resolvent_scan", abscissae=eta_grid, values=values,
                       extras={"running_max": np.maximum.accumulate(values)})

@@ -1,8 +1,9 @@
 """Shared harmonic solves and batched propagation against reference paths.
 
 The closed-form Duhamel response and harmonic balance solve every
-harmonic against one Schur form of the deflated block. Here they are
-compared with an in-test oracle that takes one dense solve per harmonic.
+harmonic in one eigenbasis of the deflated block, or against its Schur
+form when that basis is ill conditioned. Here both paths are compared
+with an in-test oracle that takes one dense solve per harmonic.
 The batched eigen-basis contractions are checked on their expm fallback
 against scipy.linalg.expm references.
 """
@@ -36,6 +37,7 @@ from semiper.operator_core import (
     EIG_COND_LIMIT,
     build_model,
     fractional_power,
+    harmonic_solve,
     make_state_space,
     propagator_matrix,
 )
@@ -177,6 +179,43 @@ def counted_propagator(monkeypatch):
 def test_near_defective_fixture_takes_expm_path(near_defective):
     _, V = np.linalg.eig(near_defective.A)
     assert np.linalg.cond(V) > EIG_COND_LIMIT
+    assert near_defective.deflated_eig[3] > EIG_COND_LIMIT
+
+
+def _harmonic_solve_against_oracle(model, monkeypatch):
+    """harmonic_solve on random data next to one dense solve per harmonic.
+
+    Returns the number of Schur-form builds it took and the refined
+    residual of each row relative to its right-hand side.
+    """
+    schur_calls = []
+    original = sla.schur
+    monkeypatch.setattr(sla, "schur", lambda *a, **k: schur_calls.append(a) or original(*a, **k))
+    A_r = model.deflated[0]
+    n = A_r.shape[0]
+    harmonics, T = np.arange(-8, 9), 1.0
+    rng = np.random.default_rng(5)
+    rhs = rng.standard_normal((harmonics.size, n)) + 1j * rng.standard_normal((harmonics.size, n))
+    X = harmonic_solve(model, harmonics, T, rhs)
+    shifts = 2j * np.pi * harmonics / T
+    for s, b, x in zip(shifts, rhs, X):
+        ref = np.linalg.solve(s * np.eye(n) - A_r, b)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+    residual = rhs - (shifts[:, None] * X - X @ A_r.T)
+    rel_res = np.linalg.norm(residual, axis=1) / np.linalg.norm(rhs, axis=1)
+    return len(schur_calls), rel_res
+
+
+def test_harmonic_solve_schur_fallback_matches_dense_oracle(near_defective, monkeypatch):
+    schur_calls, _ = _harmonic_solve_against_oracle(near_defective, monkeypatch)
+    assert schur_calls == 1
+
+
+def test_harmonic_solve_eig_path_matches_dense_oracle(monkeypatch):
+    model = build_heat_wave_1d(48, 48)
+    schur_calls, rel_res = _harmonic_solve_against_oracle(model, monkeypatch)
+    assert schur_calls == 0
+    assert rel_res.max() <= 1e-12
 
 
 def test_admissibility_constant_fallback_matches_expm(near_defective, counted_propagator):

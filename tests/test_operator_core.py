@@ -24,7 +24,13 @@ from semiper.errors import (
     OnSpectrum,
     SpectrumOnCut,
 )
-from semiper.models import build_diagonal_model, build_heat_wave_1d, build_scalar_model
+from semiper.models import (
+    DampingProfile,
+    build_damped_wave_circle,
+    build_diagonal_model,
+    build_heat_wave_1d,
+    build_scalar_model,
+)
 from semiper.operator_core import (
     build_model,
     contour_spectral_projector,
@@ -358,6 +364,18 @@ def test_contour_projector_matches_spectral_projector():
     assert np.trace(P).real == pytest.approx(1.0, abs=1e-9)
 
 
+def test_kernel_projector_from_one_eig_matches_contour():
+    """The projector build_model derives from one eigendecomposition (left
+    vectors from the rows of V^{-1}) agrees with the contour integral."""
+    damping = DampingProfile("bump", amplitude=1.0, center=2.0, width=2.5)
+    circle = build_damped_wave_circle(24, damping)
+    model = build_model(circle.space, circle.A, kernel_basis=circle.kernel_basis)
+    P = contour_spectral_projector(model)
+    scale = np.linalg.norm(P, 2)
+    assert np.linalg.norm(model.pi0 - P, 2) <= 1e-10 * scale
+    assert np.linalg.norm(model.pi0 - circle.pi0, 2) <= 1e-10 * scale
+
+
 def test_contour_projector_around_isolated_eigenvalue():
     model = build_diagonal_model([-1.0, -2.0, -5.0])
     P = contour_spectral_projector(model, center=-2.0)
@@ -421,7 +439,7 @@ def kernel_model():
 
 
 def use_spectral_paths(model):
-    x = np.array([0.3, -1.0, 2.0])
+    x = np.linspace(-1.0, 2.0, model.dim)
     propagate(model, 0.5, x)
     propagator_matrix(model, 0.7)
     propagated_columns(model, [0.1, 0.2], np.stack([x, 2 * x]), [1.0, -0.5])
@@ -429,10 +447,13 @@ def use_spectral_paths(model):
     harmonic_solve(model, np.arange(-3, 4), 2.0,
                    to_block(model, np.outer(np.arange(1.0, 8.0), x)))
     resolvent_norm(model, 1.3)
+    fractional_power(model, 0.5)
+    contour_spectral_projector(model)
 
 
-def test_eig_and_schur_run_once_per_model(monkeypatch):
-    model = kernel_model()
+def test_one_eig_and_no_schur_per_model(monkeypatch):
+    """Every spectral path reads one eigendecomposition; the Schur form is
+    a fallback that a well-conditioned eigenbasis never builds."""
     calls = Counter()
 
     def counted(name, fn):
@@ -443,9 +464,28 @@ def test_eig_and_schur_run_once_per_model(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eig", counted("eig", np.linalg.eig))
     monkeypatch.setattr(scipy.linalg, "schur", counted("schur", scipy.linalg.schur))
-    use_spectral_paths(model)
-    use_spectral_paths(model)
-    assert calls == {"eig": 1, "schur": 1}
+    for model in (kernel_model(), build_heat_wave_1d(12, 10)):
+        calls.clear()
+        use_spectral_paths(model)
+        use_spectral_paths(model)
+        assert model.deflated_eig[3] <= 1e8
+        assert calls == {"eig": 1}
+
+
+def test_kernel_model_factor_assembles_full_propagator():
+    """e^{tA} = pi0 + Q e^{tA_r} Q* (I - pi0) from the deflated factor."""
+    damping = DampingProfile("bump", amplitude=1.0, center=2.0, width=2.5)
+    model = build_damped_wave_circle(24, damping)
+    A_r, _, Q = model.deflated
+    w, V, Vinv, _ = model.eig
+    assert_allclose(V @ Vinv, np.eye(model.dim), atol=1e-11)
+    assert_allclose(model.A @ V, V * w, atol=1e-9 * np.linalg.norm(model.A))
+    P = np.eye(model.dim) - model.pi0
+    for t in (0.3, 2.0):
+        ref = scipy.linalg.expm(model.A * t)
+        via_block = model.pi0 + Q @ scipy.linalg.expm(A_r * t) @ Q.conj().T @ P
+        assert_allclose(via_block, ref, atol=1e-10)
+        assert_allclose(propagator_matrix(model, t), ref, atol=1e-10)
 
 
 def test_resolvent_scan_takes_one_svd_per_frequency(monkeypatch):
@@ -490,10 +530,8 @@ def test_cached_model_is_freed_by_refcount():
     last reference frees it without the cycle collector."""
     model = kernel_model()
     use_spectral_paths(model)
-    fractional_power(model, 0.5)
     y = np.array([0.0, 1.0, -1.0])
     norm_domain(model, 0.5, y - model.pi0 @ y)
-    contour_spectral_projector(model)
     model.fixed_point_lu(2.0)
     model.domain_inv_sqrt(1.0)
     model.space.sqrt_gram

@@ -15,6 +15,7 @@ from semiper.models import (
     DampingProfile,
     build_damped_wave_interval,
     build_diagonal_model,
+    build_heat_wave_1d,
     build_synthetic_resolvent_model,
 )
 from semiper.stability_lab import (
@@ -77,6 +78,26 @@ def test_resolvent_scan_augments_grid_with_spectrum():
     scan = resolvent_scan(model, np.linspace(0.5, 5.0, 10))
     for freq in (1.37, 3.91):
         assert np.min(np.abs(scan.abscissae - freq)) < 1e-12
+
+
+def test_resolvent_scan_merges_nearly_equal_frequencies():
+    """A conjugate pair whose imaginary parts differ in the last digits,
+    as a Schur diagonal returns them, adds one abscissa, not two."""
+    eigs = np.array([-0.3 + 2.2j, -0.3 - 2.2j * (1 + 4e-15), -0.2 + 3.0j * (1 + 3e-13)])
+    model = build_diagonal_model(eigs)
+    grid = np.linspace(0.5, 5.0, 10)            # holds the grid point 3.0
+    scan = resolvent_scan(model, grid)
+    eta = scan.abscissae
+    assert np.all(np.diff(eta) > 1e-12 * eta[1:])
+    assert eta.size == grid.size + 1
+    for freq in np.abs(eigs.imag):
+        assert np.min(np.abs(eta - freq)) <= 1e-12 * freq
+
+
+def test_resolvent_scan_frequencies_distinct_on_heat_wave():
+    model = build_heat_wave_1d(48, 48)
+    eta = resolvent_scan(model, np.geomspace(0.5, 90.0, 140)).abscissae
+    assert np.all(np.diff(eta) > 1e-12 * eta[1:])
 
 
 def test_wave_envelope_not_normal_uses_running_min():
