@@ -881,7 +881,6 @@ def _task_picard(cfg, bundle, ctx):
     structure = pspec.get("structure", "wave")
     kwargs = dict(structure=structure,
                   n_nodes=pspec.get("n_nodes", 64),
-                  gauss_order=pspec.get("gauss_order", 8),
                   max_iter=pspec.get("max_iter", 30),
                   tol=pspec.get("tol", 1e-10))
     rep = picard_nonlinear(model, f_eps, poly, **kwargs)

@@ -86,6 +86,8 @@ class StateSpace:
     gram_roots : tuple of ndarray
         (G^{1/2}, G^{-1/2}), cached on first use; ``sqrt_gram`` and
         ``inv_sqrt_gram`` read it.
+    real_gram : ndarray or None
+        The Gram as a real array if it has no imaginary part, else None.
     """
 
     dim: int
@@ -98,13 +100,22 @@ class StateSpace:
         return float(np.sqrt(max(q, 0.0)))
 
     def row_norms(self, X) -> np.ndarray:
-        """Norm of each row of the state stack X, in one contraction."""
+        """Norm of each row of the state stack X, in one contraction; with
+        a real Gram, x* G x = a^T G a + b^T G b for x = a + ib."""
         X = np.asarray(X, dtype=complex)
-        q = np.einsum("ij,ij->i", X.conj(), X @ self.gram.T).real
+        G = self.real_gram
+        if G is None:
+            q = np.einsum("ij,ij->i", X.conj(), X @ self.gram.T).real
+        else:
+            q = sum(np.einsum("ij,ij->i", Y, Y @ G.T) for Y in (X.real, X.imag))
         return np.sqrt(np.maximum(q, 0.0))
 
     def inner(self, x, y) -> complex:
         return complex(np.vdot(np.asarray(x, dtype=complex), self.gram @ np.asarray(y, dtype=complex)))
+
+    @cached_property
+    def real_gram(self) -> np.ndarray | None:
+        return None if np.any(self.gram.imag) else np.ascontiguousarray(self.gram.real)
 
     @cached_property
     def gram_roots(self) -> tuple[np.ndarray, np.ndarray]:

@@ -35,7 +35,6 @@ from .forcing import (
     fourier_from_samples,
     gauss_panels,
 )
-from .models import gauss_legendre_rule
 from .operator_core import (
     Model,
     deflated_eigs,
@@ -46,6 +45,8 @@ from .operator_core import (
 )
 
 _KERNEL_TOL = 1e-10
+# a Picard gap ratio at or above this counts as a sweep that did not contract
+_STALL_RATIO = 1.0 - 1e-6
 
 
 @dataclass
@@ -60,13 +61,17 @@ class PeriodicSolveReport:
     admissibility: float | None = None
 
 
-def _kernel_guard(model: Model, FT: np.ndarray):
+def _kernel_guard(model: Model, x: np.ndarray, what: str = "one-period response"):
     if model.has_kernel:
-        bad = model.space.norm(model.pi0 @ FT)
-        if bad > _KERNEL_TOL * (1.0 + model.space.norm(FT)):
+        bad = model.space.norm(model.pi0 @ x)
+        if bad > _KERNEL_TOL * (1.0 + model.space.norm(x)):
             raise KernelObstruction(
-                f"one-period response has kernel component {bad:.3e}; "
+                f"{what} has kernel component {bad:.3e}; "
                 "the forcing pumps the conserved mode and no periodic orbit exists")
+
+
+def _mean_harmonic(f: FourierForcing) -> np.ndarray:
+    return f.coefficients[f.harmonics == 0].sum(axis=0)
 
 
 def _strip_kernel(model: Model, x: np.ndarray) -> np.ndarray:
@@ -156,12 +161,7 @@ def periodic_w0_harmonic_balance(model: Model, f: FourierForcing,
     """
     if not isinstance(f, FourierForcing):
         raise ValueError("harmonic balance needs Fourier data")
-    if model.has_kernel:
-        for c in f.coefficients[f.harmonics == 0]:
-            bad = model.space.norm(model.pi0 @ c)
-            if bad > _KERNEL_TOL * (1.0 + model.space.norm(c)):
-                raise KernelObstruction(
-                    f"mean harmonic has kernel component {bad:.3e}")
+    _kernel_guard(model, _mean_harmonic(f), "mean harmonic")
     X_r = harmonic_solve(model, f.harmonics, f.period,
                          to_block(model, f.coefficients))
     w0 = _strip_kernel(model, from_block(model, X_r.sum(axis=0)))
@@ -294,76 +294,71 @@ def _poly_eval(poly: dict, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _nonlinear_source(model: Model, poly: dict, state: np.ndarray,
+def _nonlinear_source(model: Model, poly: dict, states: np.ndarray,
                       structure: str) -> np.ndarray:
+    """g(u) for one state or a stack of states along the last axis."""
     if structure == "identity":
-        return _poly_eval(poly, state)
+        return _poly_eval(poly, states)
     if structure == "wave":
         n = model.dim // 2
-        src = np.zeros_like(state)
-        src[n:] = _poly_eval(poly, state[:n])
+        src = np.zeros_like(states)
+        src[..., n:] = _poly_eval(poly, states[..., :n])
         return src
     raise ValueError(f"unknown nonlinear structure {structure!r}")
 
 
 def picard_nonlinear(model: Model, f: PeriodicForcing, poly: dict,
                      structure: str = "wave", n_nodes: int = 64,
-                     gauss_order: int = 8, max_iter: int = 30,
+                     max_iter: int = 30,
                      tol: float = 1e-10) -> NonlinearSolveReport:
     """Periodic orbit of u' = A u + f + g(u) by Picard iteration.
 
     ``poly`` maps powers (>= 2) to coefficients of the superlinear
     nonlinearity g; it is applied nodewise to the displacement block for
     wave-type models (``structure="wave"``) or to the whole state
-    (``structure="identity"``). Each sweep solves the linear periodic
-    problem with the frozen source f + g(u_m) represented on a uniform
-    time grid, advancing the trajectory panel by panel with
-    Gauss-Legendre quadrature of its trigonometric interpolant.
+    (``structure="identity"``).
 
-    Raises Diverged after three consecutive expanding sweeps and
-    SlowConvergence when ``max_iter`` sweeps do not reach ``tol``.
+    Each sweep is one step of alternating frequency-time (AFT) harmonic
+    balance: the frozen source f + g(u_m) on the uniform grid of
+    ``n_nodes`` times becomes its trigonometric interpolant
+    sum_k c_k e^{i omega_k t} (one FFT), whose periodic response
+    sum_k (i omega_k - A)^{-1} c_k e^{i omega_k t} is exact: one
+    :func:`harmonic_solve` of all harmonics (ResonantHarmonic) and one
+    inverse DFT back to the grid. On kernel models the mean harmonic must
+    not pump the kernel (KernelObstruction), the others add
+    pi0 c_k / (i omega_k), and w0 is shifted to zero kernel component.
+    I - e^{TA} is checked once (SingularMonodromy).
+
+    Raises Diverged when the gap ratio stays at or above 1 - 1e-6 for
+    three consecutive sweeps, and SlowConvergence when ``max_iter``
+    sweeps do not reach ``tol``.
     """
     for p in poly:
         if not (isinstance(p, int) and p >= 2):
             raise ValueError("nonlinearity must be superlinear: powers >= 2")
     T = f.period
     times = T * np.arange(n_nodes) / n_nodes
-    dt = T / n_nodes
-    xi, wq = gauss_legendre_rule(gauss_order)
-    xi = 0.5 * (xi + 1.0)
-    wq = 0.5 * wq * dt
-    step_mat = propagator_matrix(model, dt)
-    lag_mats = [propagator_matrix(model, dt * (1.0 - x)) for x in xi]
-    quad_times = (times[:-1, None] + dt * xi).ravel()
 
-    def advance(w0_loc, source: FourierForcing) -> np.ndarray:
-        svals = source.eval_many(quad_times).reshape(n_nodes - 1, gauss_order, model.dim)
-        inc = sum(wq[q] * (svals[:, q] @ lag_mats[q].T) for q in range(gauss_order))
-        traj = np.empty((n_nodes, model.dim), dtype=complex)
-        traj[0] = w0_loc
-        u = w0_loc
-        for i in range(n_nodes - 1):
-            u = step_mat @ u + inc[i]
-            traj[i + 1] = u
-        return traj
-
-    def linear_periodic(source_samples: np.ndarray):
-        four = fourier_from_samples(T, source_samples, model.space)
-        rep = periodic_w0_direct(model, four, n_periods=1)
-        return advance(rep.w0, four), four
+    def linear_periodic(samples: np.ndarray) -> np.ndarray:
+        four = fourier_from_samples(T, samples, model.space)
+        C, osc = four.coefficients, four.harmonics != 0
+        X = from_block(model, harmonic_solve(model, four.harmonics, T,
+                                             to_block(model, C)).T).T
+        if model.has_kernel:
+            _kernel_guard(model, _mean_harmonic(four), "mean harmonic")
+            # A pi0 = 0: the kernel part of (i omega_k - A)^{-1} c_k
+            X[osc] += (C[osc] @ model.pi0.T) / (1j * four.omega[osc, None])
+        traj = np.exp(1j * np.outer(times, four.omega)) @ X
+        # shift along the kernel so that w0 has zero kernel component
+        return traj - traj[0] @ model.pi0.T if model.has_kernel else traj
 
     f_samples = f.eval_many(times)
-    traj, _ = linear_periodic(f_samples)
-    gaps = []
-    ratios = []
-    expanding = 0
-    converged = False
-    it = 0
+    traj = linear_periodic(f_samples)
+    model.fixed_point_lu(T)        # raises SingularMonodromy; factors are cached
+    gaps, ratios, stalled = [], [], 0
     for it in range(1, max_iter + 1):
-        src = f_samples + np.array(
-            [_nonlinear_source(model, poly, traj[i], structure)
-             for i in range(n_nodes)])
-        new_traj, source_fourier = linear_periodic(src)
+        new_traj = linear_periodic(
+            f_samples + _nonlinear_source(model, poly, traj, structure))
         gap = float(model.space.row_norms(new_traj - traj).max())
         if not np.isfinite(gap):
             raise Diverged(f"iteration produced non-finite states at sweep {it}")
@@ -371,42 +366,35 @@ def picard_nonlinear(model: Model, f: PeriodicForcing, poly: dict,
         if len(gaps) >= 2 and gaps[-2] > 0:
             r = gaps[-1] / gaps[-2]
             ratios.append(r)
-            expanding = expanding + 1 if r >= 1.0 else 0
-            if expanding >= 3:
+            stalled = stalled + 1 if r >= _STALL_RATIO else 0
+            if stalled >= 3:
                 raise Diverged(
-                    f"gap grew for three consecutive sweeps (last ratio {r:.3f})")
+                    f"gap did not contract for three consecutive sweeps "
+                    f"(sweep {it}, last ratio {r:.3f})")
         traj = new_traj
-        scale = float(model.space.row_norms(traj).max())
-        if gap <= tol * (1.0 + scale):
-            converged = True
+        if gap <= tol * (1.0 + float(model.space.row_norms(traj).max())):
             break
-    if not converged:
+    else:
         raise SlowConvergence(
             f"Picard iteration did not contract to {tol:.1e} in {max_iter} sweeps")
 
-    residual = _ode_residual(model, f, poly, structure, times, traj)
-    return NonlinearSolveReport(converged=converged, iterations=it,
+    residual = _ode_residual(model, poly, structure, T, f_samples, traj)
+    return NonlinearSolveReport(converged=True, iterations=it,
                                 contraction_ratios=ratios, times=times,
                                 trajectory=traj, w0=traj[0],
                                 ode_residual=residual, gap_history=gaps)
 
 
-def _ode_residual(model, f, poly, structure, times, traj) -> float:
-    n = times.size
-    T = f.period
-    coeff = np.fft.fft(traj, axis=0) / n
+def _ode_residual(model, poly, structure, T, f_samples, traj) -> float:
+    """max_t |u' - A u - f - g(u)| on the grid, u' by spectral differentiation."""
+    n = traj.shape[0]
     ks = np.fft.fftfreq(n, d=1.0 / n)
     if n % 2 == 0:
         ks[n // 2] = 0.0       # drop the unmatched Nyquist bin from d/dt
-    dcoeff = coeff * (1j * 2 * np.pi * ks / T)[:, None]
-    dtraj = np.fft.ifft(dcoeff * n, axis=0)
-    fvals = f.eval_many(times)
-    worst = 0.0
-    for i in range(n):
-        rhs = model.A @ traj[i] + fvals[i] + _nonlinear_source(
-            model, poly, traj[i], structure)
-        worst = max(worst, model.space.norm(dtraj[i] - rhs))
-    return worst
+    dtraj = np.fft.ifft(np.fft.fft(traj, axis=0) * (2j * np.pi / T * ks)[:, None],
+                        axis=0)
+    rhs = traj @ model.A.T + f_samples + _nonlinear_source(model, poly, traj, structure)
+    return float(model.space.row_norms(dtraj - rhs).max())
 
 
 def picard_divergence_threshold(model: Model, f: PeriodicForcing, poly: dict,

@@ -182,6 +182,18 @@ def test_main_schema_violation_exit_two(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_main_picard_gauss_order_exit_two(tmp_path, config_dir, capsys):
+    """Picard no longer steps with a Gauss rule, so its order is an unknown key."""
+    cfg = json.loads((config_dir / "picard_cubic.json").read_text())
+    cfg["picard"]["gauss_order"] = 8
+    bad = tmp_path / "picard_gauss.json"
+    bad.write_text(json.dumps(cfg))
+    code = cli.main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "gauss_order" in err
+
+
 def test_main_kernel_obstruction_exit_three(tmp_path, config_dir, capsys):
     code = cli.main(["run",
                      "--config", str(config_dir / "circle_obstruction.json"),

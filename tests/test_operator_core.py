@@ -97,6 +97,21 @@ def test_row_norms_match_per_state_norm(rng):
     assert_allclose(space.row_norms(X), [space.norm(x) for x in X], rtol=1e-13)
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_row_norms_match_complex_contraction(rng, field):
+    """A real Gram takes the two-real-matmul path, a complex one does not;
+    both agree with the complex contraction x* G x."""
+    n = 7
+    B = rng.standard_normal((n, n))
+    if field == "complex":
+        B = B + 1j * rng.standard_normal((n, n))
+    space = make_state_space(n, B @ B.conj().T + n * np.eye(n), field)
+    assert (space.real_gram is None) == (field == "complex")
+    X = rng.standard_normal((11, n)) + 1j * rng.standard_normal((11, n))
+    q = np.einsum("ij,ij->i", X.conj(), X @ space.gram.T).real
+    assert_allclose(space.row_norms(X), np.sqrt(q), rtol=1e-14)
+
+
 def test_inner_product_conjugate_symmetry(rng):
     n = 4
     B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

@@ -3,10 +3,13 @@
 The scalar problem u' = -u + 1 with any period has the constant orbit
 u = 1, which pins all three linear methods. The boundary solver is
 checked against the static steady state, and the nonlinear solver
-against direct time integration with scipy's adaptive stepper.
+against direct time integration with scipy's adaptive stepper and against
+the direct linear solver on its converged frozen source.
 """
 
+import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -15,14 +18,18 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
+from semiper import cli
 from semiper.errors import (
     Diverged,
     KernelObstruction,
+    ResonantHarmonic,
     SingularMonodromy,
     SlowConvergence,
 )
 from semiper.forcing import (
+    FourierForcing,
     check_class,
+    fourier_from_samples,
     make_fourier_forcing,
     per0_bump_forcing,
 )
@@ -302,3 +309,79 @@ def test_divergence_threshold_brackets():
                                      amplitudes=[1.0, 10.0, 100.0])
     assert th["last_converged"] == 10.0
     assert th["first_diverged"] == 100.0
+
+
+@pytest.fixture(scope="module")
+def picard_cubic(config_dir):
+    """Model, unscaled forcing and cubic term of configs/picard_cubic.json."""
+    cfg = json.loads((config_dir / "picard_cubic.json").read_text())
+    bundle = cli.build_bundle(cfg)
+    f = cli.build_forcing(bundle, cfg["forcing"], np.random.default_rng(0))
+    return bundle.model, f, {3: -1.0}
+
+
+def scaled(f, amp):
+    return FourierForcing(f.period, f.harmonics, amp * f.coefficients, f.space)
+
+
+@pytest.mark.parametrize("amp", [1e-3, 1e-1, 1.0])
+def test_picard_w0_matches_direct_solve_of_frozen_source(picard_cubic, amp):
+    """The harmonic-balance sweep is exact for the interpolated source: the
+    direct fixed-point solver on the converged frozen source f + g(u)
+    reproduces w0."""
+    model, f, poly = picard_cubic
+    g = scaled(f, amp)
+    rep = picard_nonlinear(model, g, poly, structure="wave", tol=1e-12)
+    n = model.dim // 2
+    src = g.eval_many(rep.times)
+    src[:, n:] -= rep.trajectory[:, :n] ** 3
+    w0 = periodic_w0_direct(model, fourier_from_samples(g.period, src,
+                                                         model.space)).w0
+    assert model.space.norm(w0 - rep.w0) <= 1e-10 * model.space.norm(rep.w0)
+
+
+def test_picard_on_kernel_model_keeps_zero_kernel_component():
+    """Each harmonic drives the kernel mode, so the orbit swings along the
+    kernel while w0 keeps a zero kernel component. The forcing has odd
+    harmonics only; the cubic then pumps the kernel only through the
+    constant shift of the orbit, which at this amplitude stays near 3e-13,
+    far below the KernelObstruction guard."""
+    model = build_damped_wave_circle(32, DampingProfile("constant", amplitude=1.0))
+    n = model.dim // 2
+    x = 2 * np.pi * np.arange(n) / n
+    vec = np.zeros(model.dim)
+    vec[n:] = 1.0 + np.sin(x)
+    f = make_fourier_forcing(1.0, {1: 0.1 * vec, -1: 0.1 * vec}, model.space)
+    rep = picard_nonlinear(model, f, {3: -0.5}, structure="wave", tol=1e-12)
+    assert rep.converged
+    w0_norm = model.space.norm(rep.w0)
+    swing = model.space.row_norms(rep.trajectory @ model.pi0.T).max()
+    assert swing >= 1e-2 * w0_norm
+    assert model.space.norm(model.pi0 @ rep.w0) <= 1e-14 * w0_norm
+    assert rep.ode_residual <= 1e-10
+
+
+@pytest.mark.parametrize("harmonic, error", [(1, ResonantHarmonic),
+                                             (40, SingularMonodromy)])
+def test_picard_resonant_model_raises(harmonic, error):
+    """A grid harmonic on the spectrum fails in the harmonic solve; an
+    eigenvalue 2 pi i k / T beyond the grid's harmonics makes I - e^{TA}
+    singular."""
+    T = 1.0
+    model = build_scalar_model(2j * np.pi * harmonic / T)
+    f = make_fourier_forcing(T, {1: [0.1], -1: [0.1]}, model.space)
+    with pytest.raises(error):
+        picard_nonlinear(model, f, {3: -0.05}, structure="identity")
+
+
+def test_picard_stagnation_diverges_at_a_stable_sweep(picard_cubic):
+    """At amplitude 3 the gap stalls with ratios within 1e-6 of 1; a 1e-13
+    change of the forcing must not move the sweep that raises."""
+    model, f, poly = picard_cubic
+    sweeps = []
+    for amp in (3.0, 3.0 * (1.0 + 1e-13)):
+        with pytest.raises(Diverged, match="did not contract") as info:
+            picard_nonlinear(model, scaled(f, amp), poly, structure="wave",
+                             tol=1e-12)
+        sweeps.append(re.search(r"sweep (\d+)", str(info.value)).group(1))
+    assert sweeps[0] == sweeps[1]
