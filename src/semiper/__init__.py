@@ -50,7 +50,7 @@ from .forcing import (  # noqa: F401
     check_class,
     control_duhamel,
     duhamel_FT,
-    duhamel_FT_diagnostics,
+    duhamel_quadrature,
     endpoint_defect,
     fourier_from_samples,
     make_fourier_forcing,

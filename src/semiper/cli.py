@@ -111,6 +111,10 @@ def validate_config(cfg: dict) -> None:
     if task == "boundary_solve":
         _require(cfg["forcing"]["kind"] == "boundary_signal",
                  "boundary_solve needs a boundary_signal forcing")
+    fspec = cfg.get("forcing", {})
+    if fspec.get("kind") == "boundary_signal" and fspec.get("signal") == "sine":
+        _require(fspec.get("harmonic", 1) != 0,
+                 "a sine boundary signal needs a nonzero harmonic")
     scan = cfg.get("scan", {})
     if task in ("decay_scan", "interpolation_check"):
         _require("t_grid" in scan, f"task {task!r} needs scan.t_grid")
@@ -333,7 +337,8 @@ def build_forcing(bundle: ModelBundle, fspec: dict,
             if form == "complex":
                 add(k, a * np.exp(1j * phi) * vec)
             elif k == 0:
-                add(0, a * math.cos(phi) * vec)
+                # a cos(-phi) or a sin(-phi)
+                add(0, a * (math.cos(phi) if form == "cosine" else -math.sin(phi)) * vec)
             elif form == "cosine":
                 c = 0.5 * a * np.exp(-1j * phi)
                 add(k, c * vec)
@@ -341,7 +346,7 @@ def build_forcing(bundle: ModelBundle, fspec: dict,
             else:
                 c = a / 2j * np.exp(-1j * phi)
                 add(k, c * vec)
-                add(-k, -np.conj(c) * vec)
+                add(-k, np.conj(c) * vec)
         return make_fourier_forcing(T, coeffs, space=model.space)
     if kind == "boundary_signal":
         T = fspec.get("period", 1.0)
@@ -458,15 +463,6 @@ def _solver_spec(cfg):
     return cfg.get("solver", {})
 
 
-def _quad_kwargs(sspec):
-    out = {}
-    if "panels" in sspec:
-        out["panels"] = sspec["panels"]
-    if "order" in sspec:
-        out["order"] = sspec["order"]
-    return out
-
-
 def _task_spectrum(cfg, bundle, ctx):
     model = bundle.model
     rep = spectrum_report(model)
@@ -502,7 +498,6 @@ def _task_periodic_solve(cfg, bundle, ctx):
     f = build_forcing(bundle, cfg["forcing"], ctx.rng)
     method = sspec.get("method", "direct")
     n_periods = sspec.get("n_periods", 1)
-    quad = _quad_kwargs(sspec)
 
     series_kw = {}
     if "tol" in sspec:
@@ -512,7 +507,7 @@ def _task_periodic_solve(cfg, bundle, ctx):
 
     if method == "all":
         reports = {name: fn(model, f, n_periods=n_periods,
-                            **(series_kw if name == "series" else {}), **quad)
+                            **(series_kw if name == "series" else {}))
                    for name, fn in _METHODS.items()}
         rep = reports["direct"]
         names = sorted(reports)
@@ -523,8 +518,7 @@ def _task_periodic_solve(cfg, bundle, ctx):
                 pairwise[f"{a}_vs_{b}"] = gap
     else:
         rep = _METHODS[method](model, f, n_periods=n_periods,
-                               **(series_kw if method == "series" else {}),
-                               **quad)
+                               **(series_kw if method == "series" else {}))
         pairwise = None
 
     payload = {
@@ -726,13 +720,11 @@ def _task_gain_identity(cfg, bundle, ctx):
     model = bundle.model
     f = build_forcing(bundle, cfg["forcing"], ctx.rng)
     orders = cfg.get("scan", {}).get("gain_orders", [1, 2, 3])
-    quad = _quad_kwargs(_solver_spec(cfg))
-    FT = duhamel_FT(model, f, **quad)
+    FT = duhamel_FT(model, f)
 
     def raw_and_corrected(forcing, k):
-        lhs = np.linalg.matrix_power(model.A, k) @ duhamel_FT(model, forcing,
-                                                              **quad)
-        rhs = duhamel_FT(model, forcing.derivative_forcing(k), **quad)
+        lhs = np.linalg.matrix_power(model.A, k) @ duhamel_FT(model, forcing)
+        rhs = duhamel_FT(model, forcing.derivative_forcing(k))
         defect = endpoint_defect(model, forcing, k)
         scale = max(model.space.norm(lhs), 1e-300)
         return (model.space.norm(lhs - rhs) / scale,
@@ -915,9 +907,7 @@ def _task_boundary_solve(cfg, bundle, ctx):
     for T in periods:
         g = boundary_signal_forcing(model, fspec, T)
         rep = boundary_periodic_solve(model, g,
-                                      n_periods=sspec.get("n_periods", 1),
-                                      panels=sspec.get("panels"),
-                                      order=sspec.get("order", 8))
+                                      n_periods=sspec.get("n_periods", 1))
         worst = max(rep.residual_per_period)
         rows.append((T, worst, rep.norm_ratio, rep.admissibility))
         details[f"T={T:g}"] = {

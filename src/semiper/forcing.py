@@ -11,10 +11,11 @@ one of two representations:
   d/ds maps the profile to the pullback of A phi.
 
 The central quantity is the one-period response
-F_T(f) = integral_0^T e^{A(T-s)} f(s) ds, computed either by panelwise
-Gauss-Legendre quadrature with a refinement guard, or in closed form
-for Fourier data, with every harmonic solved against one Schur form of
-the deflated block.
+F_T(f) = integral_0^T e^{A(T-s)} f(s) ds. The forcing's type alone picks
+how it is computed: Fourier data in closed form, with all harmonics in
+one :func:`harmonic_solve` on the deflated block, and any other forcing
+by panelwise Gauss-Legendre quadrature with a refinement guard. A
+boundary signal g enters as the Fourier forcing B g.
 """
 
 from __future__ import annotations
@@ -38,6 +39,11 @@ from .operator_core import (
 )
 
 _PER0_DETECT_MAX = 12
+# check_class: endpoint tolerance relative to the derivative's size, and
+# the composite rule its time norms are taken on
+_CLASS_TOL = 1e-10
+_CLASS_PANELS = 48
+_CLASS_ORDER = 8
 
 
 def gauss_panels(T: float, panels: int, order: int):
@@ -238,8 +244,7 @@ class ForcingNormReport:
     endpoint_residuals: list = field(default_factory=list)
 
 
-def check_class(f: PeriodicForcing, k: int, tol: float = 1e-10,
-                panels: int = 48, order: int = 8) -> ForcingNormReport:
+def check_class(f: PeriodicForcing, k: int) -> ForcingNormReport:
     """Verify membership in the vanishing-trace class of index k.
 
     Computes the L^1 and W^{k,1} norms in time (state-space norm in
@@ -248,7 +253,7 @@ def check_class(f: PeriodicForcing, k: int, tol: float = 1e-10,
     corresponding derivative. ``class_verified`` reflects the endpoint
     checks only; the norms are always reported.
     """
-    nodes, weights = gauss_panels(f.period, panels, order)
+    nodes, weights = gauss_panels(f.period, _CLASS_PANELS, _CLASS_ORDER)
     l1 = 0.0
     wk1 = 0.0
     sup_by_order = []
@@ -264,7 +269,7 @@ def check_class(f: PeriodicForcing, k: int, tol: float = 1e-10,
     for j in range(k):
         r = f._norm(f.eval(0.0, j))
         residuals.append(r)
-        if r > tol * max(sup_by_order[j], 1e-300):
+        if r > _CLASS_TOL * max(sup_by_order[j], 1e-300):
             verified = False
     return ForcingNormReport(tag=f.tag, order=k, l1_norm=l1, wk1_norm=wk1,
                              class_verified=verified,
@@ -275,59 +280,40 @@ def check_class(f: PeriodicForcing, k: int, tol: float = 1e-10,
 # Duhamel responses
 # ---------------------------------------------------------------------------
 
-def duhamel_FT(model: Model, f: PeriodicForcing, panels: int | None = None,
-               order: int = 8, tol: float = 1e-9, method: str = "auto") -> np.ndarray:
+def duhamel_FT(model: Model, f: PeriodicForcing) -> np.ndarray:
     """One-period response F_T(f) = integral_0^T e^{A(T-s)} f(s) ds.
 
-    method "quadrature" uses composite Gauss-Legendre panels and raises
-    QuadratureUnderResolved unless doubling the panel count moves the
-    result by less than tol (relative to its size). method
-    "closed_form" (Fourier data only) sums the harmonic terms
-    (i omega_k - A)^{-1} (I - e^{TA}) c_k, all solved against one cached
-    Schur form of the deflated block; "auto" picks the closed form for
-    Fourier data.
+    Fourier data takes the closed form: the harmonic terms
+    (i omega_k - A)^{-1} (I - e^{TA}) c_k, all solved in one
+    :func:`harmonic_solve` on the deflated block. Any other forcing goes
+    to :func:`duhamel_quadrature` with its default panels.
     """
-    vec, _ = duhamel_FT_diagnostics(model, f, panels, order, tol, method)
-    return vec
+    if isinstance(f, FourierForcing):
+        return _duhamel_closed_form(model, f)
+    return duhamel_quadrature(model, f)[0]
 
 
-def duhamel_FT_diagnostics(model: Model, f: PeriodicForcing,
-                           panels: int | None = None, order: int = 8,
-                           tol: float = 1e-9, method: str = "auto"):
-    """Like :func:`duhamel_FT` but also returns the refinement gap."""
-    if method == "auto":
-        method = "closed_form" if isinstance(f, FourierForcing) else "quadrature"
-    if method == "closed_form":
-        if not isinstance(f, FourierForcing):
-            raise ValueError("closed form needs Fourier data")
-        return _duhamel_closed_form(model, f), 0.0
-    if method != "quadrature":
-        raise ValueError(f"unknown method {method!r}")
-    return _refined_quadrature(model, f, f.period, panels, order, tol)
+def duhamel_quadrature(model: Model, f: PeriodicForcing, panels: int | None = None,
+                       order: int = 8, tol: float = 1e-9):
+    """F_T(f) by composite Gauss-Legendre quadrature, and its refinement gap.
 
-
-def _refined_quadrature(model: Model, f: PeriodicForcing, tau: float,
-                        panels: int | None, order: int, tol: float, B=None):
-    """integral_0^tau e^{A(tau-s)} B f(s) ds and its refinement gap.
-
-    ``B`` is an input matrix (None: the identity). The integral is
-    assembled on composite Gauss-Legendre panels and again on twice as
-    many; unless the two agree to tol relative to the size of the finer
-    one, QuadratureUnderResolved is raised. The default panel count
-    resolves the highest harmonic of Fourier data.
+    The integral is assembled on ``panels`` panels of ``order`` nodes and
+    again on twice as many; unless the two agree to tol relative to the
+    size of the finer one, QuadratureUnderResolved is raised. The default
+    panel count resolves the highest harmonic of Fourier data. Returns
+    (F_T, gap).
     """
+    T = f.period
     if panels is None:
         kmax = np.max(np.abs(f.harmonics), initial=0) if isinstance(f, FourierForcing) else 0
         panels = max(8, int(kmax))
 
     def assemble(p):
-        nodes, weights = gauss_panels(tau, p, order)
+        nodes, weights = gauss_panels(T, p, order)
         vals = f.eval_many(nodes)
         if not np.all(np.isfinite(vals)):
             raise NonFiniteInput("forcing evaluated to non-finite values")
-        if B is not None:
-            vals = vals @ B.T
-        return propagated_columns(model, tau - nodes, vals, weights, summed=True)
+        return propagated_columns(model, T - nodes, vals, weights, summed=True)
 
     coarse = assemble(panels)
     fine = assemble(2 * panels)
@@ -368,22 +354,20 @@ def endpoint_defect(model: Model, f: PeriodicForcing, k: int) -> np.ndarray:
     return acc
 
 
-def control_duhamel(model: Model, g: PeriodicForcing, tau: float | None = None,
-                    panels: int | None = None, order: int = 8,
-                    tol: float = 1e-9) -> np.ndarray:
-    """Boundary response Phi_tau(g) = integral_0^tau e^{A(tau-s)} B g(s) ds.
+def control_duhamel(model: Model, g: FourierForcing) -> np.ndarray:
+    """Boundary response Phi_T(g) = integral_0^T e^{A(T-s)} B g(s) ds.
 
-    ``g`` is a scalar forcing (dimension-1 values); the model must carry
-    an input matrix B. Composite quadrature with the same refinement
-    guard as :func:`duhamel_FT`.
+    ``g`` is Fourier data on the input space (one value per column of
+    the model's input matrix B); Phi_T(g) is the closed-form F_T of the
+    lifted forcing B g.
     """
     if model.B is None:
         raise ValueError("model has no input matrix")
     if g.dim != model.B.shape[1]:
         raise ValueError("boundary signal dimension does not match B")
-    if tau is None:
-        tau = g.period
-    return _refined_quadrature(model, g, tau, panels, order, tol, model.B)[0]
+    lifted = FourierForcing(g.period, g.harmonics, g.coefficients @ model.B.T,
+                            model.space)
+    return duhamel_FT(model, lifted)
 
 
 def admissibility_constant(model: Model, T: float, panels: int = 24,

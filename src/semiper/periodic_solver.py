@@ -19,6 +19,7 @@ at all and raises KernelObstruction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +34,6 @@ from .forcing import (
     control_duhamel,
     duhamel_FT,
     fourier_from_samples,
-    gauss_panels,
 )
 from .operator_core import (
     Model,
@@ -80,10 +80,18 @@ def _strip_kernel(model: Model, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _direct_w0(model: Model, T: float, FT: np.ndarray):
+    """w0 solving (I - e^{TA}) w0 = F_T on the deflated block, and the
+    condition number of that system (LU factors cached per period)."""
+    _kernel_guard(model, FT)
+    lu_piv, condition = model.fixed_point_lu(T)
+    w0 = from_block(model, sla.lu_solve(lu_piv, to_block(model, FT)))
+    return _strip_kernel(model, w0), condition
+
+
 def _finish_report(model: Model, f: PeriodicForcing, w0, method, n_periods,
-                   FT=None, tail=None, condition=None,
-                   quad=None) -> PeriodicSolveReport:
-    residuals, gap = verify_orbit(model, f, w0, n_periods, FT=FT, **(quad or {}))
+                   FT=None, tail=None, condition=None) -> PeriodicSolveReport:
+    residuals, gap = verify_orbit(model, f, w0, n_periods, FT=FT)
     # W^{k,1} norm at the detected class index k (the L^1 norm at k = 0)
     denom = check_class(f, f.per0_order).wk1_norm
     ratio = model.space.norm(w0) / denom if denom > 0 else np.inf
@@ -94,15 +102,15 @@ def _finish_report(model: Model, f: PeriodicForcing, w0, method, n_periods,
 
 
 def periodic_w0_series(model: Model, f: PeriodicForcing, tol: float = 1e-12,
-                       max_terms: int = 100000, n_periods: int = 1,
-                       **quad) -> PeriodicSolveReport:
+                       max_terms: int = 100000,
+                       n_periods: int = 1) -> PeriodicSolveReport:
     """Sum the propagated one-period responses until they are negligible.
 
     Stops when the current term e^{N T A} F_T has norm at most
     tol * (1 + |F_T|); raises SlowConvergence past ``max_terms`` terms.
     The tail estimate extrapolates the last term geometrically.
     """
-    FT = duhamel_FT(model, f, **quad)
+    FT = duhamel_FT(model, f)
     _kernel_guard(model, FT)
     M = propagator_matrix(model, f.period)
     scale = 1.0 + model.space.norm(FT)
@@ -127,11 +135,11 @@ def periodic_w0_series(model: Model, f: PeriodicForcing, tol: float = 1e-12,
                 f"(last term {cur:.3e}); the monodromy contracts too slowly")
     w0 = _strip_kernel(model, acc)
     return _finish_report(model, f, w0, f"series(N={n_terms})", n_periods,
-                          FT=FT, tail=tail, quad=quad)
+                          FT=FT, tail=tail)
 
 
-def periodic_w0_direct(model: Model, f: PeriodicForcing, n_periods: int = 1,
-                       **quad) -> PeriodicSolveReport:
+def periodic_w0_direct(model: Model, f: PeriodicForcing,
+                       n_periods: int = 1) -> PeriodicSolveReport:
     """Solve the fixed-point system (I - e^{TA}) w0 = F_T.
 
     On kernel models the system is solved on the deflated block. The
@@ -140,17 +148,14 @@ def periodic_w0_direct(model: Model, f: PeriodicForcing, n_periods: int = 1,
     once per (model, period); later solves reuse the factors. Raises
     SingularMonodromy when the matrix is numerically singular.
     """
-    FT = duhamel_FT(model, f, **quad)
-    _kernel_guard(model, FT)
-    lu_piv, condition = model.fixed_point_lu(f.period)
-    w0 = from_block(model, sla.lu_solve(lu_piv, to_block(model, FT)))
-    w0 = _strip_kernel(model, w0)
+    FT = duhamel_FT(model, f)
+    w0, condition = _direct_w0(model, f.period, FT)
     return _finish_report(model, f, w0, "direct", n_periods, FT=FT,
-                          condition=condition, quad=quad)
+                          condition=condition)
 
 
 def periodic_w0_harmonic_balance(model: Model, f: FourierForcing,
-                                 n_periods: int = 1, **quad) -> PeriodicSolveReport:
+                                 n_periods: int = 1) -> PeriodicSolveReport:
     """Resolvent solves for all harmonics, summed at t = 0.
 
     Needs Fourier data. Raises KernelObstruction when the mean harmonic
@@ -167,7 +172,7 @@ def periodic_w0_harmonic_balance(model: Model, f: FourierForcing,
     w0 = _strip_kernel(model, from_block(model, X_r.sum(axis=0)))
     return _finish_report(model, f, w0,
                           f"harmonic_balance(K={f.harmonics.size})",
-                          n_periods, quad=quad)
+                          n_periods)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +180,7 @@ def periodic_w0_harmonic_balance(model: Model, f: FourierForcing,
 # ---------------------------------------------------------------------------
 
 def verify_orbit(model: Model, f: PeriodicForcing, w0, n_periods: int = 1,
-                 FT=None, **quad):
+                 FT=None):
     """Propagate the candidate orbit and measure the per-period residual.
 
     Returns (residuals, crosscheck_gap): residuals[n-1] = |u(nT) - w0|
@@ -183,11 +188,11 @@ def verify_orbit(model: Model, f: PeriodicForcing, w0, n_periods: int = 1,
     discrepancy against the independent closed form
     u(nT) = e^{nTA} w0 + sum_m e^{mTA} F_T evaluated at whole times.
     A solver that already holds F_T passes it as ``FT``; otherwise it is
-    computed with the ``quad`` options.
+    computed from ``f``.
     """
     w0 = np.asarray(w0, dtype=complex)
     if FT is None:
-        FT = duhamel_FT(model, f, **quad)
+        FT = duhamel_FT(model, f)
     M = propagator_matrix(model, f.period)
     T = f.period
     residuals = []
@@ -211,7 +216,7 @@ class ConvergenceReport:
 
 
 def convergence_gap(model: Model, f: PeriodicForcing, v0, n_periods: int,
-                    w0=None, **quad) -> ConvergenceReport:
+                    w0=None) -> ConvergenceReport:
     """Distance to the periodic orbit along a trajectory from v0.
 
     gap(n) = |u_{v0}(nT) - w0| contracts like the deflated monodromy;
@@ -219,8 +224,8 @@ def convergence_gap(model: Model, f: PeriodicForcing, v0, n_periods: int,
     of e^{TA} for comparison.
     """
     if w0 is None:
-        w0 = periodic_w0_direct(model, f, **quad).w0
-    FT = duhamel_FT(model, f, **quad)
+        w0 = periodic_w0_direct(model, f).w0
+    FT = duhamel_FT(model, f)
     M = propagator_matrix(model, f.period)
     rho = float(np.max(np.exp(f.period * deflated_eigs(model).real)))
     u = np.asarray(v0, dtype=complex).copy()
@@ -237,37 +242,27 @@ def convergence_gap(model: Model, f: PeriodicForcing, v0, n_periods: int,
 # boundary-forced periodic solve
 # ---------------------------------------------------------------------------
 
-def boundary_periodic_solve(model: Model, g: PeriodicForcing,
-                            n_periods: int = 1, panels: int | None = None,
-                            order: int = 8) -> PeriodicSolveReport:
+def boundary_periodic_solve(model: Model, g: FourierForcing,
+                            n_periods: int = 1) -> PeriodicSolveReport:
     """Periodic orbit of a boundary-driven model.
 
-    The one-period response Phi_T(g) replaces the distributed F_T;
-    afterwards the fixed-point solve and verification proceed exactly as
-    in the distributed case. The report's ``norm_ratio`` is measured
-    against the L^2(0, T) norm of the boundary signal and the realized
-    admissibility constant of the input map is attached.
+    The one-period response Phi_T(g) (:func:`control_duhamel`) replaces
+    the distributed F_T; the fixed-point solve and the verification are
+    those of :func:`periodic_w0_direct`. The report's ``norm_ratio`` is
+    measured against the L^2(0, T) norm of the boundary signal,
+    sqrt(T sum_k |c_k|^2) by Parseval, and the realized admissibility
+    constant of the input map is attached.
     """
     T = g.period
-    FT = control_duhamel(model, g, T, panels=panels, order=order)
-    M = propagator_matrix(model, T)
-    lu_piv, condition = model.fixed_point_lu(T)
-    w0 = from_block(model, sla.lu_solve(lu_piv, to_block(model, FT)))
-
-    residuals = []
-    u = w0.copy()
-    for _ in range(n_periods):
-        u = M @ u + FT
-        residuals.append(model.space.norm(u - w0))
-
-    nodes, weights = gauss_panels(T, 32, 8)
-    gvals = g.eval_many(nodes)[:, 0]
-    g_l2 = float(np.sqrt(np.dot(weights, np.abs(gvals) ** 2)))
+    FT = control_duhamel(model, g)
+    w0, condition = _direct_w0(model, T, FT)
+    residuals, gap = verify_orbit(model, g, w0, n_periods, FT=FT)
+    g_l2 = math.sqrt(T * float(np.sum(np.abs(g.coefficients) ** 2)))
     ratio = model.space.norm(w0) / g_l2 if g_l2 > 0 else np.inf
     return PeriodicSolveReport(w0=w0, method="boundary_direct",
                                residual_per_period=residuals,
                                norm_ratio=ratio,
-                               condition=condition,
+                               condition=condition, crosscheck_gap=gap,
                                admissibility=admissibility_constant(model, T))
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BackwardGrowthExcessive, InvalidGrid
-from .forcing import SemigroupPullbackForcing, duhamel_FT
+from .forcing import SemigroupPullbackForcing, check_class, duhamel_FT
 from .models import (
     DampingProfile,
     SphereBlockModel,
@@ -181,7 +181,7 @@ def growth_experiment(block: SphereBlockModel, j: int, k: int,
     C = measured_propagation_bound(block, k, period)
     C_j = float(abs(forcing.scale))
 
-    FT = duhamel_FT(block.model, forcing, method="quadrature")
+    FT = duhamel_FT(block.model, forcing)
     M = propagator_matrix(block.model, period)
     u = np.zeros(block.dim, dtype=complex)
     norms = np.empty(n_max)
@@ -201,7 +201,6 @@ def growth_experiment(block: SphereBlockModel, j: int, k: int,
         y = M @ y
         dev[m - 1] = float(np.linalg.norm(y - np.exp(-1j * lam * m * period) * phi))
 
-    from .forcing import check_class
     l1 = check_class(forcing, 0).l1_norm
     fitted_c = float(-math.log(max(c_hat, 1e-300)) / math.sqrt(lam))
     return GrowthExperiment(j=j, Jmax=block.Jmax, k=k, C_j=C_j, period=period,

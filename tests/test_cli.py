@@ -145,6 +145,32 @@ def test_schema_rejects_unknown_fields():
     cfg = {"task": "decay_scan", "mystery": 1}
     with pytest.raises(jsonschema.ValidationError):
         cli.validate_config(cfg)
+    # every forcing a config can build is Fourier data, so no quadrature knobs
+    cfg = {"task": "boundary_solve", "solver": {"n_periods": 2, "panels": 64}}
+    with pytest.raises(jsonschema.ValidationError, match="panels"):
+        cli.validate_config(cfg)
+
+
+@pytest.mark.parametrize("phase", [0.0, 0.7])
+@pytest.mark.parametrize("harmonic", [0, 2])
+@pytest.mark.parametrize("form", ["cosine", "sine", "complex"])
+def test_fourier_component_samples_its_signal(form, harmonic, phase):
+    """A component samples to a cos(w t - phi), a sin(w t - phi) or a e^{i (w t + phi)}."""
+    T, a = 1.5, 2.0
+    bundle = cli.build_bundle({"model": {"builder": "scalar", "params": {"lam": -1.0}}})
+    fspec = {"kind": "fourier", "period": T,
+             "components": [{"harmonic": harmonic, "amplitude": a, "phase": phase,
+                             "form": form, "profile": {"kind": "ones"}}]}
+    f = cli.build_forcing(bundle, fspec, np.random.default_rng(0))
+    ts = np.linspace(0.0, T, 13)
+    wt = 2 * np.pi * harmonic / T * ts
+    expected = {"cosine": a * np.cos(wt - phase),
+                "sine": a * np.sin(wt - phase),
+                "complex": a * np.exp(1j * (wt + phase))}[form]
+    got = f.eval_many(ts)[:, 0]
+    assert_allclose(got, expected, rtol=0, atol=1e-14)
+    if form != "complex":
+        assert np.max(np.abs(got.imag)) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +218,18 @@ def test_main_picard_gauss_order_exit_two(tmp_path, config_dir, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "config error" in err and "gauss_order" in err
+
+
+def test_main_boundary_sine_harmonic_zero_exit_two(tmp_path, config_dir, capsys):
+    """sin(0 t) vanishes, so a sine boundary signal at harmonic 0 is refused."""
+    cfg = json.loads((config_dir / "boundary_wave.json").read_text())
+    cfg["forcing"].update(signal="sine", harmonic=0)
+    bad = tmp_path / "boundary_sine0.json"
+    bad.write_text(json.dumps(cfg))
+    code = cli.main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "nonzero harmonic" in err
 
 
 def test_main_kernel_obstruction_exit_three(tmp_path, config_dir, capsys):

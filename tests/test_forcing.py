@@ -20,7 +20,7 @@ from semiper.forcing import (
     check_class,
     control_duhamel,
     duhamel_FT,
-    duhamel_FT_diagnostics,
+    duhamel_quadrature,
     endpoint_defect,
     fourier_from_samples,
     gauss_panels,
@@ -166,8 +166,7 @@ def test_scalar_constant_forcing_closed_form():
     model = build_scalar_model(-1.0)
     f = make_fourier_forcing(2 * math.pi, {0: [1.0]})
     expected = 1.0 - math.exp(-2 * math.pi)
-    for method in ("closed_form", "quadrature"):
-        FT = duhamel_FT(model, f, method=method)
+    for FT in (duhamel_FT(model, f), duhamel_quadrature(model, f)[0]):
         assert FT[0].real == pytest.approx(expected, rel=1e-11)
         assert abs(FT[0].imag) < 1e-12
 
@@ -182,8 +181,8 @@ def test_scalar_harmonic_closed_form():
 
 def test_closed_form_agrees_with_quadrature(wave8):
     f = per0_bump_forcing(1.0, 2, velocity_profile(wave8), wave8.space)
-    closed = duhamel_FT(wave8, f, method="closed_form")
-    quad = duhamel_FT(wave8, f, method="quadrature")
+    closed = duhamel_FT(wave8, f)
+    quad, _ = duhamel_quadrature(wave8, f)
     assert wave8.space.norm(closed - quad) <= 1e-10 * wave8.space.norm(closed)
 
 
@@ -209,15 +208,15 @@ def test_kernel_component_of_mean_forcing():
 def test_quadrature_refinement_guard(wave8):
     f = per0_bump_forcing(1.0, 4, velocity_profile(wave8), wave8.space)
     with pytest.raises(QuadratureUnderResolved):
-        duhamel_FT(wave8, f, panels=1, order=2, method="quadrature")
-    _, gap = duhamel_FT_diagnostics(wave8, f, method="quadrature")
+        duhamel_quadrature(wave8, f, panels=1, order=2)
+    _, gap = duhamel_quadrature(wave8, f)
     assert gap <= 1e-9
 
 
 def test_pullback_response_is_exact_multiple(wave8, rng):
     phi = rng.standard_normal(wave8.dim)
     f = SemigroupPullbackForcing(wave8, phi, 0.35, 1.0)
-    FT = duhamel_FT(wave8, f, method="quadrature")
+    FT = duhamel_FT(wave8, f)
     assert wave8.space.norm(FT - 0.35 * phi) <= 1e-9 * wave8.space.norm(phi)
     assert f.tag == "L1_per"
 
@@ -258,7 +257,7 @@ def test_sampled_duhamel_matches_fourier(wave8):
     vals = np.outer(profile, velocity_profile(wave8))
     f = fourier_from_samples(T, vals, wave8.space)
     ref = per0_bump_forcing(T, 2, velocity_profile(wave8), wave8.space)
-    FT_s = duhamel_FT(wave8, f, method="quadrature")
+    FT_s, _ = duhamel_quadrature(wave8, f)
     FT_r = duhamel_FT(wave8, ref)
     assert wave8.space.norm(FT_s - FT_r) <= 1e-9 * wave8.space.norm(FT_r)
 
@@ -305,15 +304,15 @@ def boundary10():
 
 
 def test_control_duhamel_matches_distributed(boundary10):
-    """Phi_T(g) equals F_T of the distributed forcing B g(t)."""
+    """The closed-form Phi_T(g) equals the quadrature F_T of B g(t)."""
     T = 1.0
     g = make_fourier_forcing(T, {1: [0.25], -1: [0.25], 0: [0.5]})
-    via_control = control_duhamel(boundary10, g, panels=48, order=10)
+    via_control = control_duhamel(boundary10, g)
     coeffs = {int(k): c[0] * boundary10.B[:, 0]
               for k, c in zip(g.harmonics, g.coefficients)}
     f = FourierForcing(T, list(coeffs), np.array([coeffs[k] for k in coeffs]),
                        boundary10.space)
-    via_distributed = duhamel_FT(boundary10, f, method="closed_form")
+    via_distributed, _ = duhamel_quadrature(boundary10, f)
     gap = boundary10.space.norm(via_control - via_distributed)
     assert gap <= 1e-8 * (1 + boundary10.space.norm(via_distributed))
 

@@ -23,6 +23,7 @@ from semiper.forcing import (
     admissibility_constant,
     control_duhamel,
     duhamel_FT,
+    duhamel_quadrature,
     gauss_panels,
     make_fourier_forcing,
 )
@@ -113,7 +114,7 @@ def test_schur_solves_match_per_harmonic_oracle(name):
     norm = model.space.norm
 
     f = _random_real_forcing(model, 32, np.random.default_rng(11), kernel_free_mean=False)
-    FT = duhamel_FT(model, f, method="closed_form")
+    FT = duhamel_FT(model, f)
     ref = _oracle_closed_form(model, f)
     assert norm(FT - ref) <= 1e-11 * norm(ref)
 
@@ -141,12 +142,12 @@ def test_resonant_harmonic_names_first_offender():
     coeffs = {k: np.ones(3) for k in (-3, -1, 0, 1, 3)}
     f = make_fourier_forcing(T, coeffs, model.space)
     with pytest.raises(ResonantHarmonic, match=r"harmonic k=-1 hits"):
-        duhamel_FT(model, f, method="closed_form")
+        duhamel_FT(model, f)
     with pytest.raises(ResonantHarmonic, match=r"harmonic k=-1 hits"):
         periodic_w0_harmonic_balance(model, f)
     safe = make_fourier_forcing(T, {k: coeffs[k] for k in (0, 1, 3)}, model.space)
     with pytest.raises(ResonantHarmonic, match=r"harmonic k=3 hits"):
-        duhamel_FT(model, safe, method="closed_form")
+        duhamel_FT(model, safe)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +231,8 @@ def test_admissibility_constant_fallback_matches_expm(near_defective, counted_pr
     assert value == pytest.approx(ref, rel=1e-12)
 
 
-def test_quadrature_sums_fallback_match_expm(near_defective, counted_propagator):
+def test_quadrature_sums_fallback_match_expm(near_defective, counted_propagator,
+                                             monkeypatch):
     T = 1.0
     A = near_defective.A
     vec = np.array([1.0, -0.5, 0.25])
@@ -241,14 +243,17 @@ def test_quadrature_sums_fallback_match_expm(near_defective, counted_propagator)
         return sla.expm(A * (T - s)) @ f.eval(s)
 
     ref, _ = scipy.integrate.quad_vec(integrand, 0.0, T, epsabs=1e-13, epsrel=1e-13)
-    FT = duhamel_FT(near_defective, f, method="quadrature")
+    FT, _ = duhamel_quadrature(near_defective, f)
     assert counted_propagator
     assert np.linalg.norm(FT - ref) <= 1e-10 * np.linalg.norm(ref)
 
-    counted_propagator.clear()
+    # the boundary response is the closed form of B g, on the Schur fallback
+    schur_calls = []
+    original = sla.schur
+    monkeypatch.setattr(sla, "schur", lambda *a, **k: schur_calls.append(a) or original(*a, **k))
     g = FourierForcing(T, [0, 1, -1], np.array([[1.0], [0.25], [0.25]]))
     Phi = control_duhamel(near_defective, g)
-    assert counted_propagator
+    assert len(schur_calls) == 1
     ref_phi, _ = scipy.integrate.quad_vec(
         lambda s: sla.expm(A * (T - s)) @ (near_defective.B[:, 0] * g.eval(s)[0]),
         0.0, T, epsabs=1e-13, epsrel=1e-13)

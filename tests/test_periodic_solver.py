@@ -229,7 +229,7 @@ def boundary12():
 def test_boundary_constant_signal_gives_steady_state(boundary12):
     """A constant boundary value drives the orbit to -A^{-1} B."""
     g = make_fourier_forcing(1.0, {0: [1.0]})
-    rep = boundary_periodic_solve(boundary12, g, panels=48, order=10)
+    rep = boundary_periodic_solve(boundary12, g)
     steady = -np.linalg.solve(boundary12.A, boundary12.B[:, 0])
     gap = boundary12.space.norm(rep.w0 - steady)
     assert gap <= 1e-8 * (1 + boundary12.space.norm(steady))
@@ -238,8 +238,7 @@ def test_boundary_constant_signal_gives_steady_state(boundary12):
 
 def test_boundary_sin_squared_signal(boundary12):
     g = make_fourier_forcing(1.0, {0: [0.5], 1: [-0.25], -1: [-0.25]})
-    rep = boundary_periodic_solve(boundary12, g, n_periods=2,
-                                  panels=64, order=12)
+    rep = boundary_periodic_solve(boundary12, g, n_periods=2)
     assert max(rep.residual_per_period) <= 1e-8
     assert rep.method == "boundary_direct"
     assert rep.admissibility > 0

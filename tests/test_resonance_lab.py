@@ -93,7 +93,7 @@ def test_resonant_forcing_normalization(cap_block):
     C = measured_propagation_bound(cap_block, 0)
     assert f.scale == pytest.approx(1.0 / C, rel=1e-12)
     phi = equatorial_harmonic(cap_block)
-    FT = duhamel_FT(cap_block.model, f, method="quadrature")
+    FT = duhamel_FT(cap_block.model, f)
     err = np.linalg.norm(FT - f.scale * phi)
     assert err <= 1e-9
 
