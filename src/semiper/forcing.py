@@ -374,13 +374,16 @@ def admissibility_constant(model: Model, T: float, panels: int = 24,
                            order: int = 8) -> float:
     """Operator norm of g -> Phi_T(g) from L^2(0, T) to the state space.
 
-    Realized on the quadrature grid: the columns sqrt(w_i) e^{A(T-s_i)} B
-    assemble the map from weighted samples, whose largest singular value
-    in the Gram geometry is returned.
+    Realized on the quadrature grid: the columns sqrt(w_i) e^{A(T-s_i)} b_j,
+    one for every node s_i and every column b_j of B, assemble the map
+    from weighted samples, whose largest singular value in the Gram
+    geometry is returned.
     """
     if model.B is None:
         raise ValueError("model has no input matrix")
     nodes, weights = gauss_panels(T, panels, order)
-    states = np.broadcast_to(model.B[:, 0], (nodes.size, model.dim))
-    cols = propagated_columns(model, T - nodes, states, np.sqrt(weights))
+    m = model.B.shape[1]
+    states = np.tile(model.B.T, (nodes.size, 1))
+    cols = propagated_columns(model, np.repeat(T - nodes, m), states,
+                              np.repeat(np.sqrt(weights), m))
     return float(np.linalg.norm(model.space.sqrt_gram @ cols, 2))

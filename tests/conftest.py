@@ -5,6 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from semiper.operator_core import build_model, make_state_space
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO_ROOT / "configs"
 
@@ -17,3 +19,13 @@ def rng():
 @pytest.fixture(scope="session")
 def config_dir():
     return CONFIG_DIR
+
+
+@pytest.fixture
+def near_defective():
+    """A nearly defective 3x3 generator whose eigenvector basis has cond > 1e8."""
+    A = np.array([[-1.0, 1.0, 0.0],
+                  [0.0, -1.0 - 1e-10, 0.5],
+                  [0.0, 0.0, -2.0]])
+    space = make_state_space(3, np.diag([1.0, 2.0, 0.5]))
+    return build_model(space, A, B=np.array([0.0, 0.3, 1.0]), label="near_defective")

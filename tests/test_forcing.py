@@ -34,6 +34,7 @@ from semiper.models import (
     build_damped_wave_interval,
     build_scalar_model,
 )
+from semiper.operator_core import build_model, make_state_space
 
 
 @pytest.fixture(scope="module")
@@ -328,3 +329,14 @@ def test_admissibility_constant_stable_under_refinement(boundary10):
     c2 = admissibility_constant(boundary10, 1.0, panels=48)
     assert c1 > 0
     assert abs(c1 - c2) <= 0.01 * c1
+
+
+def test_admissibility_constant_reads_every_input_column():
+    """Each input drives its own mode of diag(-1, -2, -3), so the norm is
+    the larger of the two one-mode gains |b| sqrt((1 - e^{-2 lam T}) / (2 lam))."""
+    space = make_state_space(3, np.eye(3))
+    model = build_model(space, np.diag([-1.0, -2.0, -3.0]),
+                        B=np.array([[1.0, 0.0], [0.0, 5.0], [0.0, 0.0]]))
+    expected = max(math.sqrt((1 - math.exp(-2)) / 2),
+                   5 * math.sqrt((1 - math.exp(-4)) / 4))
+    assert admissibility_constant(model, 1.0) == pytest.approx(expected, rel=1e-10)

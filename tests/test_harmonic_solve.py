@@ -39,7 +39,6 @@ from semiper.operator_core import (
     build_model,
     fractional_power,
     harmonic_solve,
-    make_state_space,
     propagator_matrix,
 )
 from semiper.periodic_solver import (
@@ -153,16 +152,6 @@ def test_resonant_harmonic_names_first_offender():
 # ---------------------------------------------------------------------------
 # expm fallback of the batched contractions
 # ---------------------------------------------------------------------------
-
-@pytest.fixture
-def near_defective():
-    """A nearly defective 3x3 generator whose eigenvector basis has cond > 1e8."""
-    A = np.array([[-1.0, 1.0, 0.0],
-                  [0.0, -1.0 - 1e-10, 0.5],
-                  [0.0, 0.0, -2.0]])
-    space = make_state_space(3, np.diag([1.0, 2.0, 0.5]))
-    return build_model(space, A, B=np.array([0.0, 0.3, 1.0]), label="near_defective")
-
 
 @pytest.fixture
 def counted_propagator(monkeypatch):

@@ -8,11 +8,13 @@ family with its designed growth rate.
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
 from semiper.errors import NonMonotone, PoorFit
 from semiper.models import (
     DampingProfile,
+    build_damped_wave_circle,
     build_damped_wave_interval,
     build_diagonal_model,
     build_heat_wave_1d,
@@ -204,18 +206,64 @@ def test_interpolation_sup_stable_under_grid_extension():
     assert rel_change <= 0.1
 
 
-def test_interpolation_builds_each_propagator_once():
-    """For alpha <= 1 both envelopes share their times and each e^{tA}."""
+def test_envelope_builds_no_propagator():
+    """Envelopes read the cached eigenbasis and never build an e^{tA}."""
     def build():
         return build_damped_wave_interval(12, np.pi, DampingProfile("constant", amplitude=1.0))
 
     model = build()
     t_grid = np.linspace(0.0, 50.0, 60)
     scan = interpolation_check(model, 0.5, t_grid)
-    assert model.propagator.cache_info().misses == np.unique(t_grid).size
+    decay_envelope(model, 1.0, t_grid)
+    assert model.propagator.cache_info().misses == 0
     ref = build()
     assert np.array_equal(scan.extras["h_alpha"], decay_envelope(ref, 0.5, t_grid).values)
     assert np.array_equal(scan.extras["h_one"], decay_envelope(ref, 1.0, t_grid).values)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_decay_envelope_expm_fallback_matches_dense(near_defective, alpha, monkeypatch):
+    """cond(V) > 1e8: one expm per time, against the dense norm."""
+    assert near_defective.deflated_eig[3] > 1e8
+    D = near_defective.domain_inv_sqrt(alpha)
+    expm_calls = []
+    original = sla.expm
+    monkeypatch.setattr(sla, "expm", lambda *a, **k: expm_calls.append(a) or original(*a, **k))
+    t_grid = np.array([0.0, 0.5, 2.0, 6.0])
+    scan = decay_envelope(near_defective, alpha, t_grid)
+    assert len(expm_calls) == t_grid.size
+    S = np.diag(np.sqrt([1.0, 2.0, 0.5]))     # G_r^{1/2} of the fixture's Gram
+    ref = [np.linalg.norm(S @ original(t * near_defective.A) @ D, 2) for t in t_grid]
+    assert_allclose(scan.values, ref, rtol=1e-10)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_decay_envelope_on_kernel_model_matches_dense(alpha):
+    """On a model with a kernel the envelope is the norm of Q* e^{tA} Q."""
+    model = build_damped_wave_circle(16, DampingProfile("constant", amplitude=0.7))
+    assert model.has_kernel
+    _, _, Q = model.deflated
+    S, _ = model.reduced_gram_roots
+    D = model.domain_inv_sqrt(alpha)
+    t_grid = np.linspace(0.0, 20.0, 9)
+    scan = decay_envelope(model, alpha, t_grid)
+    ref = [np.linalg.norm(S @ Q.conj().T @ sla.expm(t * model.A) @ Q @ D, 2)
+           for t in t_grid]
+    assert_allclose(scan.values, ref, rtol=1e-10)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_decay_envelope_real_model_matches_dense(alpha):
+    """A real generator and Gram take the real-arithmetic product."""
+    model = build_heat_wave_1d(8, 8)
+    A_r, G_r, _ = model.deflated
+    assert not (np.any(A_r.imag) or np.any(G_r.imag))
+    S, _ = model.reduced_gram_roots
+    D = model.domain_inv_sqrt(alpha)
+    t_grid = np.array([0.0, 0.3, 1.0, 4.0, 10.0])
+    scan = decay_envelope(model, alpha, t_grid)
+    ref = [np.linalg.norm(S @ sla.expm(t * A_r) @ D, 2) for t in t_grid]
+    assert_allclose(scan.values, ref, rtol=1e-11)
 
 
 def test_mlog_bound_tracks_decay_shape():
