@@ -19,7 +19,6 @@ from .operator_core import (  # noqa: F401
     domain_gram,
     fractional_power,
     make_state_space,
-    norm_domain,
     propagate,
     propagator_matrix,
     resolvent_norm,
@@ -36,7 +35,6 @@ from .models import (  # noqa: F401
     build_scalar_model,
     build_sphere_schrodinger,
     build_synthetic_resolvent_model,
-    equatorial_cap_mass,
     equatorial_harmonic,
     heat_wave_layout,
     normalized_legendre_block,

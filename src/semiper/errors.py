@@ -50,10 +50,6 @@ class BackwardGrowthExcessive(SemiperError):
     pass
 
 
-class KernelComponentPresent(SemiperError):
-    pass
-
-
 class OnSpectrum(SemiperError):
     pass
 

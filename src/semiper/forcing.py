@@ -34,7 +34,6 @@ from .operator_core import (
     harmonic_solve,
     propagate,
     propagated_columns,
-    propagator_matrix,
     to_block,
 )
 
@@ -329,7 +328,8 @@ def _duhamel_closed_form(model: Model, f: FourierForcing) -> np.ndarray:
     T = f.period
     C = f.coefficients
     # e^{TA} commutes with pi0, so (I - e^{TA}) c_k is reduced after the product
-    rhs = to_block(model, C - C @ propagator_matrix(model, T).T)
+    K = len(C)
+    rhs = to_block(model, C - propagated_columns(model, np.full(K, T), C, np.ones(K)).T)
     acc = from_block(model, harmonic_solve(model, f.harmonics, T, rhs).sum(axis=0))
     if model.has_kernel:
         # the mean harmonic grows linearly along the kernel
@@ -344,12 +344,11 @@ def endpoint_defect(model: Model, f: PeriodicForcing, k: int) -> np.ndarray:
     exactly on the vanishing-trace class and otherwise restores the
     gain-of-derivatives identity for merely periodic forcings.
     """
-    monodromy = propagator_matrix(model, f.period)
     acc = np.zeros(model.dim, dtype=complex)
     for j in range(k):
         v0 = f.eval(0.0, j)
         vT = v0          # periodic representative: same endpoint value
-        term = monodromy @ v0 - vT
+        term = propagate(model, f.period, v0) - vT
         acc += np.linalg.matrix_power(model.A, k - 1 - j) @ term
     return acc
 

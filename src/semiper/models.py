@@ -338,20 +338,6 @@ def equatorial_harmonic(block: SphereBlockModel) -> np.ndarray:
     return phi
 
 
-def equatorial_cap_mass(j: int, r: float, nodes: int = 600) -> float:
-    """L^2 mass of the normalized equatorial harmonic on a polar cap.
-
-    Integrates |Phi_j|^2 over the geodesic ball of radius r around the
-    north pole by Gauss-Legendre quadrature in s = cos theta.
-    """
-    s0 = math.cos(r)
-    s, w = gauss_legendre_rule(nodes)
-    s = 0.5 * (s + 1.0) * (1.0 - s0) + s0
-    w = 0.5 * (1.0 - s0) * w
-    X = normalized_legendre_block(j, j, s)[0]
-    return float(np.sum(w * X * X))
-
-
 # ---------------------------------------------------------------------------
 # 1D heat-wave transmission system
 # ---------------------------------------------------------------------------

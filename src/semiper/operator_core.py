@@ -6,7 +6,9 @@ by G (operator norms are computed as the largest singular value of
 G^{1/2} M G^{-1/2}). Generators are dense matrices. Propagation,
 harmonic solves and fractional powers all read one cached
 eigendecomposition per model and fall back to scaling-and-squaring or a
-Schur form when the eigenvector basis is ill conditioned.
+Schur form when the eigenvector basis is ill conditioned. A model caches
+only data that depends on A alone; anything that depends on a time, an
+exponent or a period is recomputed by the call that asks for it.
 
 Models with a nontrivial kernel carry a spectral projector ``pi0`` onto
 the kernel; resolvents, fractional powers and domain norms are taken on
@@ -16,22 +18,19 @@ the complementary invariant block (the "deflated block").
 from __future__ import annotations
 
 import warnings
-import weakref
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
 
 from .errors import (
     BackwardTimeDisallowed,
-    KernelComponentPresent,
     NonFiniteInput,
     NonHermitian,
     NotPositiveDefinite,
     OnSpectrum,
     ResonantHarmonic,
-    SingularMonodromy,
     SpectrumOnCut,
 )
 
@@ -44,22 +43,6 @@ EIG_COND_LIMIT = 1e8
 BACKWARD_WARN_RATIO = 1e6
 
 _HERMITIAN_RTOL = 1e-12
-
-
-def _per_instance_lru(maxsize: int | None):
-    """Turn a method into one ``lru_cache`` per instance, built on first use.
-
-    The cache is stored on the instance and reaches it through a weak
-    reference, so instance -> cache -> instance is no reference cycle and
-    the instance is still freed as soon as its last reference goes.
-    Arguments are the cache key and must be passed positionally.
-    """
-    def decorate(method):
-        def build(self):
-            ref = weakref.ref(self)
-            return lru_cache(maxsize=maxsize)(lambda *key: method(ref(), *key))
-        return cached_property(build)
-    return decorate
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -109,9 +92,6 @@ class StateSpace:
         else:
             q = sum(np.einsum("ij,ij->i", Y, Y @ G.T) for Y in (X.real, X.imag))
         return np.sqrt(np.maximum(q, 0.0))
-
-    def inner(self, x, y) -> complex:
-        return complex(np.vdot(np.asarray(x, dtype=complex), self.gram @ np.asarray(y, dtype=complex)))
 
     @cached_property
     def real_gram(self) -> np.ndarray | None:
@@ -205,17 +185,6 @@ class Model:
     ``weighted_generator``
         W = G_r^{1/2} A_r G_r^{-1/2}, the deflated generator in
         coordinates where the Gram norm is the Euclidean one.
-    ``propagator(t)``
-        e^{tA} for the 12 most recently used times.
-    ``fractional_power(alpha, reduced)``
-        see :func:`fractional_power`.
-    ``fixed_point_lu(T)``
-        LU factors of I - e^{TA} on the deflated block and its
-        condition number.
-    ``domain_inv_sqrt(alpha)``
-        inverse square root of :func:`domain_gram`.
-
-    The keyed caches take their key as positional arguments.
     """
 
     space: StateSpace
@@ -291,57 +260,6 @@ class Model:
         S, Si = self.reduced_gram_roots
         return S @ self.deflated[0] @ Si
 
-    @_per_instance_lru(12)
-    def propagator(self, t: float) -> np.ndarray:
-        w, V, Vinv, cond = self.eig
-        if cond <= EIG_COND_LIMIT:
-            return (V * np.exp(w * t)) @ Vinv
-        return sla.expm(self.A * t)
-
-    @_per_instance_lru(None)
-    def fractional_power(self, alpha: float, reduced: bool) -> np.ndarray:
-        A_r, _, Q = self.deflated
-        negA = -A_r
-        mu = -deflated_eigs(self)
-        scale = max(1.0, float(np.max(np.abs(mu))) if mu.size else 1.0)
-        on_cut = (np.abs(mu.imag) <= 1e-12 * scale) & (mu.real <= 1e-12 * scale)
-        if alpha != int(alpha) and np.any(on_cut):
-            raise SpectrumOnCut("an eigenvalue of -A lies on (-inf, 0]")
-        if alpha == int(alpha) and alpha >= 0:
-            F = np.linalg.matrix_power(negA, int(alpha))
-        else:
-            _, V, Vinv, cond = self.deflated_eig
-            if cond <= EIG_COND_LIMIT:
-                F = (V * np.power(mu, alpha)) @ Vinv
-            else:
-                F = sla.fractional_matrix_power(negA, alpha)
-        if not reduced and Q is not None:
-            P = np.eye(self.dim) - self.pi0
-            F = Q @ F @ (Q.conj().T @ P)
-        return F
-
-    @_per_instance_lru(None)
-    def fixed_point_lu(self, T: float) -> tuple:
-        # The singularity check runs before the matrix is factored, so a
-        # singular monodromy never reaches the LU.
-        M = propagator_matrix(self, T)
-        _, _, Q = self.deflated
-        M_r = M if Q is None else Q.conj().T @ M @ Q
-        fixed = np.eye(M_r.shape[0]) - M_r
-        svals = np.linalg.svd(fixed, compute_uv=False)
-        smin = float(svals[-1])
-        if smin < 1e-13 * max(1.0, float(svals[0])):
-            raise SingularMonodromy(
-                f"I - e(TA) is numerically singular on the deflated block "
-                f"(sigma_min = {smin:.3e})")
-        return sla.lu_factor(fixed), float(svals[0]) / smin
-
-    @_per_instance_lru(None)
-    def domain_inv_sqrt(self, alpha: float) -> np.ndarray:
-        vals, vecs = np.linalg.eigh(domain_gram(self, alpha))
-        vals = np.maximum(vals, 1e-300)
-        return (vecs / np.sqrt(vals)) @ vecs.conj().T
-
 
 def build_model(space: StateSpace, A, kernel_basis=(), pi0=None, B=None,
                 label: str = "", group_allowed: bool = True) -> Model:
@@ -400,11 +318,11 @@ def _spectral_kernel_projector(A: np.ndarray, kdim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def propagator_matrix(model: Model, t: float) -> np.ndarray:
-    """Dense matrix of e^{tA}; eigendecomposition path with expm fallback.
-
-    The result is cached on the model and shared between callers.
-    """
-    return model.propagator(float(t))
+    """Dense matrix of e^{tA}; eigendecomposition path with expm fallback."""
+    w, V, Vinv, cond = model.eig
+    if cond <= EIG_COND_LIMIT:
+        return (V * np.exp(w * t)) @ Vinv
+    return sla.expm(model.A * t)
 
 
 def propagated_columns(model: Model, offsets, states, weights,
@@ -414,7 +332,7 @@ def propagated_columns(model: Model, offsets, states, weights,
     Returned as the columns of a dim x len(offsets) matrix, or summed
     over i when ``summed`` is set. On the eigendecomposition path every
     term comes from one contraction in the eigenbasis; when cond(V)
-    exceeds EIG_COND_LIMIT each term takes its own propagator_matrix.
+    exceeds EIG_COND_LIMIT each distinct offset takes one propagator_matrix.
     """
     states = np.asarray(states, dtype=complex)
     weights = np.asarray(weights, dtype=complex)
@@ -422,8 +340,9 @@ def propagated_columns(model: Model, offsets, states, weights,
     if cond <= EIG_COND_LIMIT:
         Z = np.exp(np.outer(w, offsets)) * (Vinv @ states.T)
         return V @ (Z @ weights if summed else Z * weights)
-    cols = np.stack([propagator_matrix(model, off) @ st
-                     for off, st in zip(offsets, states)], axis=1) * weights
+    mats = {off: propagator_matrix(model, off) for off in set(offsets)}
+    cols = np.stack([mats[off] @ st for off, st in zip(offsets, states)],
+                    axis=1) * weights
     return cols.sum(axis=1) if summed else cols
 
 
@@ -474,11 +393,6 @@ def from_block(model: Model, x_r) -> np.ndarray:
     """The state Q x_r for reduced coordinates x_r (inverse of to_block)."""
     _, _, Q = model.deflated
     return x_r if Q is None else Q @ x_r
-
-
-def deflated_eigs(model: Model) -> np.ndarray:
-    """Eigenvalues of the deflated block, from its cached eigendecomposition."""
-    return model.deflated_eig[0]
 
 
 # ---------------------------------------------------------------------------
@@ -575,39 +489,43 @@ def fractional_power(model: Model, alpha: float, reduced: bool = False) -> np.nd
         If -A has an eigenvalue on (-inf, 0], where the principal branch
         is not defined.
     """
-    return model.fractional_power(float(alpha), reduced)
-
-
-def norm_domain(model: Model, alpha: float, x) -> float:
-    """Domain norm |x|_X + |(-A)^alpha x|_X.
-
-    On kernel models the state must lie in range(I - pi0); a relative
-    kernel component above 1e-10 raises KernelComponentPresent.
-    """
-    x = np.asarray(x, dtype=complex)
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteInput("state has non-finite entries")
-    nx = model.space.norm(x)
-    if model.has_kernel:
-        nk = model.space.norm(model.pi0 @ x)
-        if nk > 1e-10 * max(nx, 1e-300):
-            raise KernelComponentPresent(
-                f"state has a kernel component of relative size {nk / max(nx, 1e-300):.3e}")
-    F = fractional_power(model, alpha)
-    return nx + model.space.norm(F @ x)
+    A_r, _, Q = model.deflated
+    w, V, Vinv, cond = model.deflated_eig
+    mu = -w
+    scale = max(1.0, float(np.max(np.abs(mu))) if mu.size else 1.0)
+    on_cut = (np.abs(mu.imag) <= 1e-12 * scale) & (mu.real <= 1e-12 * scale)
+    if alpha != int(alpha) and np.any(on_cut):
+        raise SpectrumOnCut("an eigenvalue of -A lies on (-inf, 0]")
+    if alpha == int(alpha) and alpha >= 0:
+        F = np.linalg.matrix_power(-A_r, int(alpha))
+    elif cond <= EIG_COND_LIMIT:
+        F = (V * np.power(mu, alpha)) @ Vinv
+    else:
+        F = sla.fractional_matrix_power(-A_r, alpha)
+    if not reduced and Q is not None:
+        P = np.eye(model.dim) - model.pi0
+        F = Q @ F @ (Q.conj().T @ P)
+    return F
 
 
 def domain_gram(model: Model, alpha: float) -> np.ndarray:
     """Hilbertian domain Gram G + ((-A)^alpha)* G ((-A)^alpha), reduced.
 
     The returned matrix lives in the reduced coordinates of the deflated
-    block and induces a norm equivalent to the sum norm of
-    :func:`norm_domain` (with constants between 1/sqrt(2) and 1).
+    block and induces a norm equivalent to the sum norm
+    |x| + |(-A)^alpha x| (with constants between 1/sqrt(2) and 1).
     """
     _, G_r, _ = model.deflated
     F = fractional_power(model, alpha, reduced=True)
     Gd = G_r + F.conj().T @ G_r @ F
     return 0.5 * (Gd + Gd.conj().T)
+
+
+def domain_inv_sqrt(model: Model, alpha: float) -> np.ndarray:
+    """Inverse square root of :func:`domain_gram`, in reduced coordinates."""
+    vals, vecs = np.linalg.eigh(domain_gram(model, alpha))
+    vals = np.maximum(vals, 1e-300)
+    return (vecs / np.sqrt(vals)) @ vecs.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +576,7 @@ def spectrum_report(model: Model) -> SpectrumReport:
     the open left half plane.
     """
     w, _, _, _ = model.eig
-    wr = deflated_eigs(model)
+    wr = model.deflated_eig[0]
     abscissa = float(np.max(w.real)) if w.size else -np.inf
     defl_abs = float(np.max(wr.real)) if wr.size else -np.inf
     dist = float(np.min(np.abs(wr.real))) if wr.size else np.inf

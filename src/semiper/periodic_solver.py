@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import Diverged, KernelObstruction, SlowConvergence
+from .errors import Diverged, KernelObstruction, SingularMonodromy, SlowConvergence
 from .forcing import (
     FourierForcing,
     PeriodicForcing,
@@ -37,9 +37,10 @@ from .forcing import (
 )
 from .operator_core import (
     Model,
-    deflated_eigs,
     from_block,
     harmonic_solve,
+    propagate,
+    propagated_columns,
     propagator_matrix,
     to_block,
 )
@@ -80,12 +81,31 @@ def _strip_kernel(model: Model, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _fixed_point_matrix(model: Model, T: float):
+    """I - e^{TA} on the deflated block and its 2-norm condition number.
+
+    Raises SingularMonodromy when the matrix is numerically singular.
+    """
+    M = propagator_matrix(model, T)
+    _, _, Q = model.deflated
+    M_r = M if Q is None else Q.conj().T @ M @ Q
+    fixed = np.eye(M_r.shape[0]) - M_r
+    svals = np.linalg.svd(fixed, compute_uv=False)
+    smin = float(svals[-1])
+    if smin < 1e-13 * max(1.0, float(svals[0])):
+        raise SingularMonodromy(
+            f"I - e(TA) is numerically singular on the deflated block "
+            f"(sigma_min = {smin:.3e})")
+    return fixed, float(svals[0]) / smin
+
+
 def _direct_w0(model: Model, T: float, FT: np.ndarray):
     """w0 solving (I - e^{TA}) w0 = F_T on the deflated block, and the
-    condition number of that system (LU factors cached per period)."""
+    condition number of that system. The singularity check runs before
+    the matrix is factored."""
     _kernel_guard(model, FT)
-    lu_piv, condition = model.fixed_point_lu(T)
-    w0 = from_block(model, sla.lu_solve(lu_piv, to_block(model, FT)))
+    fixed, condition = _fixed_point_matrix(model, T)
+    w0 = from_block(model, sla.lu_solve(sla.lu_factor(fixed), to_block(model, FT)))
     return _strip_kernel(model, w0), condition
 
 
@@ -144,9 +164,8 @@ def periodic_w0_direct(model: Model, f: PeriodicForcing,
 
     On kernel models the system is solved on the deflated block. The
     report's ``condition`` is the 2-norm condition number of the
-    deflated fixed-point matrix. The matrix is checked and LU-factored
-    once per (model, period); later solves reuse the factors. Raises
-    SingularMonodromy when the matrix is numerically singular.
+    deflated fixed-point matrix. Raises SingularMonodromy when the
+    matrix is numerically singular.
     """
     FT = duhamel_FT(model, f)
     w0, condition = _direct_w0(model, f.period, FT)
@@ -186,24 +205,23 @@ def verify_orbit(model: Model, f: PeriodicForcing, w0, n_periods: int = 1,
     Returns (residuals, crosscheck_gap): residuals[n-1] = |u(nT) - w0|
     from per-period stepping u <- e^{TA} u + F_T, and the largest
     discrepancy against the independent closed form
-    u(nT) = e^{nTA} w0 + sum_m e^{mTA} F_T evaluated at whole times.
-    A solver that already holds F_T passes it as ``FT``; otherwise it is
-    computed from ``f``.
+    u(nT) = e^{nTA} w0 + sum_m e^{mTA} F_T evaluated at whole times, as
+    one :func:`propagated_columns` sum per n. A solver that already
+    holds F_T passes it as ``FT``; otherwise it is computed from ``f``.
     """
     w0 = np.asarray(w0, dtype=complex)
     if FT is None:
         FT = duhamel_FT(model, f)
-    M = propagator_matrix(model, f.period)
     T = f.period
     residuals = []
     gap = 0.0
     u = w0.copy()
     for n in range(1, n_periods + 1):
-        u = M @ u + FT
+        u = propagate(model, T, u) + FT
         residuals.append(model.space.norm(u - w0))
-        direct = propagator_matrix(model, n * T) @ w0
-        for m in range(n):
-            direct = direct + propagator_matrix(model, m * T) @ FT
+        offsets = [n * T] + [m * T for m in range(n)]
+        direct = propagated_columns(model, offsets, [w0] + [FT] * n,
+                                    np.ones(n + 1), summed=True)
         gap = max(gap, model.space.norm(u - direct))
     return residuals, gap
 
@@ -227,7 +245,7 @@ def convergence_gap(model: Model, f: PeriodicForcing, v0, n_periods: int,
         w0 = periodic_w0_direct(model, f).w0
     FT = duhamel_FT(model, f)
     M = propagator_matrix(model, f.period)
-    rho = float(np.max(np.exp(f.period * deflated_eigs(model).real)))
+    rho = float(np.max(np.exp(f.period * model.deflated_eig[0].real)))
     u = np.asarray(v0, dtype=complex).copy()
     gaps = [model.space.norm(u - w0)]
     for _ in range(n_periods):
@@ -328,6 +346,15 @@ def picard_nonlinear(model: Model, f: PeriodicForcing, poly: dict,
     three consecutive sweeps, and SlowConvergence when ``max_iter``
     sweeps do not reach ``tol``.
     """
+    return _picard(model, f, poly, structure, True, n_nodes, max_iter, tol)
+
+
+def _picard(model: Model, f: PeriodicForcing, poly: dict, structure: str,
+            check_monodromy: bool, n_nodes: int = 64, max_iter: int = 30,
+            tol: float = 1e-10) -> NonlinearSolveReport:
+    """:func:`picard_nonlinear`, with the SingularMonodromy check of
+    I - e^{TA} taken only when ``check_monodromy`` is set; an amplitude
+    sweep on one model and period needs it once."""
     for p in poly:
         if not (isinstance(p, int) and p >= 2):
             raise ValueError("nonlinearity must be superlinear: powers >= 2")
@@ -349,7 +376,8 @@ def picard_nonlinear(model: Model, f: PeriodicForcing, poly: dict,
 
     f_samples = f.eval_many(times)
     traj = linear_periodic(f_samples)
-    model.fixed_point_lu(T)        # raises SingularMonodromy; factors are cached
+    if check_monodromy:
+        _fixed_point_matrix(model, T)       # raises SingularMonodromy
     gaps, ratios, stalled = [], [], 0
     for it in range(1, max_iter + 1):
         new_traj = linear_periodic(
@@ -398,19 +426,21 @@ def picard_divergence_threshold(model: Model, f: PeriodicForcing, poly: dict,
     """Scale the forcing until the Picard iteration stops converging.
 
     Returns the largest amplitude that converged and the first that
-    failed (None when every probe converged).
+    failed (None when every probe converged). The probes share one model
+    and period, so I - e^{TA} is checked for singularity once, in the
+    first probe.
     """
     if amplitudes is None:
         amplitudes = [10.0 ** e for e in range(-3, 4)]
     last_ok = None
     first_bad = None
-    for amp in amplitudes:
+    for i, amp in enumerate(amplitudes):
         scaled = FourierForcing(f.period, f.harmonics, amp * f.coefficients,
                                 f.space) if isinstance(f, FourierForcing) else None
         if scaled is None:
             raise ValueError("amplitude sweep needs Fourier data")
         try:
-            picard_nonlinear(model, scaled, poly, structure, **kwargs)
+            _picard(model, scaled, poly, structure, i == 0, **kwargs)
             last_ok = amp
         except (Diverged, SlowConvergence):
             first_bad = amp

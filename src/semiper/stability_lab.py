@@ -29,7 +29,7 @@ from .errors import NonMonotone, PoorFit
 from .operator_core import (
     EIG_COND_LIMIT,
     Model,
-    deflated_eigs,
+    domain_inv_sqrt,
     resolvent_norm,
 )
 
@@ -76,7 +76,7 @@ def _envelope_values(model: Model, alphas, t_grid) -> np.ndarray:
     """Row a holds h_alpha on t_grid for alphas[a].
 
     h_alpha(t) is sigma_max of S e^{tA_r} D_alpha on the deflated block,
-    S = G_r^{1/2} and D_alpha = ``domain_inv_sqrt(alpha)``. In the cached
+    S = G_r^{1/2} and D_alpha = :func:`domain_inv_sqrt`. In the cached
     eigenbasis this is L e^{t Lambda} R_alpha with L = S V and
     R_alpha = V^{-1} D_alpha built once, so each (t, alpha) costs one
     column scaling, one product and one top eigenvalue (:func:`_sigma_max`);
@@ -87,7 +87,7 @@ def _envelope_values(model: Model, alphas, t_grid) -> np.ndarray:
     """
     A_r, G_r, _ = model.deflated
     S, _ = model.reduced_gram_roots
-    Dis = [model.domain_inv_sqrt(float(a)) for a in alphas]
+    Dis = [domain_inv_sqrt(model, a) for a in alphas]
     values = np.empty((len(Dis), len(t_grid)))
     w, V, Vinv, cond = model.deflated_eig
     if cond > EIG_COND_LIMIT:
@@ -142,7 +142,7 @@ def resolvent_scan(model: Model, eta_grid,
     """
     eta_grid = np.asarray(eta_grid, dtype=float)
     if include_spectrum:
-        freqs = np.abs(deflated_eigs(model).imag)
+        freqs = np.abs(model.deflated_eig[0].imag)
         freqs = freqs[(freqs >= eta_grid.min()) & (freqs <= eta_grid.max())]
         eta_grid = np.unique(np.concatenate([eta_grid, freqs]))
         apart = np.diff(eta_grid) > 1e-12 * np.abs(eta_grid[1:])

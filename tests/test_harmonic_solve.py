@@ -36,7 +36,6 @@ from semiper.models import (
 )
 from semiper.operator_core import (
     EIG_COND_LIMIT,
-    build_model,
     fractional_power,
     harmonic_solve,
     propagator_matrix,
@@ -265,8 +264,7 @@ def test_periodic_solvers_fallback_match_expm(near_defective, monkeypatch):
     monkeypatch.setattr(sla, "expm", lambda M: expm_calls.append(M) or original(M))
     for solver in (periodic_w0_series, periodic_w0_direct, periodic_w0_harmonic_balance):
         expm_calls.clear()
-        model = build_model(near_defective.space, A)    # cold propagator cache
-        w0 = solver(model, f).w0
+        w0 = solver(near_defective, f).w0
         assert expm_calls, solver.__name__
         assert np.linalg.norm(w0 - ref) <= 1e-9 * np.linalg.norm(ref), solver.__name__
 

@@ -28,7 +28,6 @@ from semiper.models import (
     build_heat_wave_1d,
     build_sphere_schrodinger,
     build_synthetic_resolvent_model,
-    equatorial_cap_mass,
     equatorial_harmonic,
     gauss_legendre_rule,
     heat_wave_layout,
@@ -313,19 +312,6 @@ def test_sharp_cap_rejected_when_under_resolved():
     sharp = DampingProfile("cap", amplitude=1.0, width=0.005, cutoff=0.3)
     with pytest.raises(QuadratureUnderResolved):
         build_sphere_schrodinger(40, 2, sharp, quad_nodes=96)
-
-
-def test_equatorial_cap_mass_against_beta_integral():
-    """|Phi_j|^2 on a cap equals a normalized integral of (1-s^2)^j."""
-    j, r = 8, 0.5
-    num, _ = scipy.integrate.quad(lambda s: (1 - s * s) ** j, math.cos(r), 1.0)
-    den, _ = scipy.integrate.quad(lambda s: (1 - s * s) ** j, -1.0, 1.0)
-    assert equatorial_cap_mass(j, r) == pytest.approx(num / den, rel=1e-10)
-
-
-def test_equatorial_cap_mass_decays_with_degree():
-    masses = [equatorial_cap_mass(j, 0.4) for j in (5, 10, 20, 40)]
-    assert all(b < a for a, b in zip(masses, masses[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,8 @@ def test_singular_monodromy_refused():
 
 
 def test_direct_solver_factors_once_per_period(monkeypatch):
+    """One LU factorization per direct solve; equal periods give equal
+    fixed-point matrices and so equal condition numbers."""
     calls = []
     original = scipy.linalg.lu_factor
 
@@ -161,11 +163,13 @@ def test_direct_solver_factors_once_per_period(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "lu_factor", counting)
     model = build_damped_wave_interval(16, 1.0, DampingProfile("constant", amplitude=1.0))
     first = periodic_w0_direct(model, bump_on_velocity(model))
-    second = periodic_w0_direct(model, bump_on_velocity(model, order=3))
     assert len(calls) == 1
-    assert second.condition == first.condition
-    periodic_w0_direct(model, bump_on_velocity(model, T=2.0))
+    second = periodic_w0_direct(model, bump_on_velocity(model, order=3))
     assert len(calls) == 2
+    assert second.condition == first.condition
+    third = periodic_w0_direct(model, bump_on_velocity(model, T=2.0))
+    assert len(calls) == 3
+    assert third.condition != first.condition
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +375,24 @@ def test_picard_resonant_model_raises(harmonic, error):
     f = make_fourier_forcing(T, {1: [0.1], -1: [0.1]}, model.space)
     with pytest.raises(error):
         picard_nonlinear(model, f, {3: -0.05}, structure="identity")
+
+
+def test_divergence_threshold_checks_the_monodromy_once(picard_cubic, config_dir,
+                                                       monkeypatch):
+    """The amplitude probes share one model and period, so the singularity
+    check of I - e^{TA} (one SVD) runs once per sweep, not once per probe."""
+    model, f, poly = picard_cubic
+    pspec = json.loads((config_dir / "picard_cubic.json").read_text())["picard"]
+    calls = []
+    original = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *a, **k: calls.append(a) or original(*a, **k))
+    th = picard_divergence_threshold(model, f, poly, structure="wave",
+                                     amplitudes=pspec["amplitudes"],
+                                     tol=pspec["tol"])
+    probes = pspec["amplitudes"].index(th["first_diverged"]) + 1
+    assert probes > 1
+    assert len(calls) == 1
 
 
 def test_picard_stagnation_diverges_at_a_stable_sweep(picard_cubic):

@@ -11,6 +11,7 @@ import pytest
 import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
+from semiper import operator_core
 from semiper.errors import NonMonotone, PoorFit
 from semiper.models import (
     DampingProfile,
@@ -20,6 +21,7 @@ from semiper.models import (
     build_heat_wave_1d,
     build_synthetic_resolvent_model,
 )
+from semiper.operator_core import domain_inv_sqrt
 from semiper.stability_lab import (
     ScanResult,
     bt_crosscheck,
@@ -206,16 +208,24 @@ def test_interpolation_sup_stable_under_grid_extension():
     assert rel_change <= 0.1
 
 
-def test_envelope_builds_no_propagator():
+def test_envelope_builds_no_propagator(monkeypatch):
     """Envelopes read the cached eigenbasis and never build an e^{tA}."""
     def build():
         return build_damped_wave_interval(12, np.pi, DampingProfile("constant", amplitude=1.0))
 
+    builds = []
+
+    def counted(fn):
+        return lambda *a, **k: builds.append(a) or fn(*a, **k)
+
     model = build()
     t_grid = np.linspace(0.0, 50.0, 60)
+    monkeypatch.setattr(operator_core, "propagator_matrix",
+                        counted(operator_core.propagator_matrix))
+    monkeypatch.setattr(sla, "expm", counted(sla.expm))
     scan = interpolation_check(model, 0.5, t_grid)
     decay_envelope(model, 1.0, t_grid)
-    assert model.propagator.cache_info().misses == 0
+    assert builds == []
     ref = build()
     assert np.array_equal(scan.extras["h_alpha"], decay_envelope(ref, 0.5, t_grid).values)
     assert np.array_equal(scan.extras["h_one"], decay_envelope(ref, 1.0, t_grid).values)
@@ -225,7 +235,7 @@ def test_envelope_builds_no_propagator():
 def test_decay_envelope_expm_fallback_matches_dense(near_defective, alpha, monkeypatch):
     """cond(V) > 1e8: one expm per time, against the dense norm."""
     assert near_defective.deflated_eig[3] > 1e8
-    D = near_defective.domain_inv_sqrt(alpha)
+    D = domain_inv_sqrt(near_defective, alpha)
     expm_calls = []
     original = sla.expm
     monkeypatch.setattr(sla, "expm", lambda *a, **k: expm_calls.append(a) or original(*a, **k))
@@ -244,7 +254,7 @@ def test_decay_envelope_on_kernel_model_matches_dense(alpha):
     assert model.has_kernel
     _, _, Q = model.deflated
     S, _ = model.reduced_gram_roots
-    D = model.domain_inv_sqrt(alpha)
+    D = domain_inv_sqrt(model, alpha)
     t_grid = np.linspace(0.0, 20.0, 9)
     scan = decay_envelope(model, alpha, t_grid)
     ref = [np.linalg.norm(S @ Q.conj().T @ sla.expm(t * model.A) @ Q @ D, 2)
@@ -259,7 +269,7 @@ def test_decay_envelope_real_model_matches_dense(alpha):
     A_r, G_r, _ = model.deflated
     assert not (np.any(A_r.imag) or np.any(G_r.imag))
     S, _ = model.reduced_gram_roots
-    D = model.domain_inv_sqrt(alpha)
+    D = domain_inv_sqrt(model, alpha)
     t_grid = np.array([0.0, 0.3, 1.0, 4.0, 10.0])
     scan = decay_envelope(model, alpha, t_grid)
     ref = [np.linalg.norm(S @ sla.expm(t * A_r) @ D, 2) for t in t_grid]
