@@ -5,8 +5,10 @@ The power-law fits behind the resolvent/decay cross-check are sensitive
 to the fit window: finite grids pollute the small-t end with the initial
 transient and the large-t end with the slowest resolved mode (the decay
 envelope of a finite model eventually plateaus near 1/omega_max). This
-script sweeps candidate windows on one model and prints slope, r^2 and
-the implied alpha*beta product so a stable window can be chosen by hand.
+script sweeps candidate windows on one model and prints the fitted
+exponent and r^2 of each, so a stable window can be chosen by hand.
+Every window prints, however poor its fit: the sweep is there to show
+where r^2 drops.
 
 Example:
     python3 scripts/fit_window_scan.py --config configs/bt_heatwave.json
@@ -52,7 +54,7 @@ def main():
     print(f"# decay windows on {bundle.name}")
     print(f"{'lo':>8} {'hi':>8} {'beta_hat':>9} {'r2':>7}")
     for lo, hi in candidate_windows(t):
-        fit = fit_decay_exponent(decay, window=(lo, hi))
+        fit = fit_decay_exponent(decay, window=(lo, hi), min_r2=-np.inf)
         print(f"{lo:8.2f} {hi:8.2f} {-fit.exponent:9.4f} {fit.r2:7.4f}")
 
     if "eta_grid" not in scan_spec:
@@ -62,7 +64,8 @@ def main():
     print(f"\n# resolvent windows on {bundle.name}")
     print(f"{'lo':>8} {'hi':>8} {'alpha_hat':>9} {'r2':>7}")
     for lo, hi in candidate_windows(eta):
-        fit = fit_power_law(resolvent, window=(lo, hi), use="running_max")
+        fit = fit_power_law(resolvent, window=(lo, hi), use="running_max",
+                            min_r2=-np.inf)
         print(f"{lo:8.2f} {hi:8.2f} {fit.exponent:9.4f} {fit.r2:7.4f}")
 
 

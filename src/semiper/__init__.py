@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 
 from .errors import *  # noqa: F401,F403
 from .operator_core import (  # noqa: F401
+    Block,
     Model,
     SpectrumReport,
     StateSpace,
@@ -36,7 +37,6 @@ from .models import (  # noqa: F401
     build_sphere_schrodinger,
     build_synthetic_resolvent_model,
     equatorial_harmonic,
-    heat_wave_layout,
     normalized_legendre_block,
 )
 from .forcing import (  # noqa: F401

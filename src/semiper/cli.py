@@ -39,6 +39,7 @@ from .forcing import (
 )
 from .models import (
     DampingProfile,
+    SphereBlockModel,
     build_boundary_forced_wave,
     build_damped_wave_circle,
     build_damped_wave_interval,
@@ -48,7 +49,6 @@ from .models import (
     build_sphere_schrodinger,
     build_synthetic_resolvent_model,
     equatorial_harmonic,
-    heat_wave_layout,
 )
 from .operator_core import (
     contour_spectral_projector,
@@ -153,101 +153,60 @@ def _grid(spec: dict) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# model bundles: builder dispatch plus block/coordinate metadata
+# model bundles: builder dispatch
 # ---------------------------------------------------------------------------
 
 @dataclass
 class ModelBundle:
     name: str
     model: object
-    blocks: dict                 # name -> {"slice": slice, "xi": array|None, "topology": str}
     sphere: object = None        # SphereBlockModel when applicable
-    damping: DampingProfile | None = None
+
+
+def _number(v):
+    """A config number, or a [re, im] pair as a complex."""
+    return complex(v[0], v[1]) if isinstance(v, list) else v
+
+
+def _sphere_block(p: dict, damping):
+    _require(damping is not None, "sphere_block needs model.damping")
+    m = int(p["m"])
+    return build_sphere_schrodinger(int(p.get("Jmax", m + 60)), m, damping,
+                                    quad_nodes=p.get("quad_nodes"))
+
+
+_UNIT_DAMPING = DampingProfile("constant", amplitude=1.0)
+
+# builder name -> f(params, damping or None); the wave builders default to
+# unit constant damping
+_BUILDERS = {
+    "scalar": lambda p, d: build_scalar_model(_number(p.get("lam", -1.0))),
+    "damped_wave_interval": lambda p, d: build_damped_wave_interval(
+        int(p["n"]), float(p.get("length", math.pi)), d or _UNIT_DAMPING),
+    "boundary_wave": lambda p, d: build_boundary_forced_wave(
+        int(p["n"]), float(p.get("length", math.pi)), d or _UNIT_DAMPING),
+    "damped_wave_circle": lambda p, d: build_damped_wave_circle(
+        int(p["n"]), d or _UNIT_DAMPING, length=float(p.get("length", 2 * math.pi))),
+    "heat_wave_1d": lambda p, d: build_heat_wave_1d(int(p["n_heat"]),
+                                                    int(p["n_wave"])),
+    "sphere_block": _sphere_block,
+    "synthetic_resolvent": lambda p, d: build_synthetic_resolvent_model(
+        int(p["n_modes"]), float(p["alpha"])),
+    "diagonal": lambda p, d: build_diagonal_model(
+        [_number(e) for e in p["eigenvalues"]],
+        gram=np.diag(p["gram"]) if p.get("gram") else None),
+}
 
 
 def build_bundle(cfg: dict) -> ModelBundle:
     spec = cfg["model"]
     name = spec["builder"]
-    params = dict(spec.get("params", {}))
-    damping = None
-    if "damping" in spec:
-        damping = DampingProfile.from_dict(spec["damping"])
-
-    if name == "scalar":
-        lam = params.get("lam", -1.0)
-        if isinstance(lam, list):
-            lam = complex(lam[0], lam[1])
-        model = build_scalar_model(lam)
-        return ModelBundle(name, model, {"all": {
-            "slice": slice(0, 1), "xi": None, "topology": "modal"}})
-
-    if name == "damped_wave_interval" or name == "boundary_wave":
-        n = int(params["n"])
-        length = float(params.get("length", math.pi))
-        damping = damping or DampingProfile("constant", amplitude=1.0)
-        if name == "damped_wave_interval":
-            model = build_damped_wave_interval(n, length, damping)
-        else:
-            model = build_boundary_forced_wave(n, length, damping)
-        xi = np.arange(1, n + 1) / (n + 1)
-        blocks = {
-            "position": {"slice": slice(0, n), "xi": xi, "topology": "interval"},
-            "velocity": {"slice": slice(n, 2 * n), "xi": xi, "topology": "interval"},
-        }
-        return ModelBundle(name, model, blocks, damping=damping)
-
-    if name == "damped_wave_circle":
-        n = int(params["n"])
-        length = float(params.get("length", 2 * math.pi))
-        damping = damping or DampingProfile("constant", amplitude=1.0)
-        model = build_damped_wave_circle(n, damping, length=length)
-        xi = np.arange(n) / n
-        blocks = {
-            "position": {"slice": slice(0, n), "xi": xi, "topology": "circle"},
-            "velocity": {"slice": slice(n, 2 * n), "xi": xi, "topology": "circle"},
-        }
-        return ModelBundle(name, model, blocks, damping=damping)
-
-    if name == "heat_wave_1d":
-        nh = int(params["n_heat"])
-        nw = int(params["n_wave"])
-        model = build_heat_wave_1d(nh, nw)
-        lay = heat_wave_layout(nh, nw)
-        blocks = {}
-        for key in ("heat", "displacement", "velocity"):
-            lo, hi = lay[key]
-            m = hi - lo
-            xi = np.arange(1, m + 1) / (m + 1)
-            blocks[key] = {"slice": slice(lo, hi), "xi": xi,
-                           "topology": "interval"}
-        return ModelBundle(name, model, blocks)
-
-    if name == "sphere_block":
-        m = int(params["m"])
-        Jmax = int(params.get("Jmax", m + 60))
-        quad = params.get("quad_nodes")
-        _require(damping is not None, "sphere_block needs model.damping")
-        block = build_sphere_schrodinger(Jmax, m, damping, quad_nodes=quad)
-        blocks = {"all": {"slice": slice(0, block.dim), "xi": None,
-                          "topology": "modal"}}
-        return ModelBundle(name, block.model, blocks, sphere=block,
-                           damping=damping)
-
-    if name == "synthetic_resolvent":
-        model = build_synthetic_resolvent_model(int(params["n_modes"]),
-                                                float(params["alpha"]))
-        return ModelBundle(name, model, {"all": {
-            "slice": slice(0, model.dim), "xi": None, "topology": "modal"}})
-
-    if name == "diagonal":
-        eigs = [complex(e[0], e[1]) if isinstance(e, list) else complex(e)
-                for e in params["eigenvalues"]]
-        gram = params.get("gram")
-        model = build_diagonal_model(eigs, gram=np.diag(gram) if gram else None)
-        return ModelBundle(name, model, {"all": {
-            "slice": slice(0, model.dim), "xi": None, "topology": "modal"}})
-
-    raise ValueError(f"unknown model builder {name!r}")
+    _require(name in _BUILDERS, f"unknown model builder {name!r}")
+    damping = DampingProfile.from_dict(spec["damping"]) if "damping" in spec else None
+    built = _BUILDERS[name](spec.get("params", {}), damping)
+    if isinstance(built, SphereBlockModel):
+        return ModelBundle(name, built.model, sphere=built)
+    return ModelBundle(name, built)
 
 
 def vector_from_profile(bundle: ModelBundle, spec: dict,
@@ -269,13 +228,11 @@ def vector_from_profile(bundle: ModelBundle, spec: dict,
                  "equatorial profile needs a sphere_block model")
         return amp * equatorial_harmonic(bundle.sphere).astype(complex)
 
-    block_name = spec.get("block", next(iter(bundle.blocks)))
-    _require(block_name in bundle.blocks,
+    block_name = spec.get("block", next(iter(model.blocks)))
+    _require(block_name in model.blocks,
              f"model {bundle.name!r} has no block {block_name!r}")
-    blk = bundle.blocks[block_name]
-    sl = blk["slice"]
+    sl, xi, topology = model.blocks[block_name]
     width = sl.stop - sl.start
-    xi = blk["xi"]
 
     if kind == "zeros":
         pass
@@ -293,7 +250,7 @@ def vector_from_profile(bundle: ModelBundle, spec: dict,
     elif kind in ("sine_mode", "cosine_mode"):
         _require(xi is not None, f"{kind} needs a spatial block")
         mode = spec.get("mode", 1)
-        factor = 2.0 * np.pi if blk["topology"] == "circle" else np.pi
+        factor = 2.0 * np.pi if topology == "circle" else np.pi
         phase = factor * mode * xi
         out[sl] = np.sin(phase) if kind == "sine_mode" else np.cos(phase)
     elif kind == "gaussian":
@@ -959,9 +916,9 @@ def _task_invariants(cfg, ctx):
     worst = 0.0
     for _, model in models:
         for a, b in ((0.5, 0.5), (1.0, 0.5)):
-            fa = fractional_power(model, a, reduced=True)
-            fb = fractional_power(model, b, reduced=True)
-            fab = fractional_power(model, a + b, reduced=True)
+            fa = fractional_power(model, a)
+            fb = fractional_power(model, b)
+            fab = fractional_power(model, a + b)
             scale = max(float(np.linalg.norm(fab, 2)), 1e-300)
             worst = max(worst,
                         float(np.linalg.norm(fab - fa @ fb, 2)) / scale)

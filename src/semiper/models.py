@@ -15,6 +15,11 @@ on a Gram-normed state space:
 Wave-type Grams are discrete energy forms, so the free semigroups are
 contractive for the exact reason the continuous ones are: the discrete
 energy identity holds without remainder terms.
+
+Each builder records its state layout as named blocks on the model
+(``Model.blocks``): wave models have ``displacement`` and ``velocity``,
+the heat-wave system has ``heat`` before them, and every other model is
+one modal block ``all``.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from .errors import (
     QuadratureUnderResolved,
     ZeroDamping,
 )
-from .operator_core import Model, StateSpace, build_model, make_state_space
+from .operator_core import Block, Model, build_model, make_state_space
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +117,13 @@ def _check_grid(n: int, minimum: int = 2):
         raise InvalidGrid(f"need at least {minimum} grid nodes, got {n}")
 
 
+def _wave_blocks(xi: np.ndarray, topology: str, start: int = 0) -> dict:
+    """Displacement and velocity blocks of len(xi) nodes each, from ``start``."""
+    n = xi.size
+    return {"displacement": Block(slice(start, start + n), xi, topology),
+            "velocity": Block(slice(start + n, start + 2 * n), xi, topology)}
+
+
 def build_damped_wave_interval(n: int, length: float, damping: DampingProfile,
                                label: str | None = None) -> Model:
     """Damped wave on (0, length) with Dirichlet ends.
@@ -142,7 +154,8 @@ def build_damped_wave_interval(n: int, length: float, damping: DampingProfile,
     gram[:n, :n] = stiff
     gram[n:, n:] = h * np.eye(n)
     space = make_state_space(2 * n, gram, "real")
-    return build_model(space, A, label=label or f"damped_wave_interval(n={n})")
+    return build_model(space, A, label=label or f"damped_wave_interval(n={n})",
+                       blocks=_wave_blocks(np.arange(1, n + 1) / (n + 1), "interval"))
 
 
 def build_damped_wave_circle(n: int, damping: DampingProfile,
@@ -189,7 +202,8 @@ def build_damped_wave_circle(n: int, damping: DampingProfile,
     gram[n:, n:] = h * np.eye(n)
     space = make_state_space(2 * n, gram, "real")
     return build_model(space, A, kernel_basis=(e_k,), pi0=pi0,
-                       label=label or f"damped_wave_circle(n={n})")
+                       label=label or f"damped_wave_circle(n={n})",
+                       blocks=_wave_blocks(np.arange(n) / n, "circle"))
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +250,6 @@ class SphereBlockModel:
     degrees: np.ndarray
     eigenvalues: np.ndarray        # l(l+1) for each retained degree
     multiplier: np.ndarray         # M_a
-    damping: DampingProfile
     quad_nodes: int
 
     @property
@@ -323,8 +336,7 @@ def build_sphere_schrodinger(Jmax: int, m: int, damping: DampingProfile,
     model = build_model(space, A,
                         label=label or f"sphere_schrodinger(m={m}, Jmax={Jmax})")
     return SphereBlockModel(model=model, m=m, Jmax=Jmax, degrees=degrees,
-                            eigenvalues=lam, multiplier=M_a, damping=damping,
-                            quad_nodes=quad_nodes)
+                            eigenvalues=lam, multiplier=M_a, quad_nodes=quad_nodes)
 
 
 def equatorial_harmonic(block: SphereBlockModel) -> np.ndarray:
@@ -349,9 +361,10 @@ def build_heat_wave_1d(n_heat: int, n_wave: int, label: str | None = None) -> Mo
     heat trace equals the wave velocity (enforced strongly: they share
     one state coordinate) and the heat flux matches the elastic flux
     through one-sided difference quotients, which are second-order
-    accurate at the half-node. State layout: interior heat values u,
-    wave displacements w (including the interface), wave velocities v
-    (v[0] is the shared interface coordinate). The Gram is
+    accurate at the half-node. State layout: blocks ``heat`` (interior
+    heat values u), ``displacement`` (wave displacements w, including the
+    interface) and ``velocity`` (wave velocities v; v[0] is the shared
+    interface coordinate). The Gram is
     (1/2)(|u|^2 + |grad_h w|^2 + |v|^2); with the flux closure used here
     the discrete energy identity is exact, so the free semigroup is
     contractive.
@@ -408,20 +421,12 @@ def build_heat_wave_1d(n_heat: int, n_wave: int, label: str | None = None) -> Mo
     for i in range(1, n_wave):
         gram[iv(i), iv(i)] = 0.5 * hW
 
+    heat = Block(slice(0, nu), np.arange(1, n_heat) / n_heat, "interval")
     space = make_state_space(dim, gram, "real")
     return build_model(space, A,
-                       label=label or f"heat_wave_1d(nH={n_heat}, nW={n_wave})")
-
-
-def heat_wave_layout(n_heat: int, n_wave: int) -> dict:
-    """Index ranges of the (u, w, v) blocks inside the flat state."""
-    nu = n_heat - 1
-    return {
-        "heat": (0, nu),
-        "displacement": (nu, nu + n_wave),
-        "velocity": (nu + n_wave, nu + 2 * n_wave),
-        "interface": nu + n_wave,
-    }
+                       label=label or f"heat_wave_1d(nH={n_heat}, nW={n_wave})",
+                       blocks={"heat": heat, **_wave_blocks(
+                           np.arange(1, n_wave + 1) / (n_wave + 1), "interval", nu)})
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +448,7 @@ def build_boundary_forced_wave(n: int, length: float, damping: DampingProfile,
     h = length / (n + 1)
     B = np.zeros(2 * n)
     B[n] = 1.0 / h**2
-    return build_model(base.space, base.A, B=B,
+    return build_model(base.space, base.A, B=B, blocks=base.blocks,
                        label=label or f"boundary_forced_wave(n={n})")
 
 

@@ -5,10 +5,11 @@ matrix G; every norm and operator norm in the package is the one induced
 by G (operator norms are computed as the largest singular value of
 G^{1/2} M G^{-1/2}). Generators are dense matrices. Propagation,
 harmonic solves and fractional powers all read one cached
-eigendecomposition per model and fall back to scaling-and-squaring or a
-Schur form when the eigenvector basis is ill conditioned. A model caches
-only data that depends on A alone; anything that depends on a time, an
-exponent or a period is recomputed by the call that asks for it.
+eigendecomposition per model and fall back to scaling-and-squaring,
+dense solves or ``fractional_matrix_power`` when the eigenvector basis is
+ill conditioned. A model caches only data that depends on A alone;
+anything that depends on a time, an exponent or a period is recomputed
+by the call that asks for it.
 
 Models with a nontrivial kernel carry a spectral projector ``pi0`` onto
 the kernel; resolvents, fractional powers and domain norms are taken on
@@ -20,6 +21,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -148,15 +150,30 @@ def make_state_space(dim: int, gram, field_tag: str = "real") -> StateSpace:
     return StateSpace(dim=dim, gram=G, field_tag=field_tag)
 
 
+class Block(NamedTuple):
+    """A named coordinate range of the state.
+
+    ``slice`` selects the block's rows of the flat state, ``xi`` holds its
+    nodes normalized to [0, 1) (None for a modal block) and ``topology``
+    ("interval", "circle" or "modal") says how spatial profiles wrap.
+    """
+
+    slice: slice
+    xi: np.ndarray | None = None
+    topology: str = "modal"
+
+
 @dataclass
 class Model:
     """A generator A on a state space, with optional kernel data.
 
     ``pi0`` is the spectral projector onto ker A (zero when the kernel is
     trivial); ``kernel_basis`` spans the same kernel. ``B`` is an optional
-    input matrix for boundary-forced models. The instance is treated as
-    immutable after construction. Its derived factorizations are cached
-    on it, each computed on first use:
+    input matrix for boundary-forced models. ``blocks`` maps block names
+    to the :class:`Block` layout the builder chose for the state; wave
+    models name their first two ``displacement`` and ``velocity``. The
+    instance is treated as immutable after construction. Its derived
+    factorizations are cached on it, each computed on first use:
 
     ``deflated``
         (A_r, G_r, Q): reduced coordinates of the invariant complement
@@ -175,11 +192,7 @@ class Model:
         assembled from it and the kernel basis, so that
         V e^{tw} Vinv = pi0 + Q e^{tA_r} Q* (I - pi0). ``cond`` is the
         deflated cond(V), which decides between the eigenbasis and the
-        fallbacks (expm, Schur form, ``fractional_matrix_power``).
-    ``schur``
-        (R, Z): complex Schur form A_r = Z R Z* of the deflated block,
-        R upper triangular and Z unitary. Built only on the fallback
-        path, when cond(V) exceeds EIG_COND_LIMIT.
+        fallbacks (expm, dense solves, ``fractional_matrix_power``).
     ``reduced_gram_roots``
         (G_r^{1/2}, G_r^{-1/2}) on the deflated block.
     ``weighted_generator``
@@ -194,6 +207,7 @@ class Model:
     B: np.ndarray | None = None
     label: str = ""
     group_allowed: bool = True
+    blocks: dict | None = None
 
     @property
     def dim(self) -> int:
@@ -241,10 +255,6 @@ class Model:
         return w, V, Vinv, cond
 
     @cached_property
-    def schur(self) -> tuple:
-        return sla.schur(self.deflated[0], output="complex")
-
-    @cached_property
     def reduced_gram_roots(self) -> tuple:
         _, G_r, Q = self.deflated
         if Q is None:
@@ -262,12 +272,14 @@ class Model:
 
 
 def build_model(space: StateSpace, A, kernel_basis=(), pi0=None, B=None,
-                label: str = "", group_allowed: bool = True) -> Model:
+                label: str = "", group_allowed: bool = True,
+                blocks: dict | None = None) -> Model:
     """Assemble a :class:`Model`, validating shapes and finiteness.
 
     When ``kernel_basis`` is nonempty and no projector is supplied, the
     spectral projector onto the kernel is computed from left and right
-    eigenvectors of the eigenvalues nearest zero.
+    eigenvectors of the eigenvalues nearest zero. Without ``blocks`` the
+    whole state is one modal block named ``all``.
     """
     A = _as_matrix(A).astype(complex)
     if A.shape[0] != space.dim:
@@ -291,8 +303,10 @@ def build_model(space: StateSpace, A, kernel_basis=(), pi0=None, B=None,
             B = B[:, None]
         if B.shape[0] != space.dim:
             raise ValueError("input matrix B has wrong leading dimension")
+    if blocks is None:
+        blocks = {"all": Block(slice(0, space.dim))}
     return Model(space=space, A=A, kernel_basis=kb, pi0=pi0, B=B,
-                 label=label, group_allowed=group_allowed)
+                 label=label, group_allowed=group_allowed, blocks=blocks)
 
 
 def _eig(M: np.ndarray) -> tuple:
@@ -413,28 +427,17 @@ def resolvent_norm(model: Model, eta: float) -> float:
     return float(1.0 / smin)
 
 
-def _schur_back_substitute(R: np.ndarray, shifts: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Rows y_k solving (shifts[k] I - R) y_k = C[k] for upper-triangular R."""
-    n = R.shape[0]
-    denom = shifts[:, None] - np.diag(R)[None, :]
-    Y = np.empty_like(C)
-    for i in range(n - 1, -1, -1):
-        Y[:, i] = (C[:, i] + Y[:, i + 1:] @ R[i, i + 1:]) / denom[:, i]
-    return Y
-
-
 def harmonic_solve(model: Model, harmonics, period: float, rhs) -> np.ndarray:
     """Rows x_k solving (i omega_k I - A_r) x_k = rhs[k], omega_k = 2 pi k / T.
 
     All harmonics are solved together in the cached eigenbasis of the
     deflated block, x_k = V (i omega_k - Lambda)^{-1} V^{-1} rhs[k], as
     one broadcast over the harmonics. When cond(V) exceeds
-    EIG_COND_LIMIT they are solved against the Schur form instead: Z*
-    and Z are applied with one matmul each and the triangular back
-    substitution runs once over the rows of R for every harmonic
-    together. Either way one step of iterative refinement is taken with
-    the residual against A_r. ``rhs`` and the result are in the reduced
-    coordinates of :func:`to_block`.
+    EIG_COND_LIMIT they are solved by one batched dense solve of
+    (i omega_k I - A_r) over all harmonics instead. Either way one step
+    of iterative refinement is taken with the residual against A_r.
+    ``rhs`` and the result are in the reduced coordinates of
+    :func:`to_block`.
 
     Raises
     ------
@@ -459,29 +462,27 @@ def harmonic_solve(model: Model, harmonics, period: float, rhs) -> np.ndarray:
         def solve(B):
             return ((B @ Vinv.T) / denom) @ V.T
     else:
-        R, Z = model.schur
-        Zc = Z.conj()
+        M = shifts[:, None, None] * np.eye(len(w)) - A_r
 
         def solve(B):
-            return _schur_back_substitute(R, shifts, B @ Zc) @ Z.T
+            return np.linalg.solve(M, B[..., None])[..., 0]
 
     X = solve(rhs)
     residual = rhs - (shifts[:, None] * X - X @ A_r.T)
     return X + solve(residual)
 
 
-def fractional_power(model: Model, alpha: float, reduced: bool = False) -> np.ndarray:
-    """Principal matrix power (-A)^alpha on the deflated block.
+def fractional_power(model: Model, alpha: float) -> np.ndarray:
+    """Principal matrix power (-A_r)^alpha on the deflated block.
 
-    The full-space result acts as (-A restricted)^alpha composed with
-    (I - pi0), i.e. it annihilates the kernel. With ``reduced=True`` the
-    matrix in reduced coordinates is returned instead.
+    The matrix acts in the reduced coordinates of :func:`to_block`; the
+    full-space operator Q F Q* (I - pi0) annihilates the kernel.
 
     Integer alpha is evaluated by exact matrix powers. Non-integer alpha
     reads the model's cached eigendecomposition of the deflated block
     (principal branch powers of the eigenvalues of -A) and falls back to
-    a Schur-based computation when the eigenvector basis is ill
-    conditioned.
+    ``scipy.linalg.fractional_matrix_power`` when the eigenvector basis
+    is ill conditioned.
 
     Raises
     ------
@@ -489,7 +490,7 @@ def fractional_power(model: Model, alpha: float, reduced: bool = False) -> np.nd
         If -A has an eigenvalue on (-inf, 0], where the principal branch
         is not defined.
     """
-    A_r, _, Q = model.deflated
+    A_r = model.deflated[0]
     w, V, Vinv, cond = model.deflated_eig
     mu = -w
     scale = max(1.0, float(np.max(np.abs(mu))) if mu.size else 1.0)
@@ -497,15 +498,10 @@ def fractional_power(model: Model, alpha: float, reduced: bool = False) -> np.nd
     if alpha != int(alpha) and np.any(on_cut):
         raise SpectrumOnCut("an eigenvalue of -A lies on (-inf, 0]")
     if alpha == int(alpha) and alpha >= 0:
-        F = np.linalg.matrix_power(-A_r, int(alpha))
-    elif cond <= EIG_COND_LIMIT:
-        F = (V * np.power(mu, alpha)) @ Vinv
-    else:
-        F = sla.fractional_matrix_power(-A_r, alpha)
-    if not reduced and Q is not None:
-        P = np.eye(model.dim) - model.pi0
-        F = Q @ F @ (Q.conj().T @ P)
-    return F
+        return np.linalg.matrix_power(-A_r, int(alpha))
+    if cond <= EIG_COND_LIMIT:
+        return (V * np.power(mu, alpha)) @ Vinv
+    return sla.fractional_matrix_power(-A_r, alpha)
 
 
 def domain_gram(model: Model, alpha: float) -> np.ndarray:
@@ -516,7 +512,7 @@ def domain_gram(model: Model, alpha: float) -> np.ndarray:
     |x| + |(-A)^alpha x| (with constants between 1/sqrt(2) and 1).
     """
     _, G_r, _ = model.deflated
-    F = fractional_power(model, alpha, reduced=True)
+    F = fractional_power(model, alpha)
     Gd = G_r + F.conj().T @ G_r @ F
     return 0.5 * (Gd + Gd.conj().T)
 

@@ -309,13 +309,22 @@ def _poly_eval(poly: dict, x: np.ndarray) -> np.ndarray:
 
 def _nonlinear_source(model: Model, poly: dict, states: np.ndarray,
                       structure: str) -> np.ndarray:
-    """g(u) for one state or a stack of states along the last axis."""
+    """g(u) for one state or a stack of states along the last axis.
+
+    With ``structure="wave"`` g reads the model's ``displacement`` block
+    and drives its ``velocity`` block; a model without both raises
+    ValueError.
+    """
     if structure == "identity":
         return _poly_eval(poly, states)
     if structure == "wave":
-        n = model.dim // 2
+        blocks = model.blocks
+        if "displacement" not in blocks or "velocity" not in blocks:
+            raise ValueError(f"structure 'wave' needs displacement and velocity "
+                             f"blocks; {model.label!r} has {sorted(blocks)}")
         src = np.zeros_like(states)
-        src[..., n:] = _poly_eval(poly, states[..., :n])
+        src[..., blocks["velocity"].slice] = _poly_eval(
+            poly, states[..., blocks["displacement"].slice])
         return src
     raise ValueError(f"unknown nonlinear structure {structure!r}")
 
@@ -327,9 +336,11 @@ def picard_nonlinear(model: Model, f: PeriodicForcing, poly: dict,
     """Periodic orbit of u' = A u + f + g(u) by Picard iteration.
 
     ``poly`` maps powers (>= 2) to coefficients of the superlinear
-    nonlinearity g; it is applied nodewise to the displacement block for
-    wave-type models (``structure="wave"``) or to the whole state
-    (``structure="identity"``).
+    nonlinearity g. With ``structure="wave"`` it is applied nodewise to
+    the model's ``displacement`` block and enters the ``velocity`` block;
+    with ``structure="identity"`` it acts on the whole state. A model
+    without those two blocks, or an unknown structure, raises ValueError
+    before any solve.
 
     Each sweep is one step of alternating frequency-time (AFT) harmonic
     balance: the frozen source f + g(u_m) on the uniform grid of
@@ -358,6 +369,9 @@ def _picard(model: Model, f: PeriodicForcing, poly: dict, structure: str,
     for p in poly:
         if not (isinstance(p, int) and p >= 2):
             raise ValueError("nonlinearity must be superlinear: powers >= 2")
+    # a structure the model's blocks cannot carry is a config error: raise
+    # its ValueError before any solve
+    _nonlinear_source(model, poly, np.zeros(model.dim), structure)
     T = f.period
     times = T * np.arange(n_nodes) / n_nodes
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.optimize import minimize_scalar
 
 from .errors import NonMonotone, PoorFit
 from .operator_core import (
@@ -127,26 +126,24 @@ def decay_envelope(model: Model, alpha: float, t_grid) -> ScanResult:
                               "normal": _is_normal(model), "alpha": alpha})
 
 
-def resolvent_scan(model: Model, eta_grid,
-                   include_spectrum: bool = True) -> ScanResult:
+def resolvent_scan(model: Model, eta_grid) -> ScanResult:
     """Pointwise |R(i eta)| on the deflated block, with its running max.
 
     The running maximum realizes eta -> max over |s| <= eta of the
     resolvent norm when the grid starts near zero (the models here have
     resolvents symmetric in eta up to conjugation). Resolvent peaks sit
     at the spectral frequencies, which an evenly spaced grid straddles;
-    by default the grid is therefore augmented with the imaginary parts
+    the grid is therefore augmented with the imaginary parts
     of the eigenvalues falling inside its range. Abscissae that agree to
     1e-12 relative, such as the two members of a conjugate pair, are
     merged into the smallest of them.
     """
     eta_grid = np.asarray(eta_grid, dtype=float)
-    if include_spectrum:
-        freqs = np.abs(model.deflated_eig[0].imag)
-        freqs = freqs[(freqs >= eta_grid.min()) & (freqs <= eta_grid.max())]
-        eta_grid = np.unique(np.concatenate([eta_grid, freqs]))
-        apart = np.diff(eta_grid) > 1e-12 * np.abs(eta_grid[1:])
-        eta_grid = eta_grid[np.concatenate([[True], apart])]
+    freqs = np.abs(model.deflated_eig[0].imag)
+    freqs = freqs[(freqs >= eta_grid.min()) & (freqs <= eta_grid.max())]
+    eta_grid = np.unique(np.concatenate([eta_grid, freqs]))
+    apart = np.diff(eta_grid) > 1e-12 * np.abs(eta_grid[1:])
+    eta_grid = eta_grid[np.concatenate([[True], apart])]
     values = np.array([resolvent_norm(model, e) for e in eta_grid])
     return ScanResult(kind="resolvent_scan", abscissae=eta_grid, values=values,
                       extras={"running_max": np.maximum.accumulate(values)})
@@ -307,6 +304,9 @@ def mlog_bound_curve(model: Model, eta_grid, t_grid) -> MlogReport:
         if ok.sum() < 3:
             return 1e6
         return float(np.sum((np.log(b[ok]) - np.log(d[ok])) ** 2))
+
+    # imported here, its only user, to keep scipy.optimize out of startup
+    from scipy.optimize import minimize_scalar
 
     res = minimize_scalar(objective, bounds=(-10.0, 10.0), method="bounded")
     c_fit = float(np.exp(res.x))

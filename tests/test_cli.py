@@ -4,6 +4,8 @@ acceptance script."""
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from types import SimpleNamespace
 
@@ -232,6 +234,22 @@ def test_main_boundary_sine_harmonic_zero_exit_two(tmp_path, config_dir, capsys)
     assert "config error" in err and "nonzero harmonic" in err
 
 
+def test_main_picard_wave_structure_on_modal_model_exit_two(tmp_path, capsys):
+    """A diagonal model has no displacement or velocity block for g to act on."""
+    cfg = {"task": "picard",
+           "model": {"builder": "diagonal", "params": {"eigenvalues": [-1.0, -2.0]}},
+           "forcing": {"kind": "fourier", "period": 1.0,
+                       "components": [{"harmonic": 1, "amplitude": 0.1,
+                                       "profile": {"kind": "ones"}}]},
+           "picard": {"powers": [3], "coefficients": [-0.05], "structure": "wave"}}
+    bad = tmp_path / "picard_modal.json"
+    bad.write_text(json.dumps(cfg))
+    code = cli.main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "displacement and velocity" in err
+
+
 def test_main_kernel_obstruction_exit_three(tmp_path, config_dir, capsys):
     code = cli.main(["run",
                      "--config", str(config_dir / "circle_obstruction.json"),
@@ -252,9 +270,9 @@ def test_one_version(config_dir):
     assert semiper.__version__ == cli.__version__ == project["version"]
 
 
-def load_acceptance_script(repo_root):
-    path = repo_root / "scripts" / "run_all_acceptance.py"
-    spec = importlib.util.spec_from_file_location("run_all_acceptance", path)
+def load_script(repo_root, stem="run_all_acceptance"):
+    path = repo_root / "scripts" / f"{stem}.py"
+    spec = importlib.util.spec_from_file_location(stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -267,7 +285,7 @@ def load_acceptance_script(repo_root):
 def test_acceptance_script_reports_every_config(tmp_path, config_dir, monkeypatch,
                                                 capsys, obstruction_error, unexpected):
     """A crash in one config is a table row; only KernelObstruction is expected."""
-    script = load_acceptance_script(config_dir.parent)
+    script = load_script(config_dir.parent)
     for stem in ("a_crashes", "b_passes", "circle_obstruction"):
         (tmp_path / f"{stem}.json").write_text("{}")
 
@@ -290,3 +308,25 @@ def test_acceptance_script_reports_every_config(tmp_path, config_dir, monkeypatc
     else:
         assert "FAIL    SingularMonodromy: pumped" in rows[2]
     assert rows[-1] == f"3 configs, {unexpected} unexpected outcomes"
+
+
+def test_fit_window_scan_prints_every_window(config_dir, monkeypatch, capsys):
+    """Windows whose fit falls below the default r^2 floor print their r^2
+    instead of stopping the sweep."""
+    script = load_script(config_dir.parent, "fit_window_scan")
+    monkeypatch.setattr(sys, "argv", ["fit_window_scan.py", "--config",
+                                      str(config_dir / "bt_heatwave.json")])
+    script.main()
+    decay, resolvent = capsys.readouterr().out.split("# resolvent windows")
+    for table in (decay, resolvent):
+        rows = [line.split() for line in table.splitlines()[2:] if line]
+        assert len(rows) == 15
+        assert all(len(row) == 4 for row in rows)
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    code = "import sys, semiper.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=os.environ | {
+                             "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "False"

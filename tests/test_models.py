@@ -25,12 +25,13 @@ from semiper.models import (
     build_boundary_forced_wave,
     build_damped_wave_circle,
     build_damped_wave_interval,
+    build_diagonal_model,
     build_heat_wave_1d,
+    build_scalar_model,
     build_sphere_schrodinger,
     build_synthetic_resolvent_model,
     equatorial_harmonic,
     gauss_legendre_rule,
-    heat_wave_layout,
     normalized_legendre_block,
 )
 from semiper.operator_core import (
@@ -39,6 +40,44 @@ from semiper.operator_core import (
     propagator_matrix,
     spectrum_report,
 )
+
+
+# ---------------------------------------------------------------------------
+# state layout
+# ---------------------------------------------------------------------------
+
+_CAP = DampingProfile("cap", amplitude=1.0, width=0.05, cutoff=0.85)
+_UNIT = DampingProfile("constant", amplitude=1.0)
+BUILDS = {
+    "scalar": lambda: build_scalar_model(-1.0),
+    "interval": lambda: build_damped_wave_interval(7, math.pi, _UNIT),
+    "boundary": lambda: build_boundary_forced_wave(7, math.pi, _UNIT),
+    "circle": lambda: build_damped_wave_circle(8, _UNIT),
+    "heat_wave": lambda: build_heat_wave_1d(9, 8),
+    "sphere": lambda: build_sphere_schrodinger(12, 2, _CAP, quad_nodes=1200).model,
+    "synthetic": lambda: build_synthetic_resolvent_model(6, 1.0),
+    "diagonal": lambda: build_diagonal_model([-1.0, -4.0]),
+}
+WAVES = {"interval", "boundary", "circle", "heat_wave"}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDS))
+def test_blocks_are_disjoint_and_cover_the_state(name):
+    model = BUILDS[name]()
+    rows = np.concatenate([np.arange(model.dim)[b.slice]
+                           for b in model.blocks.values()])
+    assert sorted(rows) == list(range(model.dim))
+    for b in model.blocks.values():
+        width = b.slice.stop - b.slice.start
+        if b.topology == "modal":
+            assert b.xi is None
+        else:
+            assert b.xi.shape == (width,)
+            assert np.all((b.xi >= 0) & (b.xi < 1)) and np.all(np.diff(b.xi) > 0)
+    wave_blocks = [k for k in model.blocks if k in ("displacement", "velocity")]
+    assert wave_blocks == (["displacement", "velocity"] if name in WAVES else [])
+    if name not in WAVES:
+        assert list(model.blocks) == ["all"]
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +358,15 @@ def test_sharp_cap_rejected_when_under_resolved():
 # ---------------------------------------------------------------------------
 
 def test_heat_wave_layout_consistent():
-    layout = heat_wave_layout(12, 10)
     model = build_heat_wave_1d(12, 10)
-    assert layout["velocity"][1] == model.dim
-    assert layout["interface"] == layout["velocity"][0]
-    assert layout["heat"] == (0, 11)
+    assert list(model.blocks) == ["heat", "displacement", "velocity"]
+    heat, disp, vel = model.blocks.values()
+    assert heat.slice == slice(0, 11)
+    assert (disp.slice, vel.slice) == (slice(11, 21), slice(21, 31))
+    assert vel.slice.stop == model.dim
+    # the last heat node's ghost value is the shared interface coordinate v[0]
+    assert model.A[heat.slice.stop - 1, vel.slice.start] != 0
+    assert_allclose(model.A[disp.slice, vel.slice].real, np.eye(10))     # w' = v
 
 
 def test_heat_wave_dissipative():

@@ -35,6 +35,7 @@ from semiper.operator_core import (
     contour_spectral_projector,
     domain_gram,
     fractional_power,
+    from_block,
     harmonic_solve,
     make_state_space,
     propagate,
@@ -315,12 +316,17 @@ def test_spectrum_on_cut_refused():
 
 
 def test_fractional_power_annihilates_kernel():
+    """The power lives on the deflated block: lifted back to the full space
+    as Q F Q* (I - pi0) it kills the kernel."""
     space = make_state_space(2, np.eye(2))
     e0 = np.array([1.0, 0.0])
     model = build_model(space, np.diag([0.0, -4.0]), kernel_basis=(e0,))
     F = fractional_power(model, 0.5)
-    assert_allclose(F @ e0, np.zeros(2), atol=1e-12)
-    assert_allclose(F @ np.array([0.0, 1.0]), [0.0, 2.0], atol=1e-12)
+    assert F.shape == (1, 1)
+    assert_allclose(F, [[2.0]], atol=1e-12)
+    lifted = lambda x: from_block(model, F @ to_block(model, x))
+    assert_allclose(lifted(e0), np.zeros(2), atol=1e-12)
+    assert_allclose(lifted(np.array([0.0, 1.0])), [0.0, 2.0], atol=1e-12)
 
 
 def test_domain_gram_equivalent_to_sum_norm(rng):

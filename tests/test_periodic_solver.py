@@ -39,9 +39,11 @@ from semiper.models import (
     build_damped_wave_circle,
     build_damped_wave_interval,
     build_diagonal_model,
+    build_heat_wave_1d,
     build_scalar_model,
 )
 from semiper.periodic_solver import (
+    _nonlinear_source,
     boundary_periodic_solve,
     convergence_gap,
     periodic_w0_direct,
@@ -375,6 +377,40 @@ def test_picard_resonant_model_raises(harmonic, error):
     f = make_fourier_forcing(T, {1: [0.1], -1: [0.1]}, model.space)
     with pytest.raises(error):
         picard_nonlinear(model, f, {3: -0.05}, structure="identity")
+
+
+def test_heat_wave_source_reads_displacement_and_drives_velocity():
+    """g reads the wave displacements and enters the wave velocities only,
+    wherever the heat block puts them in the state."""
+    model = build_heat_wave_1d(9, 8)
+    blocks = model.blocks
+    heat_only = np.zeros(model.dim)
+    heat_only[blocks["heat"].slice] = 1.0
+    assert not np.any(_nonlinear_source(model, {3: 1.0}, heat_only, "wave"))
+    displacement_only = np.zeros(model.dim)
+    displacement_only[blocks["displacement"].slice] = 0.5
+    expected = np.zeros(model.dim)
+    expected[blocks["velocity"].slice] = 0.125
+    assert_allclose(_nonlinear_source(model, {3: 1.0}, displacement_only, "wave"),
+                    expected, rtol=0, atol=0)
+
+
+def test_picard_converges_on_heat_wave():
+    """n_heat = n_wave gives an odd state dimension, which no half split fits."""
+    model = build_heat_wave_1d(8, 8)
+    vec = np.zeros(model.dim)
+    vec[model.blocks["velocity"].slice] = 1.0
+    f = make_fourier_forcing(1.0, {1: 0.1 * vec, -1: 0.1 * vec}, model.space)
+    rep = picard_nonlinear(model, f, {3: -1.0}, structure="wave", tol=1e-12)
+    assert rep.converged
+    assert rep.ode_residual <= 1e-10
+
+
+def test_picard_wave_structure_needs_wave_blocks():
+    model = build_diagonal_model([-1.0, -2.0])
+    f = make_fourier_forcing(1.0, {1: [0.1, 0.1], -1: [0.1, 0.1]}, model.space)
+    with pytest.raises(ValueError, match="displacement and velocity"):
+        picard_nonlinear(model, f, {3: -0.05}, structure="wave")
 
 
 def test_divergence_threshold_checks_the_monodromy_once(picard_cubic, config_dir,

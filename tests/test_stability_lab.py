@@ -68,8 +68,7 @@ def test_decay_envelope_fractional_orders(alpha):
 def test_resolvent_scan_diagonal_closed_form():
     eigs = np.array([-0.5 + 1.0j, -0.1 + 3.0j])
     model = build_diagonal_model(eigs)
-    scan = resolvent_scan(model, np.linspace(0.2, 5.0, 30),
-                          include_spectrum=False)
+    scan = resolvent_scan(model, np.linspace(0.2, 5.0, 30))
     oracle = [1.0 / np.min(np.abs(1j * e - eigs)) for e in scan.abscissae]
     assert_allclose(scan.values, oracle, rtol=1e-10)
     assert_allclose(scan.extras["running_max"],
