@@ -29,12 +29,12 @@ from dataclasses import dataclass, asdict
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .errors import (
     InvalidGrid,
     NonAxisymmetricDamping,
     QuadratureUnderResolved,
+    SlowConvergence,
     ZeroDamping,
 )
 from .operator_core import Block, Model, build_model, make_state_space
@@ -263,32 +263,72 @@ class SphereBlockModel:
         return float(np.linalg.norm(self.hk_weights(k) * np.asarray(x, dtype=complex)))
 
 
+# Newton passes allowed per Gauss-Legendre rule; 3 or 4 are taken from
+# 2 to 6000 nodes, so reaching the cap means the iteration has stalled.
+LEGENDRE_MAX_PASSES = 10
+
+
 @lru_cache(maxsize=8)
 def gauss_legendre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only Gauss-Legendre nodes and weights on [-1, 1], cached by count.
 
-    The nodes are the eigenvalues of the symmetric tridiagonal Jacobi
-    matrix (Golub-Welsch), found in O(nodes^2) by
-    ``scipy.special.roots_legendre``; numpy's ``leggauss`` runs a dense
-    O(nodes^3) eigensolve on the companion matrix instead. The weights are
-    the Christoffel function 1 / sum_k q_k(s)^2 over the orthonormal
-    Legendre polynomials q_0..q_{nodes-1}, a sum of positive terms: both
-    library rules lose about 1e-13 of exactness on monomials at 2000 nodes,
-    this sum keeps it near 1e-15. Block scans and the panel quadratures ask
-    for the same few counts over and over; the arrays are shared by every
-    caller, so they are frozen.
+    The nodes are found by Newton's method on P_n, n = nodes, started from
+    Tricomi's guesses (1 - (n-1)/(8n^3)) cos(pi (4k-1)/(4n+2)) and run on
+    the nonnegative half only (the rule is symmetric). Each pass runs the
+    orthonormal three-term recurrence q_0..q_n once, vectorized over the
+    half-nodes, in O(nodes) operations per node; q_n and q_{n-1} give P_n,
+    P_{n-1} and the step P_n (1 - x^2) / (n (P_{n-1} - x P_n)). The
+    iteration stops once no node moves by more than 2e-16, and raises
+    SlowConvergence after ``LEGENDRE_MAX_PASSES`` passes instead of
+    returning unconverged nodes. Golub-Welsch (a tridiagonal eigensolve)
+    costs O(nodes^2) per rule, numpy's ``leggauss`` a dense O(nodes^3) one.
+
+    The weights are the Christoffel function 1 / sum_{k<n} q_k(s)^2,
+    accumulated by the same recurrence in the last pass, at nodes within
+    2e-16 of the returned ones, so no separate pass is needed. It is a sum
+    of positive terms that keeps monomial exactness near 1e-15 up to 3000
+    nodes; the derivative formula 2 / ((1 - s^2) P_n'(s)^2) used by the
+    library rules loses about 1e-13 at 2000 nodes. Block scans and the
+    panel quadratures ask for the same few counts over and over; the
+    arrays are shared by every caller, so they are frozen.
     """
-    s, _ = roots_legendre(nodes)
-    upper = s[nodes // 2:]                  # the weights are even in s
-    k = np.arange(1, nodes)
-    b = np.concatenate(([0.0], k / np.sqrt(4.0 * k * k - 1.0)))
-    q_prev, q = np.zeros_like(upper), np.full_like(upper, math.sqrt(0.5))
-    total = q * q
-    for i in range(1, nodes):
-        q_prev, q = q, (upper * q - b[i - 1] * q_prev) / b[i]
-        total += q * q
-    w_upper = 1.0 / total
-    w = np.concatenate((w_upper[::-1][:nodes // 2], w_upper))
+    if nodes < 1:
+        raise InvalidGrid(f"need at least one quadrature node, got {nodes}")
+    n = nodes
+    k = np.arange(1, (n + 1) // 2 + 1)
+    x = (1.0 - (n - 1) / (8.0 * n**3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
+    if n % 2:
+        x[-1] = 0.0                          # P_n is odd: 0 is a node
+    i = np.arange(1, n + 1)
+    b = np.concatenate(([0.0], i / np.sqrt(4.0 * i * i - 1.0)))
+    q_prev, q, tmp, total = (np.empty_like(x) for _ in range(4))
+    for _ in range(LEGENDRE_MAX_PASSES):
+        q_prev.fill(0.0)
+        q.fill(math.sqrt(0.5))
+        total.fill(0.0)
+        for j in range(1, n + 1):
+            np.multiply(q, q, out=tmp)
+            total += tmp
+            # q_j = (x q_{j-1} - b_{j-1} q_{j-2}) / b_j, written over q_{j-2}
+            np.multiply(x, q, out=tmp)
+            q_prev *= b[j - 1]
+            np.subtract(tmp, q_prev, out=q_prev)
+            q_prev /= b[j]
+            q_prev, q = q, q_prev
+        p_n = q / math.sqrt(n + 0.5)
+        p_nm1 = q_prev / math.sqrt(n - 0.5)
+        dx = p_n * (1.0 - x * x) / (n * (p_nm1 - x * p_n))
+        x -= dx
+        step = float(np.max(np.abs(dx)))
+        if step <= 2e-16:
+            break
+    else:
+        raise SlowConvergence(
+            f"Gauss-Legendre Newton iteration at {n} nodes: last max|dx| "
+            f"{step:.3e} after {LEGENDRE_MAX_PASSES} passes")
+    w_half = 1.0 / total                     # x and w_half run from s = 1 inward
+    s = np.concatenate((-x[:n // 2], x[::-1]))
+    w = np.concatenate((w_half[:n // 2], w_half[::-1]))
     s.setflags(write=False)
     w.setflags(write=False)
     return s, w

@@ -325,8 +325,9 @@ def test_fit_window_scan_prints_every_window(config_dir, monkeypatch, capsys):
 
 
 def test_cli_import_leaves_scipy_optimize_out():
-    code = "import sys, semiper.cli; print('scipy.optimize' in sys.modules)"
+    code = ("import sys, semiper.cli; "
+            "print('scipy.optimize' in sys.modules, 'scipy.special' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=os.environ | {
                              "PYTHONPATH": os.pathsep.join(sys.path)})
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"

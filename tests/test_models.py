@@ -18,8 +18,10 @@ from semiper.errors import (
     InvalidGrid,
     NonAxisymmetricDamping,
     QuadratureUnderResolved,
+    SlowConvergence,
     ZeroDamping,
 )
+from semiper import models
 from semiper.models import (
     DampingProfile,
     build_boundary_forced_wave,
@@ -249,12 +251,51 @@ def test_gauss_legendre_rule_matches_leggauss(n):
     assert_allclose(w, w_ref, rtol=0, atol=1e-13)
 
 
-def test_gauss_legendre_rule_exact_to_degree_2n_minus_1():
-    n = 2000
+def _christoffel_weights(s):
+    """1 / sum_{k<n} q_k(s)^2 over the orthonormal Legendre polynomials."""
+    k = np.arange(1, s.size)
+    b = np.concatenate(([0.0], k / np.sqrt(4.0 * k * k - 1.0)))
+    q_prev, q = np.zeros_like(s), np.full_like(s, math.sqrt(0.5))
+    total = q * q
+    for i in range(1, s.size):
+        q_prev, q = q, (s * q - b[i - 1] * q_prev) / b[i]
+        total += q * q
+    return 1.0 / total
+
+
+@pytest.mark.parametrize("n", [1200, 1800, 2000, 3000, 3001])
+def test_gauss_legendre_rule_matches_roots_legendre(n):
+    """Nodes against scipy's Golub-Welsch nodes; weights against the
+    Christoffel function at those nodes (scipy's own weights are off by up
+    to 1.6e-13 at these counts)."""
     s, w = gauss_legendre_rule(n)
-    for k in (0, 1, 2, 3, 10, 101, 500, 1000, 1999, 2000, 3001, 3998, 3999):
-        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
-        assert math.fsum(w * s**k) == pytest.approx(exact, rel=0, abs=1e-13), k
+    s_ref, _ = scipy.special.roots_legendre(n)
+    assert_allclose(s, s_ref, rtol=0, atol=4.4e-16)
+    assert_allclose(w, _christoffel_weights(s_ref), rtol=0, atol=1e-15)
+    assert np.array_equal(s, -s[::-1])
+    assert np.array_equal(w, w[::-1])
+    assert np.all(w > 0)
+
+
+def test_gauss_legendre_rule_rejects_empty_rule():
+    with pytest.raises(InvalidGrid):
+        gauss_legendre_rule(0)
+
+
+def test_gauss_legendre_rule_raises_when_newton_stalls(monkeypatch):
+    monkeypatch.setattr(models, "LEGENDRE_MAX_PASSES", 1)
+    gauss_legendre_rule.cache_clear()
+    with pytest.raises(SlowConvergence, match=r"2000 nodes: last max\|dx\|"):
+        gauss_legendre_rule(2000)
+
+
+def test_gauss_legendre_rule_exact_to_degree_2n_minus_1():
+    for n in (2000, 3000, 3001):
+        s, w = gauss_legendre_rule(n)
+        for k in (0, 1, 2, 3, 10, 101, 500, 1000, n - 1, n, 3 * n // 2 + 1,
+                  2 * n - 2, 2 * n - 1):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert math.fsum(w * s**k) == pytest.approx(exact, rel=0, abs=1e-13), (n, k)
 
 
 def test_gauss_legendre_rule_cached_read_only():
