@@ -6,7 +6,10 @@ and is expected to fail with KernelObstruction; its success, or a failure
 of any other kind, would be a bug. Everything else must exit 0. A run that
 raises anything is reported as a row of the table (traceback on stderr)
 and the next config still runs. The script exits nonzero if any run lands
-outside its expectation.
+outside its expectation, or if the runs load a numpy or scipy module that
+importing the package did not (such a lazy import is paid inside a run's
+time; scipy.linalg, for one, should load only on an ill-conditioned
+eigenbasis, which no shipped config has).
 """
 
 import argparse
@@ -40,6 +43,7 @@ def main():
         print(f"no configs found under {cfg_dir}", file=sys.stderr)
         return 2
 
+    imported = set(sys.modules)
     failures = 0
     for cfg in configs:
         expected = EXPECTED_FAILURES.get(cfg.stem)
@@ -63,7 +67,11 @@ def main():
         print(f"{cfg.stem:28s} {elapsed:7.2f}s  {status}")
 
     print(f"\n{len(configs)} configs, {failures} unexpected outcomes")
-    return 1 if failures else 0
+    loaded = sorted(m for m in set(sys.modules) - imported
+                    if m.split(".")[0] in ("numpy", "scipy"))
+    if loaded:
+        print(f"runs loaded modules the imports did not: {', '.join(loaded)}")
+    return 1 if failures or loaded else 0
 
 
 if __name__ == "__main__":

@@ -26,6 +26,9 @@ from pathlib import Path
 
 import jsonschema
 import numpy as np
+# numpy loads submodules on first attribute access; every run draws a
+# Generator, so load numpy.random with the package rather than mid-run
+import numpy.random
 import scipy
 
 from . import __version__

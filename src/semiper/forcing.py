@@ -24,6 +24,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+# loaded with the package, not on first use: the Fourier coefficients
+# here and Picard's spectral derivative both need it
+import numpy.fft
 
 from .errors import NonFiniteInput, QuadratureUnderResolved
 from .models import gauss_legendre_rule

@@ -7,9 +7,11 @@ G^{1/2} M G^{-1/2}). Generators are dense matrices. Propagation,
 harmonic solves and fractional powers all read one cached
 eigendecomposition per model and fall back to scaling-and-squaring,
 dense solves or ``fractional_matrix_power`` when the eigenvector basis is
-ill conditioned. A model caches only data that depends on A alone;
-anything that depends on a time, an exponent or a period is recomputed
-by the call that asks for it.
+ill conditioned. Every other path uses numpy alone; scipy.linalg is
+imported only inside those fallbacks, so it stays out of startup. A
+model caches only data that depends on A alone; anything that depends
+on a time, an exponent or a period is recomputed by the call that asks
+for it.
 
 Models with a nontrivial kernel carry a spectral projector ``pi0`` onto
 the kernel; resolvents, fractional powers and domain norms are taken on
@@ -24,7 +26,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     BackwardTimeDisallowed,
@@ -178,7 +179,9 @@ class Model:
     ``deflated``
         (A_r, G_r, Q): reduced coordinates of the invariant complement
         of the kernel. Q is a Euclidean-orthonormal basis of
-        range(I - pi0), A_r = Q* A Q the reduced generator and
+        range(I - pi0): the left singular vectors of I - pi0 whose
+        singular value exceeds 1e-10 times the largest (the rule of
+        ``scipy.linalg.orth``). A_r = Q* A Q is the reduced generator and
         G_r = Q* G Q the reduced Gram. For kernel-free models Q is None
         and A_r, G_r are A and G.
     ``deflated_eig``
@@ -222,7 +225,8 @@ class Model:
         if not self.has_kernel:
             return self.A, self.space.gram, None
         P = np.eye(self.dim) - self.pi0
-        Q = sla.orth(P, rcond=1e-10)
+        U, s, _ = np.linalg.svd(P, full_matrices=False)
+        Q = U[:, s > 1e-10 * s[0]]
         A_r = Q.conj().T @ self.A @ Q
         G_r = Q.conj().T @ self.space.gram @ Q
         return A_r, 0.5 * (G_r + G_r.conj().T), Q
@@ -332,11 +336,17 @@ def _spectral_kernel_projector(A: np.ndarray, kdim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def propagator_matrix(model: Model, t: float) -> np.ndarray:
-    """Dense matrix of e^{tA}; eigendecomposition path with expm fallback."""
+    """Dense matrix of e^{tA}, V e^{tw} V^{-1} from the cached eigenbasis.
+
+    When cond(V) exceeds EIG_COND_LIMIT it is ``scipy.linalg.expm``
+    (scaling-and-squaring) instead; scipy.linalg is imported on that
+    branch only.
+    """
     w, V, Vinv, cond = model.eig
     if cond <= EIG_COND_LIMIT:
         return (V * np.exp(w * t)) @ Vinv
-    return sla.expm(model.A * t)
+    import scipy.linalg
+    return scipy.linalg.expm(model.A * t)
 
 
 def propagated_columns(model: Model, offsets, states, weights,
@@ -482,7 +492,7 @@ def fractional_power(model: Model, alpha: float) -> np.ndarray:
     reads the model's cached eigendecomposition of the deflated block
     (principal branch powers of the eigenvalues of -A) and falls back to
     ``scipy.linalg.fractional_matrix_power`` when the eigenvector basis
-    is ill conditioned.
+    is ill conditioned; scipy.linalg is imported on that branch only.
 
     Raises
     ------
@@ -501,7 +511,8 @@ def fractional_power(model: Model, alpha: float) -> np.ndarray:
         return np.linalg.matrix_power(-A_r, int(alpha))
     if cond <= EIG_COND_LIMIT:
         return (V * np.power(mu, alpha)) @ Vinv
-    return sla.fractional_matrix_power(-A_r, alpha)
+    import scipy.linalg
+    return scipy.linalg.fractional_matrix_power(-A_r, alpha)
 
 
 def domain_gram(model: Model, alpha: float) -> np.ndarray:
@@ -533,9 +544,16 @@ def contour_spectral_projector(model: Model, center: complex = 0.0,
                                n_nodes: int = 64) -> np.ndarray:
     """Spectral projector by a trapezoid contour integral of the resolvent.
 
-    Used as an independent cross-check of closed-form projectors. The
+    Used as an independent cross-check of closed-form projectors, so it
+    solves with z I - A at each node and never reads the eigenbasis. The
     default radius is half the distance from ``center`` to the nearest
-    eigenvalue outside a 1e-8 neighborhood of it.
+    eigenvalue outside a 1e-8 neighborhood of it (the eigenvalues are
+    read for that default only).
+
+    When A is real, ``center`` is real and ``n_nodes`` is even, node
+    N - k is the conjugate of node k and so is its term; only the nodes
+    k = 0..N/2 are solved and each term with 0 < k < N/2 enters as
+    term + conj(term). Otherwise every node is solved.
     """
     w, _, _, _ = model.eig
     if radius is None:
@@ -545,11 +563,15 @@ def contour_spectral_projector(model: Model, center: complex = 0.0,
             raise ValueError("no eigenvalue away from the center to set a radius")
         radius = 0.5 * float(outside.min())
     theta = 2 * np.pi * np.arange(n_nodes) / n_nodes
+    half = n_nodes // 2
+    paired = (n_nodes % 2 == 0 and complex(center).imag == 0
+              and not np.any(model.A.imag))
     eye = np.eye(model.dim)
     acc = np.zeros((model.dim, model.dim), dtype=complex)
-    for th in theta:
-        z = center + radius * np.exp(1j * th)
-        acc += np.exp(1j * th) * np.linalg.solve(z * eye - model.A, eye)
+    for k in range(half + 1 if paired else n_nodes):
+        u = np.exp(1j * theta[k])
+        term = u * np.linalg.solve((center + radius * u) * eye - model.A, eye)
+        acc += 2 * term.real if paired and 0 < k < half else term
     return radius * acc / n_nodes
 
 

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import Diverged, KernelObstruction, SingularMonodromy, SlowConvergence
 from .forcing import (
@@ -102,10 +101,11 @@ def _fixed_point_matrix(model: Model, T: float):
 def _direct_w0(model: Model, T: float, FT: np.ndarray):
     """w0 solving (I - e^{TA}) w0 = F_T on the deflated block, and the
     condition number of that system. The singularity check runs before
-    the matrix is factored."""
+    the matrix is factored; ``np.linalg.solve`` then takes one LU
+    factorization (getrf, then getrs) per call."""
     _kernel_guard(model, FT)
     fixed, condition = _fixed_point_matrix(model, T)
-    w0 = from_block(model, sla.lu_solve(sla.lu_factor(fixed), to_block(model, FT)))
+    w0 = from_block(model, np.linalg.solve(fixed, to_block(model, FT)))
     return _strip_kernel(model, w0), condition
 
 

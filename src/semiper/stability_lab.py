@@ -7,7 +7,8 @@ G + ((-A)^alpha)* G (-A)^alpha. It is taken in the cached eigenbasis of
 the deflated block: one column scaling and one product per time, in
 real arithmetic on real models, with the largest singular value read
 from the top eigenvalue of the product's Gram; an ill-conditioned
-eigenbasis falls back to expm. Scans are plain grids of such values;
+eigenbasis falls back to expm, the only use of scipy.linalg here, which
+is imported on that branch. Scans are plain grids of such values;
 fits extract power laws from running extrema on log-log axes.
 
 Two quantitative cross-checks are provided: the product of the fitted
@@ -22,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import NonMonotone, PoorFit
 from .operator_core import (
@@ -59,15 +59,14 @@ def _is_normal(model: Model) -> bool:
 
 def _sigma_max(M: np.ndarray) -> float:
     """Largest singular value of M, as the root of the top eigenvalue of
-    M* M; M is first scaled by its largest entry, so the Gram can neither
-    underflow nor overflow."""
+    M* M (the last of ``np.linalg.eigvalsh``, which returns them in
+    ascending order); M is first scaled by its largest entry, so the Gram
+    can neither underflow nor overflow."""
     scale = float(np.max(np.abs(M)))
     if scale == 0.0:
         return 0.0
     M = M / scale
-    n = M.shape[1]
-    top, = sla.eigh(M.conj().T @ M, eigvals_only=True,
-                    subset_by_index=[n - 1, n - 1], driver="evr")
+    top = np.linalg.eigvalsh(M.conj().T @ M)[-1]
     return scale * float(np.sqrt(max(top, 0.0)))
 
 
@@ -82,7 +81,8 @@ def _envelope_values(model: Model, alphas, t_grid) -> np.ndarray:
     no e^{tA} is built. When A_r and G_r are real the operator is real and
     the product is taken as Re(L e^{t Lambda} R_alpha) in real arithmetic.
     When cond(V) exceeds EIG_COND_LIMIT each time takes S expm(t A_r)
-    D_alpha instead, which on kernel models equals S Q* e^{tA} Q D_alpha.
+    D_alpha instead, which on kernel models equals S Q* e^{tA} Q D_alpha;
+    scipy.linalg is imported on that branch only.
     """
     A_r, G_r, _ = model.deflated
     S, _ = model.reduced_gram_roots
@@ -90,8 +90,9 @@ def _envelope_values(model: Model, alphas, t_grid) -> np.ndarray:
     values = np.empty((len(Dis), len(t_grid)))
     w, V, Vinv, cond = model.deflated_eig
     if cond > EIG_COND_LIMIT:
+        import scipy.linalg
         for i, t in enumerate(t_grid):
-            SP = S @ sla.expm(t * A_r)
+            SP = S @ scipy.linalg.expm(t * A_r)
             for a, Di in enumerate(Dis):
                 values[a, i] = _sigma_max(SP @ Di)
         return values
@@ -141,7 +142,9 @@ def resolvent_scan(model: Model, eta_grid) -> ScanResult:
     eta_grid = np.asarray(eta_grid, dtype=float)
     freqs = np.abs(model.deflated_eig[0].imag)
     freqs = freqs[(freqs >= eta_grid.min()) & (freqs <= eta_grid.max())]
-    eta_grid = np.unique(np.concatenate([eta_grid, freqs]))
+    # np.sort, not np.unique: the merge below drops exact duplicates too,
+    # and np.unique would import numpy.ma on first use
+    eta_grid = np.sort(np.concatenate([eta_grid, freqs]))
     apart = np.diff(eta_grid) > 1e-12 * np.abs(eta_grid[1:])
     eta_grid = eta_grid[np.concatenate([[True], apart])]
     values = np.array([resolvent_norm(model, e) for e in eta_grid])

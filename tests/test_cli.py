@@ -310,6 +310,30 @@ def test_acceptance_script_reports_every_config(tmp_path, config_dir, monkeypatc
     assert rows[-1] == f"3 configs, {unexpected} unexpected outcomes"
 
 
+@pytest.mark.parametrize("lazy", [None, "scipy._lazy_in_run", "numpy._lazy_in_run"])
+def test_acceptance_script_refuses_modules_loaded_by_runs(tmp_path, config_dir, monkeypatch,
+                                                          capsys, lazy):
+    """A numpy or scipy module that first loads inside a run fails the script
+    and is named; runs that load nothing new pass."""
+    script = load_script(config_dir.parent)
+    (tmp_path / "only.json").write_text("{}")
+
+    def fake_run(cfg, out_dir):
+        if lazy is not None:
+            monkeypatch.setitem(sys.modules, lazy, SimpleNamespace())
+        return SimpleNamespace(outputs=["x.csv"])
+
+    monkeypatch.setattr(script, "run", fake_run)
+    monkeypatch.setattr(sys, "argv", ["run_all_acceptance.py", "--configs",
+                                      str(tmp_path), "--out", str(tmp_path / "out")])
+    assert script.main() == (0 if lazy is None else 1)
+    last = capsys.readouterr().out.splitlines()[-1]
+    if lazy is None:
+        assert last == "1 configs, 0 unexpected outcomes"
+    else:
+        assert last == f"runs loaded modules the imports did not: {lazy}"
+
+
 def test_fit_window_scan_prints_every_window(config_dir, monkeypatch, capsys):
     """Windows whose fit falls below the default r^2 floor print their r^2
     instead of stopping the sweep."""
@@ -324,10 +348,52 @@ def test_fit_window_scan_prints_every_window(config_dir, monkeypatch, capsys):
         assert all(len(row) == 4 for row in rows)
 
 
+def fresh_python(code, *args):
+    """Stdout of ``code`` run in a new interpreter that sees this suite's path."""
+    out = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                         capture_output=True, text=True, check=True,
+                         env=os.environ | {"PYTHONPATH": os.pathsep.join(sys.path)})
+    return out.stdout.strip()
+
+
 def test_cli_import_leaves_scipy_optimize_out():
-    code = ("import sys, semiper.cli; "
-            "print('scipy.optimize' in sys.modules, 'scipy.special' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=os.environ | {
-                             "PYTHONPATH": os.pathsep.join(sys.path)})
-    assert out.stdout.strip() == "False False"
+    code = ("import sys, semiper.cli; print(*(name in sys.modules for name in "
+            "('scipy.optimize', 'scipy.special', 'scipy.linalg')))")
+    assert fresh_python(code) == "False False False"
+
+
+def test_runs_load_no_module_beyond_the_import(config_dir, tmp_path):
+    """Configs covering every layer (scalar periodic solve, resolvent and
+    decay scans, kernel deflation, Picard, resonance) import nothing that
+    ``import semiper.cli`` did not, so no lazy import lands in a run."""
+    code = """
+import sys
+from pathlib import Path
+import semiper.cli
+config_dir, out = Path(sys.argv[1]), Path(sys.argv[2])
+before = set(sys.modules)
+for name in ("scalar_oracle", "bt_synthetic_alpha1", "circle_kernel",
+             "picard_cubic", "resonance_detuned"):
+    semiper.cli.run(config_dir / f"{name}.json", out_dir=out / name)
+print(sorted(set(sys.modules) - before))
+"""
+    assert fresh_python(code, config_dir, tmp_path) == "[]"
+
+
+def test_expm_fallback_loads_scipy_linalg_on_demand():
+    """propagator_matrix on a generator with cond(V) > 1e8 imports
+    scipy.linalg only when it takes the fallback, and returns expm's matrix."""
+    code = """
+import sys
+import numpy as np
+from semiper.operator_core import EIG_COND_LIMIT, build_model, make_state_space, propagator_matrix
+A = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0 - 1e-10, 0.5], [0.0, 0.0, -2.0]])
+model = build_model(make_state_space(3, np.diag([1.0, 2.0, 0.5])), A)
+assert model.eig[3] > EIG_COND_LIMIT
+before = 'scipy.linalg' in sys.modules
+P = propagator_matrix(model, 0.7)
+after = 'scipy.linalg' in sys.modules
+import scipy.linalg
+print(before, after, np.array_equal(P, scipy.linalg.expm(model.A * 0.7)))
+"""
+    assert fresh_python(code) == "False True True"

@@ -375,6 +375,54 @@ def test_contour_projector_around_isolated_eigenvalue():
     assert_allclose(P, np.diag([0.0, 1.0, 0.0]), atol=1e-10)
 
 
+def _naive_contour_projector(A, center, radius, n_nodes=64):
+    """Trapezoid rule over all n_nodes nodes, one solve per node."""
+    eye = np.eye(len(A))
+    acc = np.zeros(A.shape, dtype=complex)
+    for th in 2 * np.pi * np.arange(n_nodes) / n_nodes:
+        u = np.exp(1j * th)
+        acc += u * np.linalg.solve((center + radius * u) * eye - A, eye)
+    return radius * acc / n_nodes
+
+
+def _counted_solves(monkeypatch):
+    calls = []
+    original = np.linalg.solve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    return calls
+
+
+def test_contour_projector_pairs_conjugate_nodes_on_real_models(monkeypatch):
+    """Real A and a real center: half the nodes plus the two on the real
+    axis are solved, and the sum is the all-node trapezoid rule."""
+    circle = build_damped_wave_circle(24, DampingProfile("constant", amplitude=1.0))
+    naive = _naive_contour_projector(circle.A, 0.0, 0.2)
+    calls = _counted_solves(monkeypatch)
+    P = contour_spectral_projector(circle, radius=0.2)
+    assert len(calls) == 33
+    assert_allclose(P, naive, rtol=0, atol=1e-13)
+
+
+def test_contour_projector_solves_every_node_on_complex_models(monkeypatch):
+    A = np.array([[-1.0, 0.3, 0.0],
+                  [0.0, -2.0 + 1.0j, 0.2],
+                  [0.0, 0.0, -3.0 - 0.5j]])
+    model = build_model(make_state_space(3, np.eye(3)), A)
+    naive = _naive_contour_projector(model.A, -1.0, 0.5)
+    calls = _counted_solves(monkeypatch)
+    P = contour_spectral_projector(model, center=-1.0, radius=0.5)
+    assert len(calls) == 64
+    assert_allclose(P, naive, rtol=0, atol=1e-13)
+    e0 = np.array([1.0, 0.0, 0.0])
+    assert_allclose(P @ P, P, atol=1e-12)
+    assert_allclose(P @ e0, e0, atol=1e-12)
+
+
 def test_deflated_block_removes_kernel_direction():
     space = make_state_space(2, np.eye(2))
     e0 = np.array([1.0, 0.0])
