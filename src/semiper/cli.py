@@ -32,7 +32,7 @@ import numpy.random
 import scipy
 
 from . import __version__
-from .errors import InvalidGrid, IoError, SemiperError
+from .errors import IoError, SemiperError
 from .forcing import (
     FourierForcing,
     duhamel_FT,
@@ -86,6 +86,12 @@ from .stability_lab import (
 )
 
 _NO_MODEL_TASKS = {"concentration", "invariants"}
+
+# fixed task settings: random starts of ``convergence``, the grid stretch of
+# ``interpolation_check`` and the derivative orders of ``gain_identity``
+CONVERGENCE_VECTORS = 5
+EXTENSION_FACTOR = 1.5
+GAIN_ORDERS = (1, 2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +218,12 @@ def build_bundle(cfg: dict) -> ModelBundle:
     return ModelBundle(name, built)
 
 
+def _random_state(rng: np.random.Generator, n: int, complex_: bool) -> np.ndarray:
+    """n standard normal draws, plus i times n more when ``complex_``."""
+    x = rng.standard_normal(n)
+    return x + 1j * rng.standard_normal(n) if complex_ else x
+
+
 def vector_from_profile(bundle: ModelBundle, spec: dict,
                         rng: np.random.Generator) -> np.ndarray:
     """Build a state-space vector from a profile record in the config."""
@@ -262,10 +274,7 @@ def vector_from_profile(bundle: ModelBundle, spec: dict,
         w = spec.get("width", 0.1)
         out[sl] = np.exp(-(((xi - c) / w) ** 2))
     elif kind == "random":
-        vals = rng.standard_normal(width)
-        if dtype is complex:
-            vals = vals + 1j * rng.standard_normal(width)
-        out[sl] = vals
+        out[sl] = _random_state(rng, width, dtype is complex)
     else:
         raise ValueError(f"unknown profile kind {kind!r}")
     return amp * out
@@ -363,22 +372,21 @@ def _jsonable(o):
 
 
 class RunContext:
-    """Holds the output directory and the list of files written so far."""
+    """Holds the output directory and the text of each file written so far,
+    which the manifest hashes."""
 
-    def __init__(self, out_dir: Path, prefix: str, seed: int):
+    def __init__(self, out_dir: Path, seed: int):
         self.out_dir = out_dir
-        self.prefix = prefix
-        self.seed = seed
         self.rng = np.random.default_rng(seed)
-        self.files: list[str] = []
+        self.files: dict[str, str] = {}
 
     def _write(self, name: str, text: str) -> Path:
-        path = self.out_dir / (self.prefix + name)
+        path = self.out_dir / name
         try:
-            path.write_text(text)
+            path.write_text(text, encoding="utf-8")
         except OSError as e:
             raise IoError(f"cannot write {path}: {e}") from e
-        self.files.append(path.name)
+        self.files[name] = text
         return path
 
     def emit_csv(self, name: str, columns, rows):
@@ -459,15 +467,8 @@ def _task_periodic_solve(cfg, bundle, ctx):
     method = sspec.get("method", "direct")
     n_periods = sspec.get("n_periods", 1)
 
-    series_kw = {}
-    if "tol" in sspec:
-        series_kw["tol"] = sspec["tol"]
-    if "max_terms" in sspec:
-        series_kw["max_terms"] = sspec["max_terms"]
-
     if method == "all":
-        reports = {name: fn(model, f, n_periods=n_periods,
-                            **(series_kw if name == "series" else {}))
+        reports = {name: fn(model, f, n_periods=n_periods)
                    for name, fn in _METHODS.items()}
         rep = reports["direct"]
         names = sorted(reports)
@@ -477,8 +478,7 @@ def _task_periodic_solve(cfg, bundle, ctx):
                 gap = model.space.norm(reports[a].w0 - reports[b].w0)
                 pairwise[f"{a}_vs_{b}"] = gap
     else:
-        rep = _METHODS[method](model, f, n_periods=n_periods,
-                               **(series_kw if method == "series" else {}))
+        rep = _METHODS[method](model, f, n_periods=n_periods)
         pairwise = None
 
     payload = {
@@ -508,14 +508,12 @@ def _task_convergence(cfg, bundle, ctx):
     sspec = _solver_spec(cfg)
     f = build_forcing(bundle, cfg["forcing"], ctx.rng)
     n_periods = sspec.get("n_periods", 60)
-    n_vectors = sspec.get("n_vectors", 5)
     w0 = periodic_w0_direct(model, f).w0
-    reports = []
-    for _ in range(n_vectors):
-        v0 = ctx.rng.standard_normal(model.dim)
-        if model.space.field_tag == "complex":
-            v0 = v0 + 1j * ctx.rng.standard_normal(model.dim)
-        reports.append(convergence_gap(model, f, v0, n_periods, w0=w0))
+    complex_ = model.space.field_tag == "complex"
+    reports = [convergence_gap(model, f,
+                               _random_state(ctx.rng, model.dim, complex_),
+                               n_periods, w0=w0)
+               for _ in range(CONVERGENCE_VECTORS)]
     rho = reports[0].spectral_radius
     tail = min(5, n_periods)
     final = [float(np.mean(r.ratios[-tail:])) for r in reports]
@@ -526,11 +524,11 @@ def _task_convergence(cfg, bundle, ctx):
         "final_ratio_rel_errors": [abs(x - rho) / rho for x in final],
     }
     ctx.emit_json("convergence.json", payload)
-    gcols = [("n", "1")] + [(f"gap_{i}", "X") for i in range(n_vectors)]
+    gcols = [("n", "1")] + [(f"gap_{i}", "X") for i in range(CONVERGENCE_VECTORS)]
     grows = [(n, *[r.gaps[n] for r in reports])
              for n in range(n_periods + 1)]
     ctx.emit_csv("convergence.csv", gcols, grows)
-    rcols = [("n", "1")] + [(f"ratio_{i}", "1") for i in range(n_vectors)]
+    rcols = [("n", "1")] + [(f"ratio_{i}", "1") for i in range(CONVERGENCE_VECTORS)]
     rrows = [(n + 1, *[r.ratios[n] for r in reports])
              for n in range(n_periods)]
     ctx.emit_csv("ratios.csv", rcols, rrows)
@@ -561,7 +559,7 @@ def _task_decay_scan(cfg, bundle, ctx):
         f"set ylabel 'h_{alpha}(t)'",
         f"C = {fit.constant!r}",
         f"p = {-fit.exponent!r}",
-        f"plot '{ctx.prefix}decay.csv' skip 1 using 1:2 with lines"
+        "plot 'decay.csv' skip 1 using 1:2 with lines"
         " title 'envelope', \\",
         "     C * x**(-p) title sprintf('fit t^{-%.3f}', p)",
     ])
@@ -588,7 +586,7 @@ def _task_resolvent_scan(cfg, bundle, ctx):
         "set ylabel '|R(i eta)|'",
         f"C = {fit.constant!r}",
         f"p = {fit.exponent!r}",
-        f"plot '{ctx.prefix}resolvent.csv' skip 1 using 1:3 with lines"
+        "plot 'resolvent.csv' skip 1 using 1:3 with lines"
         " title 'running max', \\",
         "     C * x**p title sprintf('fit eta^{%.3f}', p)",
     ])
@@ -621,9 +619,9 @@ def _task_bt_crosscheck(cfg, bundle, ctx):
     ctx.emit_plot("bt_plot.gp", _gp_header("resolvent vs decay") + [
         "set logscale xy",
         "set xlabel 't  (decay) / eta  (resolvent)'",
-        f"plot '{ctx.prefix}decay.csv' skip 1 using 1:3 with lines"
+        "plot 'decay.csv' skip 1 using 1:3 with lines"
         " title 'decay running min', \\",
-        f"     '{ctx.prefix}resolvent.csv' skip 1 using 1:3 with lines"
+        "     'resolvent.csv' skip 1 using 1:3 with lines"
         f" title 'resolvent running max (alpha*beta = {rep.product:.3f})'",
     ])
 
@@ -635,7 +633,7 @@ def _task_interpolation_check(cfg, bundle, ctx):
     t = _grid(g)
     base = interpolation_check(bundle.model, alpha, t)
     ext_spec = dict(g)
-    ext_spec["stop"] = g["stop"] * scan_spec.get("extension_factor", 1.5)
+    ext_spec["stop"] = g["stop"] * EXTENSION_FACTOR
     ext_spec["num"] = 2 * g["num"] - 1
     ext = interpolation_check(bundle.model, alpha, _grid(ext_spec))
     sup0, sup1 = base.extras["sup"], ext.extras["sup"]
@@ -669,9 +667,9 @@ def _task_mlog_bound(cfg, bundle, ctx):
     ctx.emit_plot("mlog_plot.gp", _gp_header("log-corrected bound") + [
         "set logscale xy",
         "set xlabel 't'",
-        f"plot '{ctx.prefix}mlog.csv' skip 1 using 1:2 with lines"
+        "plot 'mlog.csv' skip 1 using 1:2 with lines"
         " title 'measured decay', \\",
-        f"     '{ctx.prefix}mlog.csv' skip 1 using 1:3 with lines"
+        "     'mlog.csv' skip 1 using 1:3 with lines"
         " title 'inverted M_log bound'",
     ])
 
@@ -679,7 +677,6 @@ def _task_mlog_bound(cfg, bundle, ctx):
 def _task_gain_identity(cfg, bundle, ctx):
     model = bundle.model
     f = build_forcing(bundle, cfg["forcing"], ctx.rng)
-    orders = cfg.get("scan", {}).get("gain_orders", [1, 2, 3])
     FT = duhamel_FT(model, f)
 
     def raw_and_corrected(forcing, k):
@@ -693,7 +690,7 @@ def _task_gain_identity(cfg, bundle, ctx):
     rows = []
     errors = {}
     corrected = {}
-    for k in orders:
+    for k in GAIN_ORDERS:
         raw, corr = raw_and_corrected(f, k)
         errors[str(k)] = raw
         corrected[str(k)] = corr
@@ -704,12 +701,12 @@ def _task_gain_identity(cfg, bundle, ctx):
     vec = f.coefficients[int(np.argmin(np.abs(f.harmonics)))]
     control = make_fourier_forcing(f.period, {1: vec, -1: np.conj(vec)},
                                    space=model.space)
-    ctl_raw, ctl_corr = raw_and_corrected(control, orders[0])
+    ctl_raw, ctl_corr = raw_and_corrected(control, GAIN_ORDERS[0])
     ctx.emit_csv("gain.csv",
                  [("k", "1"), ("relative_error", "1"),
                   ("corrected_error", "1")], rows)
     ctx.emit_json("gain.json", {
-        "orders": list(orders),
+        "orders": list(GAIN_ORDERS),
         "errors": errors,
         "corrected_errors": corrected,
         "control_error": ctl_raw,
@@ -761,9 +758,9 @@ def _task_growth(cfg, bundle, ctx):
     plot = _gp_header("resonant growth") + [
         "set xlabel 'n (periods)'",
         "set ylabel '|u(nT)|'",
-        f"plot '{ctx.prefix}growth.csv' skip 1 using 1:2 with lines"
+        "plot 'growth.csv' skip 1 using 1:2 with lines"
         " title 'measured', \\",
-        f"     '{ctx.prefix}growth.csv' skip 1 using 1:3 with lines"
+        "     'growth.csv' skip 1 using 1:3 with lines"
         " title 'lower bound'",
     ]
     if "control_damping" in gspec:
@@ -779,17 +776,16 @@ def _task_growth(cfg, bundle, ctx):
         payload["control_sup"] = float(np.max(cexp.norms))
         payload["control_final_over_n"] = float(cexp.norms[-1] / cexp.n_grid[-1])
         plot[-1] += ", \\"
-        plot.append(f"     '{ctx.prefix}growth_control.csv' skip 1 using 1:2"
+        plot.append("     'growth_control.csv' skip 1 using 1:2"
                     " with lines title 'fully damped control'")
     ctx.emit_json("growth.json", payload)
     ctx.emit_plot("growth_plot.gp", plot)
 
 
-def _task_concentration(cfg, ctx):
+def _task_concentration(cfg, bundle, ctx):
     cspec = cfg["concentration"]
     damping = DampingProfile.from_dict(cfg["model"]["damping"])
     scan = concentration_scan(cspec["js"], damping,
-                              extra_degrees=cspec.get("extra_degrees", 60),
                               quad_nodes=cspec.get("quad_nodes"))
     payload = {
         "js": scan.js,
@@ -815,7 +811,7 @@ def _task_concentration(cfg, ctx):
                       "set ylabel '|M_a Phi_j|'",
                       f"C = {scan.intercept!r}",
                       f"c = {scan.fitted_c!r}",
-                      f"plot '{ctx.prefix}concentration.csv' skip 1 using 1:3"
+                      "plot 'concentration.csv' skip 1 using 1:3"
                       " with points title 'measured', \\",
                       "     C * exp(-c * sqrt(x*(x+1)))"
                       " title sprintf('fit c=%.3f', c)",
@@ -830,11 +826,7 @@ def _task_picard(cfg, bundle, ctx):
     f_eps = FourierForcing(f.period, f.harmonics, eps * f.coefficients,
                            space=model.space)
     poly = {int(p): c for p, c in zip(pspec["powers"], pspec["coefficients"])}
-    structure = pspec.get("structure", "wave")
-    kwargs = dict(structure=structure,
-                  n_nodes=pspec.get("n_nodes", 64),
-                  max_iter=pspec.get("max_iter", 30),
-                  tol=pspec.get("tol", 1e-10))
+    kwargs = {key: pspec[key] for key in ("structure", "tol") if key in pspec}
     rep = picard_nonlinear(model, f_eps, poly, **kwargs)
     ctx.emit_json("picard.json", {
         "converged": rep.converged,
@@ -900,15 +892,13 @@ def _invariant_models():
     ]
 
 
-def _task_invariants(cfg, ctx):
+def _task_invariants(cfg, bundle, ctx):
     models = _invariant_models()
     checks = {}
 
     worst = 0.0
     for _, model in models:
-        x = ctx.rng.standard_normal(model.dim)
-        if model.space.field_tag == "complex":
-            x = x + 1j * ctx.rng.standard_normal(model.dim)
+        x = _random_state(ctx.rng, model.dim, model.space.field_tag == "complex")
         for t, s in ((0.3, 0.7), (1.1, 0.4)):
             lhs = propagator_matrix(model, t + s) @ x
             rhs = propagator_matrix(model, t) @ (propagator_matrix(model, s) @ x)
@@ -1046,29 +1036,24 @@ def run(config_path, out_dir=None, seed=None) -> RunManifest:
         seed = cfg.get("seed", 0)
     out_dir = Path(out_dir) if out_dir is not None else Path("out") / config_path.stem
     out_dir.mkdir(parents=True, exist_ok=True)
-    prefix = cfg.get("outputs", {}).get("prefix", "")
-    ctx = RunContext(out_dir, prefix, int(seed))
+    ctx = RunContext(out_dir, int(seed))
 
     clock = {}
     t0 = time.perf_counter()
-    if task in _NO_MODEL_TASKS:
-        bundle = None
-    else:
-        bundle = build_bundle(cfg)
+    bundle = None if task in _NO_MODEL_TASKS else build_bundle(cfg)
     clock["build"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    if bundle is None:
-        _TASKS[task](cfg, ctx)
-    else:
-        _TASKS[task](cfg, bundle, ctx)
+    _TASKS[task](cfg, bundle, ctx)
     clock["solve"] = time.perf_counter() - t0
 
+    # hashed from the kept text, not read back, and only once the task has
+    # returned: a process's first OpenSSL digest allocates about 1 MB, which
+    # inside a task adds to its peak RSS
     t0 = time.perf_counter()
     outputs = []
-    for name in sorted(ctx.files):
-        path = out_dir / name
-        data = path.read_bytes()
+    for name, text in sorted(ctx.files.items()):
+        data = text.encode()
         outputs.append({"name": name, "bytes": len(data),
                         "sha256": _sha256_bytes(data)})
     manifest = RunManifest(

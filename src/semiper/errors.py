@@ -42,10 +42,6 @@ class QuadratureUnderResolved(SemiperError):
 
 # ---- propagation / spectral calculus ----
 
-class BackwardTimeDisallowed(SemiperError):
-    pass
-
-
 class BackwardGrowthExcessive(SemiperError):
     pass
 

@@ -25,7 +25,7 @@ one modal block ``all``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -100,9 +100,6 @@ class DampingProfile:
     def is_axisymmetric(self) -> bool:
         return self.kind in ("constant", "cap")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d: dict) -> "DampingProfile":
         return cls(**d)
@@ -124,8 +121,7 @@ def _wave_blocks(xi: np.ndarray, topology: str, start: int = 0) -> dict:
             "velocity": Block(slice(start + n, start + 2 * n), xi, topology)}
 
 
-def build_damped_wave_interval(n: int, length: float, damping: DampingProfile,
-                               label: str | None = None) -> Model:
+def build_damped_wave_interval(n: int, length: float, damping: DampingProfile) -> Model:
     """Damped wave on (0, length) with Dirichlet ends.
 
     State (u, v) on the n interior nodes; A = [[0, I], [L_h, -diag(a)]]
@@ -154,13 +150,12 @@ def build_damped_wave_interval(n: int, length: float, damping: DampingProfile,
     gram[:n, :n] = stiff
     gram[n:, n:] = h * np.eye(n)
     space = make_state_space(2 * n, gram, "real")
-    return build_model(space, A, label=label or f"damped_wave_interval(n={n})",
+    return build_model(space, A, label=f"damped_wave_interval(n={n})",
                        blocks=_wave_blocks(np.arange(1, n + 1) / (n + 1), "interval"))
 
 
 def build_damped_wave_circle(n: int, damping: DampingProfile,
-                             length: float = 2 * math.pi,
-                             label: str | None = None) -> Model:
+                             length: float = 2 * math.pi) -> Model:
     """Damped wave on a circle of the given circumference.
 
     Periodic finite differences on n nodes. The generator kernel is the
@@ -202,7 +197,7 @@ def build_damped_wave_circle(n: int, damping: DampingProfile,
     gram[n:, n:] = h * np.eye(n)
     space = make_state_space(2 * n, gram, "real")
     return build_model(space, A, kernel_basis=(e_k,), pi0=pi0,
-                       label=label or f"damped_wave_circle(n={n})",
+                       label=f"damped_wave_circle(n={n})",
                        blocks=_wave_blocks(np.arange(n) / n, "circle"))
 
 
@@ -256,11 +251,10 @@ class SphereBlockModel:
     def dim(self) -> int:
         return self.model.dim
 
-    def hk_weights(self, k: int) -> np.ndarray:
-        return (1.0 + self.eigenvalues) ** (k / 2.0)
-
     def hk_norm(self, x, k: int) -> float:
-        return float(np.linalg.norm(self.hk_weights(k) * np.asarray(x, dtype=complex)))
+        """H^k norm: the coefficients weighted by (1 + l(l+1))^{k/2}."""
+        weights = (1.0 + self.eigenvalues) ** (k / 2.0)
+        return float(np.linalg.norm(weights * np.asarray(x, dtype=complex)))
 
 
 # Newton passes allowed per Gauss-Legendre rule; 3 or 4 are taken from
@@ -341,8 +335,7 @@ def _sphere_multiplier(m: int, Jmax: int, damping: DampingProfile, nodes: int) -
 
 
 def build_sphere_schrodinger(Jmax: int, m: int, damping: DampingProfile,
-                             quad_nodes: int | None = None,
-                             label: str | None = None) -> SphereBlockModel:
+                             quad_nodes: int | None = None) -> SphereBlockModel:
     """Assemble the azimuthal block m with degrees up to Jmax.
 
     The damping must be axisymmetric (constant or cap profile). M_a is
@@ -373,8 +366,7 @@ def build_sphere_schrodinger(Jmax: int, m: int, damping: DampingProfile,
     A = -1j * np.diag(lam) - M_a
     dim = degrees.size
     space = make_state_space(dim, np.eye(dim), "complex")
-    model = build_model(space, A,
-                        label=label or f"sphere_schrodinger(m={m}, Jmax={Jmax})")
+    model = build_model(space, A, label=f"sphere_schrodinger(m={m}, Jmax={Jmax})")
     return SphereBlockModel(model=model, m=m, Jmax=Jmax, degrees=degrees,
                             eigenvalues=lam, multiplier=M_a, quad_nodes=quad_nodes)
 
@@ -394,7 +386,7 @@ def equatorial_harmonic(block: SphereBlockModel) -> np.ndarray:
 # 1D heat-wave transmission system
 # ---------------------------------------------------------------------------
 
-def build_heat_wave_1d(n_heat: int, n_wave: int, label: str | None = None) -> Model:
+def build_heat_wave_1d(n_heat: int, n_wave: int) -> Model:
     """Heat on (-1, 0) coupled to a wave on (0, 1) through x = 0.
 
     Boundary conditions u(-1) = 0 and w(1) = 0; at the interface the
@@ -464,7 +456,7 @@ def build_heat_wave_1d(n_heat: int, n_wave: int, label: str | None = None) -> Mo
     heat = Block(slice(0, nu), np.arange(1, n_heat) / n_heat, "interval")
     space = make_state_space(dim, gram, "real")
     return build_model(space, A,
-                       label=label or f"heat_wave_1d(nH={n_heat}, nW={n_wave})",
+                       label=f"heat_wave_1d(nH={n_heat}, nW={n_wave})",
                        blocks={"heat": heat, **_wave_blocks(
                            np.arange(1, n_wave + 1) / (n_wave + 1), "interval", nu)})
 
@@ -473,8 +465,7 @@ def build_heat_wave_1d(n_heat: int, n_wave: int, label: str | None = None) -> Mo
 # boundary-forced damped wave
 # ---------------------------------------------------------------------------
 
-def build_boundary_forced_wave(n: int, length: float, damping: DampingProfile,
-                               label: str | None = None) -> Model:
+def build_boundary_forced_wave(n: int, length: float, damping: DampingProfile) -> Model:
     """Interval damped wave driven through its left Dirichlet value.
 
     Ghost-node elimination of the inhomogeneous boundary condition
@@ -489,23 +480,22 @@ def build_boundary_forced_wave(n: int, length: float, damping: DampingProfile,
     B = np.zeros(2 * n)
     B[n] = 1.0 / h**2
     return build_model(base.space, base.A, B=B, blocks=base.blocks,
-                       label=label or f"boundary_forced_wave(n={n})")
+                       label=f"boundary_forced_wave(n={n})")
 
 
 # ---------------------------------------------------------------------------
 # small synthetic models
 # ---------------------------------------------------------------------------
 
-def build_scalar_model(lam: complex = -1.0, label: str | None = None) -> Model:
+def build_scalar_model(lam: complex = -1.0) -> Model:
     """One-dimensional model u' = lam u with the trivial Gram."""
     space = make_state_space(1, np.eye(1),
                              "real" if np.isreal(lam) else "complex")
     return build_model(space, np.array([[lam]], dtype=complex),
-                       label=label or f"scalar(lam={lam})")
+                       label=f"scalar(lam={lam})")
 
 
-def build_synthetic_resolvent_model(n_modes: int, alpha: float,
-                                    label: str | None = None) -> Model:
+def build_synthetic_resolvent_model(n_modes: int, alpha: float) -> Model:
     """Normal diagonal model with resolvent growth |R(i eta)| ~ eta^alpha.
 
     Eigenvalues -k^{-alpha} + i k for k = 1..n_modes: the resolvent peak
@@ -517,12 +507,12 @@ def build_synthetic_resolvent_model(n_modes: int, alpha: float,
     eigs = -(k ** (-alpha)) + 1j * k
     space = make_state_space(n_modes, np.eye(n_modes), "complex")
     return build_model(space, np.diag(eigs),
-                       label=label or f"synthetic_resolvent(alpha={alpha})")
+                       label=f"synthetic_resolvent(alpha={alpha})")
 
 
-def build_diagonal_model(eigenvalues, gram=None, label: str = "diagonal") -> Model:
+def build_diagonal_model(eigenvalues, gram=None) -> Model:
     """Diagonal model from an explicit eigenvalue list (test fixture)."""
     eigs = np.asarray(eigenvalues, dtype=complex)
     n = eigs.size
     space = make_state_space(n, np.eye(n) if gram is None else gram, "complex")
-    return build_model(space, np.diag(eigs), label=label)
+    return build_model(space, np.diag(eigs), label="diagonal")

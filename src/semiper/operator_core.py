@@ -28,7 +28,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    BackwardTimeDisallowed,
     NonFiniteInput,
     NonHermitian,
     NotPositiveDefinite,
@@ -209,7 +208,6 @@ class Model:
     pi0: np.ndarray | None = None
     B: np.ndarray | None = None
     label: str = ""
-    group_allowed: bool = True
     blocks: dict | None = None
 
     @property
@@ -276,8 +274,7 @@ class Model:
 
 
 def build_model(space: StateSpace, A, kernel_basis=(), pi0=None, B=None,
-                label: str = "", group_allowed: bool = True,
-                blocks: dict | None = None) -> Model:
+                label: str = "", blocks: dict | None = None) -> Model:
     """Assemble a :class:`Model`, validating shapes and finiteness.
 
     When ``kernel_basis`` is nonempty and no projector is supplied, the
@@ -310,7 +307,7 @@ def build_model(space: StateSpace, A, kernel_basis=(), pi0=None, B=None,
     if blocks is None:
         blocks = {"all": Block(slice(0, space.dim))}
     return Model(space=space, A=A, kernel_basis=kb, pi0=pi0, B=B,
-                 label=label, group_allowed=group_allowed, blocks=blocks)
+                 label=label, blocks=blocks)
 
 
 def _eig(M: np.ndarray) -> tuple:
@@ -373,15 +370,13 @@ def propagated_columns(model: Model, offsets, states, weights,
 def propagate(model: Model, t: float, x) -> np.ndarray:
     """Apply e^{tA} to the state x.
 
-    Negative t is allowed when the model's ``group_allowed`` flag is set;
-    a warning is emitted when the realized backward amplification
-    exceeds ``BACKWARD_WARN_RATIO``.
+    Negative t is allowed (matrix exponentials form a group); a warning is
+    emitted when the realized backward amplification exceeds
+    ``BACKWARD_WARN_RATIO``.
     """
     x = np.asarray(x, dtype=complex)
     if not np.all(np.isfinite(x)):
         raise NonFiniteInput("state has non-finite entries")
-    if t < 0 and not model.group_allowed:
-        raise BackwardTimeDisallowed(f"t = {t} on a forward-only model")
     w, V, Vinv, cond = model.eig
     if cond <= EIG_COND_LIMIT:
         out = V @ (np.exp(w * t) * (Vinv @ x))
@@ -599,9 +594,14 @@ def spectrum_report(model: Model) -> SpectrumReport:
     defl_abs = float(np.max(wr.real)) if wr.size else -np.inf
     dist = float(np.min(np.abs(wr.real))) if wr.size else np.inf
     ok = abscissa <= 1e-10 and defl_abs < 0
+    # order by (real, imag) rounded to 1e-9 max|w|: parts that differ only
+    # by round-off tie, and the stable sort keeps such ties in eig's order,
+    # so a round-off change upstream does not reorder the rows
+    step = 1e-9 * float(np.max(np.abs(w))) if w.size else 0.0
+    keys = np.round(w / step) if step > 0 else w
     return SpectrumReport(
         label=model.label,
-        eigenvalues=np.sort_complex(w),
+        eigenvalues=w[np.lexsort((keys.imag, keys.real))],
         abscissa=abscissa,
         deflated_abscissa=defl_abs,
         distance_to_imaginary_axis=dist,

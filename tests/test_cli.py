@@ -1,8 +1,10 @@
 """Config-driven runs: artifacts, determinism, exit codes, the version and the
 acceptance script."""
 
+import dataclasses
 import hashlib
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -16,6 +18,7 @@ from numpy.testing import assert_allclose
 import semiper
 from semiper import cli
 from semiper.errors import KernelObstruction, SingularMonodromy
+from semiper.models import DampingProfile
 
 
 def run_config(name, out_dir, config_dir, **kwargs):
@@ -72,7 +75,7 @@ def test_csv_header_units_and_full_precision(tmp_path, config_dir):
 
 
 def test_read_csv_inverts_emit(tmp_path):
-    ctx = cli.RunContext(tmp_path, "", seed=0)
+    ctx = cli.RunContext(tmp_path, seed=0)
     rows = [[1.0, np.pi], [2.0, np.exp(1) * 1e-7]]
     ctx.emit_csv("table.csv", [("t", "s"), ("value", "1")], rows)
     names, data = cli.read_csv(tmp_path / "table.csv")
@@ -153,6 +156,28 @@ def test_schema_rejects_unknown_fields():
         cli.validate_config(cfg)
 
 
+def _schema_properties(node):
+    """Every property name the schema declares, at any depth."""
+    if isinstance(node, dict):
+        for name, sub in node.items():
+            if name == "properties":
+                yield from sub
+            yield from _schema_properties(sub)
+    elif isinstance(node, list):
+        for sub in node:
+            yield from _schema_properties(sub)
+
+
+def test_every_schema_property_is_read():
+    """A key the schema accepts is read by the CLI (as a quoted key) or is a
+    damping profile field; a key nothing reads would be silently ignored."""
+    source = inspect.getsource(cli)
+    fields = {f.name for f in dataclasses.fields(DampingProfile)}
+    unread = sorted(name for name in set(_schema_properties(cli.load_schema()))
+                    if f'"{name}"' not in source and name not in fields)
+    assert unread == []
+
+
 @pytest.mark.parametrize("phase", [0.0, 0.7])
 @pytest.mark.parametrize("harmonic", [0, 2])
 @pytest.mark.parametrize("form", ["cosine", "sine", "complex"])
@@ -220,6 +245,33 @@ def test_main_picard_gauss_order_exit_two(tmp_path, config_dir, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "config error" in err and "gauss_order" in err
+
+
+@pytest.mark.parametrize("config, section, key, value, unexpected", [
+    ("scalar_oracle.json", None, "outputs", {}, "outputs"),
+    ("scalar_oracle.json", "outputs", "prefix", "run_", "outputs"),
+    ("interval_periodic.json", "solver", "tol", 1e-12, "tol"),
+    ("interval_periodic.json", "solver", "max_terms", 100000, "max_terms"),
+    ("convergence.json", "solver", "n_vectors", 5, "n_vectors"),
+    ("interp_interval_half.json", "scan", "extension_factor", 1.5, "extension_factor"),
+    ("gain_interval.json", "scan", "gain_orders", [1, 2, 3], "gain_orders"),
+    ("resonance_concentration.json", "concentration", "extra_degrees", 60,
+     "extra_degrees"),
+    ("picard_cubic.json", "picard", "n_nodes", 64, "n_nodes"),
+    ("picard_cubic.json", "picard", "max_iter", 30, "max_iter"),
+])
+def test_main_removed_key_exit_two(tmp_path, config_dir, capsys, config, section,
+                                   key, value, unexpected):
+    """Keys that only ever held one value are fixed in the code now, so a
+    config that sets one, even to that value, is refused with the key named."""
+    cfg = json.loads((config_dir / config).read_text())
+    (cfg if section is None else cfg.setdefault(section, {}))[key] = value
+    bad = tmp_path / f"removed_{key}.json"
+    bad.write_text(json.dumps(cfg))
+    code = cli.main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"'{unexpected}' was unexpected" in err
 
 
 def test_main_boundary_sine_harmonic_zero_exit_two(tmp_path, config_dir, capsys):

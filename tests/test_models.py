@@ -118,11 +118,6 @@ def test_profile_validation():
         DampingProfile("cap", cutoff=1.0)
 
 
-def test_profile_dict_round_trip():
-    a = DampingProfile("bump", amplitude=2.0, center=1.5, width=2.0)
-    assert DampingProfile.from_dict(a.to_dict()) == a
-
-
 # ---------------------------------------------------------------------------
 # damped wave on an interval
 # ---------------------------------------------------------------------------
