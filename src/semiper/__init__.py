@@ -86,6 +86,7 @@ from .resonance_lab import (  # noqa: F401
     concentration_scan,
     growth_experiment,
     measured_propagation_bound,
+    orbit_norms,
     resonant_forcing,
     resonant_horizon,
     truncation_tail,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import math
 import sys
@@ -51,7 +52,6 @@ from .models import (
     build_scalar_model,
     build_sphere_schrodinger,
     build_synthetic_resolvent_model,
-    equatorial_harmonic,
 )
 from .operator_core import (
     contour_spectral_projector,
@@ -71,6 +71,7 @@ from .periodic_solver import (
 from .resonance_lab import (
     concentration_scan,
     growth_experiment,
+    orbit_norms,
     resonant_forcing,
     resonant_horizon,
     truncation_tail,
@@ -109,24 +110,38 @@ def _require(cond: bool, msg: str):
 
 
 def validate_config(cfg: dict) -> None:
-    """Schema validation plus the cross-field checks the schema cannot say."""
-    jsonschema.validate(cfg, load_schema())
+    """Schema validation plus the cross-field checks the schema cannot say.
+
+    The schema itself is checked against the draft-07 meta-schema by the
+    test suite, not on every run.
+    """
+    error = jsonschema.exceptions.best_match(
+        jsonschema.Draft7Validator(load_schema()).iter_errors(cfg))
+    if error is not None:
+        raise error
     task = cfg["task"]
     if task not in _NO_MODEL_TASKS:
         _require("model" in cfg, f"task {task!r} needs a 'model' section")
+        _check_params(cfg["model"])
     if task in ("periodic_solve", "convergence", "gain_identity", "picard",
                 "boundary_solve"):
         _require("forcing" in cfg, f"task {task!r} needs a 'forcing' section")
+    fkind = cfg.get("forcing", {}).get("kind")
     if task == "boundary_solve":
-        _require(cfg["forcing"]["kind"] == "boundary_signal",
+        _require(fkind == "boundary_signal",
                  "boundary_solve needs a boundary_signal forcing")
-    fspec = cfg.get("forcing", {})
-    if fspec.get("kind") == "boundary_signal" and fspec.get("signal") == "sine":
-        _require(fspec.get("harmonic", 1) != 0,
-                 "a sine boundary signal needs a nonzero harmonic")
+    elif fkind == "boundary_signal":
+        raise ValueError(f"a boundary_signal forcing drives the boundary_solve "
+                         f"task only, not {task!r}")
+    if fkind in ("fourier", "bump"):
+        _require("period" in cfg["forcing"], f"a {fkind} forcing needs forcing.period")
+    if fkind == "bump":
+        _require("profile" in cfg["forcing"], "a bump forcing needs forcing.profile")
     scan = cfg.get("scan", {})
     if task in ("decay_scan", "interpolation_check"):
         _require("t_grid" in scan, f"task {task!r} needs scan.t_grid")
+    if task == "interpolation_check":
+        _require("alpha" in scan, "interpolation_check needs scan.alpha")
     if task == "resolvent_scan":
         _require("eta_grid" in scan, "resolvent_scan needs scan.eta_grid")
     if task in ("bt_crosscheck", "mlog_bound"):
@@ -142,6 +157,7 @@ def validate_config(cfg: dict) -> None:
         _require("damping" in cfg.get("model", {}),
                  "concentration task needs model.damping")
     if task == "picard":
+        _require("picard" in cfg, "picard task needs a 'picard' section")
         p = cfg["picard"]
         _require(len(p["powers"]) == len(p["coefficients"]),
                  "picard powers and coefficients must have equal length")
@@ -172,47 +188,53 @@ class ModelBundle:
     sphere: object = None        # SphereBlockModel when applicable
 
 
-def _number(v):
-    """A config number, or a [re, im] pair as a complex."""
-    return complex(v[0], v[1]) if isinstance(v, list) else v
-
-
-def _sphere_block(p: dict, damping):
-    _require(damping is not None, "sphere_block needs model.damping")
-    m = int(p["m"])
-    return build_sphere_schrodinger(int(p.get("Jmax", m + 60)), m, damping,
-                                    quad_nodes=p.get("quad_nodes"))
+def _sphere_block(d, m, Jmax=None, quad_nodes=None):
+    _require(d is not None, "sphere_block needs model.damping")
+    m = int(m)
+    return build_sphere_schrodinger(int(m + 60 if Jmax is None else Jmax), m, d,
+                                    quad_nodes=quad_nodes)
 
 
 _UNIT_DAMPING = DampingProfile("constant", amplitude=1.0)
 
-# builder name -> f(params, damping or None); the wave builders default to
-# unit constant damping
+# builder name -> f(damping or None, **model.params). A builder's keyword
+# arguments are the params it takes, required where they have no default;
+# the wave builders default to unit constant damping
 _BUILDERS = {
-    "scalar": lambda p, d: build_scalar_model(_number(p.get("lam", -1.0))),
-    "damped_wave_interval": lambda p, d: build_damped_wave_interval(
-        int(p["n"]), float(p.get("length", math.pi)), d or _UNIT_DAMPING),
-    "boundary_wave": lambda p, d: build_boundary_forced_wave(
-        int(p["n"]), float(p.get("length", math.pi)), d or _UNIT_DAMPING),
-    "damped_wave_circle": lambda p, d: build_damped_wave_circle(
-        int(p["n"]), d or _UNIT_DAMPING, length=float(p.get("length", 2 * math.pi))),
-    "heat_wave_1d": lambda p, d: build_heat_wave_1d(int(p["n_heat"]),
-                                                    int(p["n_wave"])),
+    "scalar": lambda d, lam=-1.0: build_scalar_model(lam),
+    "damped_wave_interval": lambda d, n, length=math.pi: build_damped_wave_interval(
+        int(n), float(length), d or _UNIT_DAMPING),
+    "boundary_wave": lambda d, n, length=math.pi: build_boundary_forced_wave(
+        int(n), float(length), d or _UNIT_DAMPING),
+    "damped_wave_circle": lambda d, n: build_damped_wave_circle(
+        int(n), d or _UNIT_DAMPING),
+    "heat_wave_1d": lambda d, n_heat, n_wave: build_heat_wave_1d(int(n_heat),
+                                                                 int(n_wave)),
     "sphere_block": _sphere_block,
-    "synthetic_resolvent": lambda p, d: build_synthetic_resolvent_model(
-        int(p["n_modes"]), float(p["alpha"])),
-    "diagonal": lambda p, d: build_diagonal_model(
-        [_number(e) for e in p["eigenvalues"]],
-        gram=np.diag(p["gram"]) if p.get("gram") else None),
+    "synthetic_resolvent": lambda d, n_modes, alpha: build_synthetic_resolvent_model(
+        int(n_modes), float(alpha)),
 }
+
+
+def _check_params(spec: dict) -> None:
+    """Every required param of the builder is set, and no other key is."""
+    name = spec["builder"]
+    declared = list(inspect.signature(_BUILDERS[name]).parameters.values())[1:]
+    given = spec.get("params", {})
+    for p in declared:
+        _require(p.name in given or p.default is not p.empty,
+                 f"builder {name!r} needs model.params {p.name!r}")
+    unknown = sorted(set(given) - {p.name for p in declared})
+    _require(not unknown, f"builder {name!r} takes no model.params "
+                          f"{', '.join(map(repr, unknown))}; it takes "
+                          f"{[p.name for p in declared]}")
 
 
 def build_bundle(cfg: dict) -> ModelBundle:
     spec = cfg["model"]
     name = spec["builder"]
-    _require(name in _BUILDERS, f"unknown model builder {name!r}")
     damping = DampingProfile.from_dict(spec["damping"]) if "damping" in spec else None
-    built = _BUILDERS[name](spec.get("params", {}), damping)
+    built = _BUILDERS[name](damping, **spec.get("params", {}))
     if isinstance(built, SphereBlockModel):
         return ModelBundle(name, built.model, sphere=built)
     return ModelBundle(name, built)
@@ -224,74 +246,47 @@ def _random_state(rng: np.random.Generator, n: int, complex_: bool) -> np.ndarra
     return x + 1j * rng.standard_normal(n) if complex_ else x
 
 
-def vector_from_profile(bundle: ModelBundle, spec: dict,
-                        rng: np.random.Generator) -> np.ndarray:
+def vector_from_profile(bundle: ModelBundle, spec: dict) -> np.ndarray:
     """Build a state-space vector from a profile record in the config."""
     model = bundle.model
     dtype = complex if model.space.field_tag == "complex" else float
     out = np.zeros(model.dim, dtype=dtype)
-    kind = spec["kind"]
-    amp = spec.get("amplitude", 1.0)
-
-    if kind == "sum":
-        for term in spec.get("terms", []):
-            out = out + vector_from_profile(bundle, term, rng)
-        return amp * out
-
-    if kind == "equatorial":
-        _require(bundle.sphere is not None,
-                 "equatorial profile needs a sphere_block model")
-        return amp * equatorial_harmonic(bundle.sphere).astype(complex)
-
     block_name = spec.get("block", next(iter(model.blocks)))
     _require(block_name in model.blocks,
              f"model {bundle.name!r} has no block {block_name!r}")
     sl, xi, topology = model.blocks[block_name]
-    width = sl.stop - sl.start
-
-    if kind == "zeros":
-        pass
-    elif kind == "ones":
+    kind = spec["kind"]
+    if kind == "ones":
         out[sl] = 1.0
-    elif kind == "basis":
-        idx = spec.get("index", 0)
-        _require(0 <= idx < width, f"basis index {idx} out of range")
-        out[sl.start + idx] = 1.0
-    elif kind == "values":
-        vals = np.asarray(spec["values"], dtype=float)
-        _require(vals.size == width,
-                 f"profile values length {vals.size} != block size {width}")
-        out[sl] = vals
-    elif kind in ("sine_mode", "cosine_mode"):
-        _require(xi is not None, f"{kind} needs a spatial block")
-        mode = spec.get("mode", 1)
+        return out
+    _require(xi is not None, f"{kind} needs a spatial block")
+    if kind == "sine_mode":
         factor = 2.0 * np.pi if topology == "circle" else np.pi
-        phase = factor * mode * xi
-        out[sl] = np.sin(phase) if kind == "sine_mode" else np.cos(phase)
+        out[sl] = np.sin(factor * spec.get("mode", 1) * xi)
     elif kind == "gaussian":
-        _require(xi is not None, "gaussian needs a spatial block")
         c = spec.get("center", 0.5)
         w = spec.get("width", 0.1)
         out[sl] = np.exp(-(((xi - c) / w) ** 2))
-    elif kind == "random":
-        out[sl] = _random_state(rng, width, dtype is complex)
     else:
         raise ValueError(f"unknown profile kind {kind!r}")
-    return amp * out
+    return out
 
 
-def build_forcing(bundle: ModelBundle, fspec: dict,
-                  rng: np.random.Generator):
+def build_forcing(bundle: ModelBundle, fspec: dict, rng=None):
+    """The ``fourier`` or ``bump`` forcing of a config.
+
+    A Fourier component of harmonic k and amplitude a is a cos(2 pi k t / T)
+    times its profile. ``rng`` is not used: no forcing a config builds
+    draws random numbers. It stays for callers that still pass one.
+    """
     kind = fspec["kind"]
     model = bundle.model
     if kind == "bump":
-        T = fspec["period"]
-        order = fspec.get("order", 1)
-        vec = vector_from_profile(bundle, fspec["profile"], rng)
-        return per0_bump_forcing(T, order, fspec.get("amplitude", 1.0) * vec,
+        vec = vector_from_profile(bundle, fspec["profile"])
+        return per0_bump_forcing(fspec["period"], fspec.get("order", 1),
+                                 fspec.get("amplitude", 1.0) * vec,
                                  space=model.space)
     if kind == "fourier":
-        T = fspec["period"]
         coeffs: dict = {}
 
         def add(k, v):
@@ -300,45 +295,23 @@ def build_forcing(bundle: ModelBundle, fspec: dict,
         for comp in fspec.get("components", []):
             k = comp["harmonic"]
             a = comp.get("amplitude", 1.0)
-            phi = comp.get("phase", 0.0)
-            form = comp.get("form", "cosine")
-            vec = vector_from_profile(bundle, comp["profile"], rng)
-            if form == "complex":
-                add(k, a * np.exp(1j * phi) * vec)
-            elif k == 0:
-                # a cos(-phi) or a sin(-phi)
-                add(0, a * (math.cos(phi) if form == "cosine" else -math.sin(phi)) * vec)
-            elif form == "cosine":
-                c = 0.5 * a * np.exp(-1j * phi)
-                add(k, c * vec)
-                add(-k, np.conj(c) * vec)
+            vec = vector_from_profile(bundle, comp["profile"])
+            if k == 0:
+                add(0, a * vec)
             else:
-                c = a / 2j * np.exp(-1j * phi)
-                add(k, c * vec)
-                add(-k, np.conj(c) * vec)
-        return make_fourier_forcing(T, coeffs, space=model.space)
-    if kind == "boundary_signal":
-        T = fspec.get("period", 1.0)
-        return boundary_signal_forcing(model, fspec, T)
+                add(k, 0.5 * a * vec)
+                add(-k, 0.5 * a * vec)
+        return make_fourier_forcing(fspec["period"], coeffs, space=model.space)
     raise ValueError(f"unknown forcing kind {kind!r}")
 
 
-def boundary_signal_forcing(model, fspec: dict, period: float) -> FourierForcing:
-    """Scalar boundary signal as a Fourier forcing on the input space."""
+def boundary_signal_forcing(model, amplitude: float, period: float) -> FourierForcing:
+    """The boundary signal a sin^2(pi t / T) on every input, as a Fourier
+    forcing on the input space."""
     _require(model.B is not None, "boundary_signal needs a model with B")
-    m = model.B.shape[1]
-    ones = np.ones(m)
-    a = fspec.get("amplitude", 1.0)
-    signal = fspec.get("signal", "sin_squared")
-    h = fspec.get("harmonic", 1)
-    if signal == "sin_squared":
-        # sin^2(pi t / T) = 1/2 - cos(2 pi t / T)/2
-        coeffs = {0: 0.5 * a * ones, 1: -0.25 * a * ones, -1: -0.25 * a * ones}
-    elif signal == "cosine":
-        coeffs = {h: 0.5 * a * ones, -h: 0.5 * a * ones} if h else {0: a * ones}
-    else:
-        coeffs = {h: a / 2j * ones, -h: -a / 2j * ones}
-    return make_fourier_forcing(period, coeffs)
+    a = amplitude * np.ones(model.B.shape[1])
+    # sin^2(pi t / T) = 1/2 - cos(2 pi t / T)/2
+    return make_fourier_forcing(period, {0: 0.5 * a, 1: -0.25 * a, -1: -0.25 * a})
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +436,7 @@ _METHODS = {
 def _task_periodic_solve(cfg, bundle, ctx):
     model = bundle.model
     sspec = _solver_spec(cfg)
-    f = build_forcing(bundle, cfg["forcing"], ctx.rng)
+    f = build_forcing(bundle, cfg["forcing"])
     method = sspec.get("method", "direct")
     n_periods = sspec.get("n_periods", 1)
 
@@ -506,7 +479,7 @@ def _task_periodic_solve(cfg, bundle, ctx):
 def _task_convergence(cfg, bundle, ctx):
     model = bundle.model
     sspec = _solver_spec(cfg)
-    f = build_forcing(bundle, cfg["forcing"], ctx.rng)
+    f = build_forcing(bundle, cfg["forcing"])
     n_periods = sspec.get("n_periods", 60)
     w0 = periodic_w0_direct(model, f).w0
     complex_ = model.space.field_tag == "complex"
@@ -676,7 +649,7 @@ def _task_mlog_bound(cfg, bundle, ctx):
 
 def _task_gain_identity(cfg, bundle, ctx):
     model = bundle.model
-    f = build_forcing(bundle, cfg["forcing"], ctx.rng)
+    f = build_forcing(bundle, cfg["forcing"])
     FT = duhamel_FT(model, f)
 
     def raw_and_corrected(forcing, k):
@@ -764,17 +737,18 @@ def _task_growth(cfg, bundle, ctx):
         " title 'lower bound'",
     ]
     if "control_damping" in gspec:
+        # the same forcing drives the block under the control damping; only
+        # the orbit norms are read
         ctrl_damping = DampingProfile.from_dict(gspec["control_damping"])
-        cblock = build_sphere_schrodinger(block.Jmax, block.m, ctrl_damping,
-                                          quad_nodes=block.quad_nodes)
-        cexp = growth_experiment(cblock, j, k, n_max=int(exp.n_grid[-1]),
-                                 period=period, forcing=f,
-                                 deviation_checks=1)
+        control = build_sphere_schrodinger(block.Jmax, block.m, ctrl_damping,
+                                           quad_nodes=block.quad_nodes).model
+        norms, _ = orbit_norms(propagator_matrix(control, period),
+                               duhamel_FT(control, f), exp.n_grid.size)
         ctx.emit_csv("growth_control.csv",
                      [("n", "1"), ("norm", "X"), ("norm_over_n", "X")],
-                     zip(cexp.n_grid, cexp.norms, cexp.norms / cexp.n_grid))
-        payload["control_sup"] = float(np.max(cexp.norms))
-        payload["control_final_over_n"] = float(cexp.norms[-1] / cexp.n_grid[-1])
+                     zip(exp.n_grid, norms, norms / exp.n_grid))
+        payload["control_sup"] = float(np.max(norms))
+        payload["control_final_over_n"] = float(norms[-1] / exp.n_grid[-1])
         plot[-1] += ", \\"
         plot.append("     'growth_control.csv' skip 1 using 1:2"
                     " with lines title 'fully damped control'")
@@ -821,12 +795,12 @@ def _task_concentration(cfg, bundle, ctx):
 def _task_picard(cfg, bundle, ctx):
     model = bundle.model
     pspec = cfg["picard"]
-    f = build_forcing(bundle, cfg["forcing"], ctx.rng)
+    f = build_forcing(bundle, cfg["forcing"])
     eps = pspec.get("epsilon", 1.0)
     f_eps = FourierForcing(f.period, f.harmonics, eps * f.coefficients,
                            space=model.space)
     poly = {int(p): c for p, c in zip(pspec["powers"], pspec["coefficients"])}
-    kwargs = {key: pspec[key] for key in ("structure", "tol") if key in pspec}
+    kwargs = {"tol": pspec["tol"]} if "tol" in pspec else {}
     rep = picard_nonlinear(model, f_eps, poly, **kwargs)
     ctx.emit_json("picard.json", {
         "converged": rep.converged,
@@ -857,7 +831,7 @@ def _task_boundary_solve(cfg, bundle, ctx):
     rows = []
     details = {}
     for T in periods:
-        g = boundary_signal_forcing(model, fspec, T)
+        g = boundary_signal_forcing(model, fspec.get("amplitude", 1.0), T)
         rep = boundary_periodic_solve(model, g,
                                       n_periods=sspec.get("n_periods", 1))
         worst = max(rep.residual_per_period)

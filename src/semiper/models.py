@@ -54,7 +54,6 @@ class DampingProfile:
     bump : smooth compactly supported bump of the given width around
         ``center`` (amplitude at the center, vanishing to all orders at
         the support edge)
-    power : amplitude * |x - center|^exponent
     cap : axisymmetric polar-cap profile as a function of s = x3,
         amplitude * exp(-width / (|s| - cutoff)) for |s| > cutoff and
         zero on the equatorial band |s| <= cutoff
@@ -65,10 +64,9 @@ class DampingProfile:
     center: float = 0.0
     width: float = 1.0
     cutoff: float = 0.0
-    exponent: float = 2.0
 
     def __post_init__(self):
-        if self.kind not in ("constant", "bump", "power", "cap"):
+        if self.kind not in ("constant", "bump", "cap"):
             raise ValueError(f"unknown damping kind {self.kind!r}")
         if self.amplitude < 0:
             raise ValueError("damping amplitude must be nonnegative")
@@ -86,8 +84,6 @@ class DampingProfile:
             z = xi[inside]
             out[inside] = self.amplitude * np.exp(1.0 - 1.0 / (1.0 - z * z))
             return out
-        if self.kind == "power":
-            return self.amplitude * np.abs(x - self.center) ** self.exponent
         # cap
         s = np.abs(x)
         out = np.zeros_like(x)

@@ -329,10 +329,18 @@ def _nonlinear_source(model: Model, poly: dict, states: np.ndarray,
     raise ValueError(f"unknown nonlinear structure {structure!r}")
 
 
+# defaults of picard_nonlinear and picard_divergence_threshold
+PICARD_STRUCTURE = "wave"
+PICARD_NODES = 64
+PICARD_MAX_ITER = 30
+PICARD_TOL = 1e-10
+
+
 def picard_nonlinear(model: Model, f: PeriodicForcing, poly: dict,
-                     structure: str = "wave", n_nodes: int = 64,
-                     max_iter: int = 30,
-                     tol: float = 1e-10) -> NonlinearSolveReport:
+                     structure: str = PICARD_STRUCTURE,
+                     n_nodes: int = PICARD_NODES,
+                     max_iter: int = PICARD_MAX_ITER,
+                     tol: float = PICARD_TOL) -> NonlinearSolveReport:
     """Periodic orbit of u' = A u + f + g(u) by Picard iteration.
 
     ``poly`` maps powers (>= 2) to coefficients of the superlinear
@@ -361,8 +369,8 @@ def picard_nonlinear(model: Model, f: PeriodicForcing, poly: dict,
 
 
 def _picard(model: Model, f: PeriodicForcing, poly: dict, structure: str,
-            check_monodromy: bool, n_nodes: int = 64, max_iter: int = 30,
-            tol: float = 1e-10) -> NonlinearSolveReport:
+            check_monodromy: bool, n_nodes: int, max_iter: int,
+            tol: float) -> NonlinearSolveReport:
     """:func:`picard_nonlinear`, with the SingularMonodromy check of
     I - e^{TA} taken only when ``check_monodromy`` is set; an amplitude
     sweep on one model and period needs it once."""
@@ -435,12 +443,16 @@ def _ode_residual(model, poly, structure, T, f_samples, traj) -> float:
 
 
 def picard_divergence_threshold(model: Model, f: PeriodicForcing, poly: dict,
-                                structure: str = "wave",
-                                amplitudes=None, **kwargs) -> dict:
+                                structure: str = PICARD_STRUCTURE,
+                                amplitudes=None, n_nodes: int = PICARD_NODES,
+                                max_iter: int = PICARD_MAX_ITER,
+                                tol: float = PICARD_TOL) -> dict:
     """Scale the forcing until the Picard iteration stops converging.
 
-    Returns the largest amplitude that converged and the first that
-    failed (None when every probe converged). The probes share one model
+    Each probe is a :func:`picard_nonlinear` solve with ``structure``,
+    ``n_nodes``, ``max_iter`` and ``tol``. Returns the largest amplitude
+    that converged and the first that failed (None when every probe
+    converged). The probes share one model
     and period, so I - e^{TA} is checked for singularity once, in the
     first probe.
     """
@@ -454,7 +466,7 @@ def picard_divergence_threshold(model: Model, f: PeriodicForcing, poly: dict,
         if scaled is None:
             raise ValueError("amplitude sweep needs Fourier data")
         try:
-            _picard(model, scaled, poly, structure, i == 0, **kwargs)
+            _picard(model, scaled, poly, structure, i == 0, n_nodes, max_iter, tol)
             last_ok = amp
         except (Diverged, SlowConvergence):
             first_bad = amp

@@ -157,6 +157,24 @@ class GrowthExperiment:
     truncation_leakage: float = 0.0
 
 
+def orbit_norms(M: np.ndarray, FT: np.ndarray, n_max: int):
+    """|u(nT)| for n = 1..n_max of u(nT) = M u((n-1)T) + FT from u(0) = 0.
+
+    ``M`` is the one-period propagator and ``FT`` the one-period response.
+    Also returns the truncation leakage: the largest share of |u(nT)|^2
+    carried by the last ten coordinates, the top degrees of a sphere block.
+    """
+    u = np.zeros(M.shape[0], dtype=complex)
+    norms = np.empty(n_max)
+    leakage = 0.0
+    for n in range(1, n_max + 1):
+        u = M @ u + FT
+        norms[n - 1] = float(np.linalg.norm(u))
+        top = float(np.sum(np.abs(u[-10:]) ** 2))
+        leakage = max(leakage, top / max(norms[n - 1] ** 2, 1e-300))
+    return norms, leakage
+
+
 def growth_experiment(block: SphereBlockModel, j: int, k: int,
                       n_max: int | None = None,
                       period: float = DEFAULT_PERIOD,
@@ -183,14 +201,7 @@ def growth_experiment(block: SphereBlockModel, j: int, k: int,
 
     FT = duhamel_FT(block.model, forcing)
     M = propagator_matrix(block.model, period)
-    u = np.zeros(block.dim, dtype=complex)
-    norms = np.empty(n_max)
-    leakage = 0.0
-    for n in range(1, n_max + 1):
-        u = M @ u + FT
-        norms[n - 1] = float(np.linalg.norm(u))
-        top = float(np.sum(np.abs(u[-10:]) ** 2))
-        leakage = max(leakage, top / max(norms[n - 1] ** 2, 1e-300))
+    norms, leakage = orbit_norms(M, FT, n_max)
     n_grid = np.arange(1, n_max + 1)
     lower = C_j * n_grid * np.clip(1.0 - n_grid * period * c_hat, 0.0, None)
 

@@ -46,7 +46,7 @@ def test_criterion_02_interval_wave_solvers_agree(config_dir, tmp_path):
 
     cfg = json.loads((config_dir / "interval_periodic.json").read_text())
     bundle = cli.build_bundle(cfg)
-    f = cli.build_forcing(bundle, cfg["forcing"], np.random.default_rng(0))
+    f = cli.build_forcing(bundle, cfg["forcing"])
     forcing_l1 = forcing.check_class(f, 0).l1_norm
 
     assert max(report["residual_per_period"]) <= 1e-8 * forcing_l1

@@ -7,6 +7,7 @@ import importlib.util
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -178,26 +179,74 @@ def test_every_schema_property_is_read():
     assert unread == []
 
 
-@pytest.mark.parametrize("phase", [0.0, 0.7])
+def _enum_values(schema):
+    """(field, value) for every value of the kinds and builders the schema
+    declares."""
+    defs = schema["definitions"]
+    enums = {"profile.kind": defs["profile"]["properties"]["kind"],
+             "forcing.kind": defs["forcing"]["properties"]["kind"],
+             "damping.kind": defs["damping"]["properties"]["kind"],
+             "model.builder": defs["model"]["properties"]["builder"]}
+    return {(name, value) for name, node in enums.items() for value in node["enum"]}
+
+
+# config section -> the schema enum its "kind" is drawn from
+_KIND_FIELDS = {"profile": "profile.kind", "forcing": "forcing.kind",
+                "damping": "damping.kind", "control_damping": "damping.kind"}
+
+
+def _config_values(node, field=None):
+    """(field, value) for every kind and builder a config sets."""
+    if isinstance(node, list):
+        for sub in node:
+            yield from _config_values(sub, field)
+    elif isinstance(node, dict):
+        if "builder" in node:
+            yield ("model.builder", node["builder"])
+        if "kind" in node and field is not None:
+            yield (field, node["kind"])
+        for key, sub in node.items():
+            yield from _config_values(sub, _KIND_FIELDS.get(key, field))
+
+
+# enum values that no shipped config sets, each with the test that runs it
+# (none today)
+ENUM_VALUES_RUN_BY_TESTS = {}
+
+
+def test_every_enum_value_is_run(config_dir):
+    """Each profile, forcing and damping kind and each model builder the
+    schema accepts is set by a shipped config or run by a named test, so a
+    kind with no user cannot be added back unnoticed."""
+    used = {pair for path in config_dir.glob("*.json")
+            for pair in _config_values(json.loads(path.read_text()))}
+    assert all(name in globals() for name in ENUM_VALUES_RUN_BY_TESTS.values())
+    unused = sorted(_enum_values(cli.load_schema()) - used
+                    - set(ENUM_VALUES_RUN_BY_TESTS))
+    assert unused == []
+
+
+def test_schema_is_valid_draft07():
+    """Runs validate configs without checking the schema itself, so check it
+    here, once."""
+    import jsonschema
+
+    jsonschema.Draft7Validator.check_schema(cli.load_schema())
+
+
 @pytest.mark.parametrize("harmonic", [0, 2])
-@pytest.mark.parametrize("form", ["cosine", "sine", "complex"])
-def test_fourier_component_samples_its_signal(form, harmonic, phase):
-    """A component samples to a cos(w t - phi), a sin(w t - phi) or a e^{i (w t + phi)}."""
+def test_fourier_component_samples_its_signal(harmonic):
+    """A component of harmonic k and amplitude a samples to a cos(w t)."""
     T, a = 1.5, 2.0
     bundle = cli.build_bundle({"model": {"builder": "scalar", "params": {"lam": -1.0}}})
     fspec = {"kind": "fourier", "period": T,
-             "components": [{"harmonic": harmonic, "amplitude": a, "phase": phase,
-                             "form": form, "profile": {"kind": "ones"}}]}
-    f = cli.build_forcing(bundle, fspec, np.random.default_rng(0))
+             "components": [{"harmonic": harmonic, "amplitude": a,
+                             "profile": {"kind": "ones"}}]}
+    f = cli.build_forcing(bundle, fspec)
     ts = np.linspace(0.0, T, 13)
-    wt = 2 * np.pi * harmonic / T * ts
-    expected = {"cosine": a * np.cos(wt - phase),
-                "sine": a * np.sin(wt - phase),
-                "complex": a * np.exp(1j * (wt + phase))}[form]
     got = f.eval_many(ts)[:, 0]
-    assert_allclose(got, expected, rtol=0, atol=1e-14)
-    if form != "complex":
-        assert np.max(np.abs(got.imag)) <= 1e-14
+    assert_allclose(got, a * np.cos(2 * np.pi * harmonic / T * ts), rtol=0, atol=1e-14)
+    assert np.max(np.abs(got.imag)) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -274,26 +323,118 @@ def test_main_removed_key_exit_two(tmp_path, config_dir, capsys, config, section
     assert "config error" in err and f"'{unexpected}' was unexpected" in err
 
 
-def test_main_boundary_sine_harmonic_zero_exit_two(tmp_path, config_dir, capsys):
-    """sin(0 t) vanishes, so a sine boundary signal at harmonic 0 is refused."""
-    cfg = json.loads((config_dir / "boundary_wave.json").read_text())
-    cfg["forcing"].update(signal="sine", harmonic=0)
-    bad = tmp_path / "boundary_sine0.json"
-    bad.write_text(json.dumps(cfg))
-    code = cli.main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
-    assert code == 2
+def run_edited(tmp_path, config_dir, config, edit):
+    """Exit code of ``main`` on a shipped config changed by ``edit(cfg)``."""
+    cfg = json.loads((config_dir / config).read_text())
+    edit(cfg)
+    path = tmp_path / f"edited_{config}"
+    path.write_text(json.dumps(cfg))
+    return cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+
+
+def _walk(cfg, path):
+    for step in path:
+        cfg = cfg[step]
+    return cfg
+
+
+def _set(*path_and_value):
+    """An edit that sets the value at a key path."""
+    *path, key, value = path_and_value
+
+    def edit(cfg):
+        _walk(cfg, path)[key] = value
+    return edit
+
+
+def _drop(*path):
+    """An edit that deletes the key at a key path."""
+    def edit(cfg):
+        del _walk(cfg, path[:-1])[path[-1]]
+    return edit
+
+
+def names_key(err, key):
+    """The message quotes ``key`` or ends a dotted path with it."""
+    return re.search(rf"['.]{re.escape(key)}\b", err) is not None
+
+
+def cases(*rows):
+    """Parameter sets (config, edit, named), each with the id config-named."""
+    return [pytest.param(*row, id=f"{row[0][:-5]}-{row[2]}") for row in rows]
+
+
+@pytest.mark.parametrize("config, edit, named", cases(
+    *[("convergence.json", _set("forcing", "profile", "kind", kind), kind)
+      for kind in ("zeros", "basis", "values", "cosine_mode", "equatorial",
+                   "random", "sum")],
+    *[("interval_periodic.json", _set("forcing", "profile", key, value), key)
+      for key, value in (("amplitude", 2.0), ("index", 1), ("values", [1.0]),
+                         ("terms", []))],
+    ("circle_kernel.json", _set("forcing", "components", 1, "form", "cosine"), "form"),
+    ("circle_kernel.json", _set("forcing", "components", 1, "phase", 0.0), "phase"),
+    ("boundary_wave.json", _set("forcing", "signal", "sin_squared"), "signal"),
+    ("boundary_wave.json", _set("forcing", "harmonic", 0), "harmonic"),
+    ("interp_interval_half.json", _set("model", "damping", "kind", "power"), "power"),
+    ("interp_interval_half.json", _set("model", "damping", "exponent", 2.0), "exponent"),
+    ("scalar_oracle.json", _set("model", "builder", "diagonal"), "diagonal"),
+    ("circle_spectrum.json", _set("model", "params", "length", 6.0), "length"),
+    ("picard_cubic.json", _set("picard", "structure", "wave"), "structure"),
+))
+def test_main_removed_kind_or_key_exit_two(tmp_path, config_dir, capsys, config,
+                                           edit, named):
+    """Kinds and keys that no config used are gone; a config that sets one,
+    even to its old default, is refused and the kind or key is named."""
+    assert run_edited(tmp_path, config_dir, config, edit) == 2
     err = capsys.readouterr().err
-    assert "config error" in err and "nonzero harmonic" in err
+    assert "config error" in err and names_key(err, named)
+
+
+@pytest.mark.parametrize("config, edit, named", cases(
+    ("picard_cubic.json", _drop("picard"), "picard"),
+    ("interp_interval_half.json", _drop("scan", "alpha"), "alpha"),
+    ("resonance_growth.json", _drop("model", "params", "m"), "m"),
+    ("heatwave_decay.json", _drop("model", "params", "n_heat"), "n_heat"),
+    ("interval_periodic.json", _drop("forcing", "period"), "period"),
+    ("interval_periodic.json", _drop("forcing", "profile"), "profile"),
+    ("interval_periodic.json", _set("model", "params", "lenght", 2.0), "lenght"),
+    ("scalar_oracle.json", _set("model", "params", "n", 3), "n"),
+))
+def test_main_missing_or_misspelt_key_exit_two(tmp_path, config_dir, capsys, config,
+                                               edit, named):
+    """A required key left out, or a param the builder does not take, is a
+    config error that names the key, not a KeyError or a silent default."""
+    assert run_edited(tmp_path, config_dir, config, edit) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and names_key(err, named)
+
+
+def test_main_boundary_signal_outside_boundary_solve_exit_two(tmp_path, config_dir,
+                                                              capsys):
+    """A boundary signal drives the boundary inputs, which only
+    boundary_solve reads."""
+    assert run_edited(tmp_path, config_dir, "boundary_wave.json",
+                      _set("task", "periodic_solve")) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "boundary_signal forcing drives the boundary_solve task only" in err
+
+
+def test_main_growth_control_needs_no_backward_bound(tmp_path, config_dir):
+    """The control block is only driven forward, so a strongly damped control,
+    whose backward orbit grows far past 1e6, still runs."""
+    assert run_edited(tmp_path, config_dir, "resonance_growth.json",
+                      _set("growth", "control_damping", "amplitude", 3.0)) == 0
 
 
 def test_main_picard_wave_structure_on_modal_model_exit_two(tmp_path, capsys):
-    """A diagonal model has no displacement or velocity block for g to act on."""
+    """A scalar model has no displacement or velocity block for g to act on."""
     cfg = {"task": "picard",
-           "model": {"builder": "diagonal", "params": {"eigenvalues": [-1.0, -2.0]}},
+           "model": {"builder": "scalar", "params": {"lam": -1.0}},
            "forcing": {"kind": "fourier", "period": 1.0,
                        "components": [{"harmonic": 1, "amplitude": 0.1,
                                        "profile": {"kind": "ones"}}]},
-           "picard": {"powers": [3], "coefficients": [-0.05], "structure": "wave"}}
+           "picard": {"powers": [3], "coefficients": [-0.05]}}
     bad = tmp_path / "picard_modal.json"
     bad.write_text(json.dumps(cfg))
     code = cli.main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])

@@ -324,7 +324,7 @@ def picard_cubic(config_dir):
     """Model, unscaled forcing and cubic term of configs/picard_cubic.json."""
     cfg = json.loads((config_dir / "picard_cubic.json").read_text())
     bundle = cli.build_bundle(cfg)
-    f = cli.build_forcing(bundle, cfg["forcing"], np.random.default_rng(0))
+    f = cli.build_forcing(bundle, cfg["forcing"])
     return bundle.model, f, {3: -1.0}
 
 
