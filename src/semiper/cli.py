@@ -80,10 +80,7 @@ from .stability_lab import (
     bt_crosscheck,
     decay_envelope,
     fit_decay_exponent,
-    fit_power_law,
     interpolation_check,
-    mlog_bound_curve,
-    resolvent_scan,
 )
 
 _NO_MODEL_TASKS = {"concentration", "invariants"}
@@ -130,6 +127,10 @@ def validate_config(cfg: dict) -> None:
     if task == "boundary_solve":
         _require(fkind == "boundary_signal",
                  "boundary_solve needs a boundary_signal forcing")
+        _require("periods" in cfg["forcing"],
+                 "a boundary_signal forcing needs forcing.periods")
+        _require("period" not in cfg["forcing"], "a boundary_signal forcing "
+                 "takes forcing.periods, not forcing.period")
     elif fkind == "boundary_signal":
         raise ValueError(f"a boundary_signal forcing drives the boundary_solve "
                          f"task only, not {task!r}")
@@ -142,11 +143,9 @@ def validate_config(cfg: dict) -> None:
         _require("t_grid" in scan, f"task {task!r} needs scan.t_grid")
     if task == "interpolation_check":
         _require("alpha" in scan, "interpolation_check needs scan.alpha")
-    if task == "resolvent_scan":
-        _require("eta_grid" in scan, "resolvent_scan needs scan.eta_grid")
-    if task in ("bt_crosscheck", "mlog_bound"):
+    if task == "bt_crosscheck":
         _require("t_grid" in scan and "eta_grid" in scan,
-                 f"task {task!r} needs scan.t_grid and scan.eta_grid")
+                 "bt_crosscheck needs scan.t_grid and scan.eta_grid")
     if task == "growth":
         _require("growth" in cfg, "growth task needs a 'growth' section")
         _require(cfg["model"]["builder"] == "sphere_block",
@@ -154,8 +153,12 @@ def validate_config(cfg: dict) -> None:
     if task == "concentration":
         _require("concentration" in cfg,
                  "concentration task needs a 'concentration' section")
-        _require("damping" in cfg.get("model", {}),
-                 "concentration task needs model.damping")
+        spec = cfg.get("model", {})
+        _require(spec.get("builder") == "sphere_block",
+                 "concentration task needs model.builder 'sphere_block'")
+        _require("params" not in spec, "concentration task builds one block per "
+                 "concentration.js and takes no model.params")
+        _require("damping" in spec, "concentration task needs model.damping")
     if task == "picard":
         _require("picard" in cfg, "picard task needs a 'picard' section")
         p = cfg["picard"]
@@ -188,53 +191,62 @@ class ModelBundle:
     sphere: object = None        # SphereBlockModel when applicable
 
 
-def _sphere_block(d, m, Jmax=None, quad_nodes=None):
-    _require(d is not None, "sphere_block needs model.damping")
+def _sphere_block(m, damping, Jmax=None, quad_nodes=None):
     m = int(m)
-    return build_sphere_schrodinger(int(m + 60 if Jmax is None else Jmax), m, d,
-                                    quad_nodes=quad_nodes)
+    return build_sphere_schrodinger(int(m + 60 if Jmax is None else Jmax), m,
+                                    damping, quad_nodes=quad_nodes)
 
 
 _UNIT_DAMPING = DampingProfile("constant", amplitude=1.0)
 
-# builder name -> f(damping or None, **model.params). A builder's keyword
-# arguments are the params it takes, required where they have no default;
-# the wave builders default to unit constant damping
+# builder name -> f(**model.params, damping=model.damping). A builder's
+# keyword arguments are the params it takes, required where they have no
+# default; only the builders with a ``damping`` argument take model.damping,
+# and the wave builders default it to unit constant damping
 _BUILDERS = {
-    "scalar": lambda d, lam=-1.0: build_scalar_model(lam),
-    "damped_wave_interval": lambda d, n, length=math.pi: build_damped_wave_interval(
-        int(n), float(length), d or _UNIT_DAMPING),
-    "boundary_wave": lambda d, n, length=math.pi: build_boundary_forced_wave(
-        int(n), float(length), d or _UNIT_DAMPING),
-    "damped_wave_circle": lambda d, n: build_damped_wave_circle(
-        int(n), d or _UNIT_DAMPING),
-    "heat_wave_1d": lambda d, n_heat, n_wave: build_heat_wave_1d(int(n_heat),
-                                                                 int(n_wave)),
+    "scalar": lambda lam=-1.0: build_scalar_model(lam),
+    "damped_wave_interval": lambda n, length=math.pi, damping=_UNIT_DAMPING:
+        build_damped_wave_interval(int(n), float(length), damping),
+    "boundary_wave": lambda n, length=math.pi, damping=_UNIT_DAMPING:
+        build_boundary_forced_wave(int(n), float(length), damping),
+    "damped_wave_circle": lambda n, damping=_UNIT_DAMPING: build_damped_wave_circle(
+        int(n), damping),
+    "heat_wave_1d": lambda n_heat, n_wave: build_heat_wave_1d(int(n_heat),
+                                                              int(n_wave)),
     "sphere_block": _sphere_block,
-    "synthetic_resolvent": lambda d, n_modes, alpha: build_synthetic_resolvent_model(
+    "synthetic_resolvent": lambda n_modes, alpha: build_synthetic_resolvent_model(
         int(n_modes), float(alpha)),
 }
 
 
 def _check_params(spec: dict) -> None:
-    """Every required param of the builder is set, and no other key is."""
+    """model.damping is set only on a builder that takes it and always on
+    one that needs it; every required param is set, and no other key is."""
     name = spec["builder"]
-    declared = list(inspect.signature(_BUILDERS[name]).parameters.values())[1:]
+    declared = dict(inspect.signature(_BUILDERS[name]).parameters)
+    damping = declared.pop("damping", None)
+    if "damping" in spec:
+        _require(damping is not None, f"builder {name!r} takes no model.damping")
+    else:
+        _require(damping is None or damping.default is not damping.empty,
+                 f"builder {name!r} needs model.damping")
     given = spec.get("params", {})
-    for p in declared:
+    for p in declared.values():
         _require(p.name in given or p.default is not p.empty,
                  f"builder {name!r} needs model.params {p.name!r}")
-    unknown = sorted(set(given) - {p.name for p in declared})
+    unknown = sorted(set(given) - set(declared))
     _require(not unknown, f"builder {name!r} takes no model.params "
                           f"{', '.join(map(repr, unknown))}; it takes "
-                          f"{[p.name for p in declared]}")
+                          f"{list(declared)}")
 
 
 def build_bundle(cfg: dict) -> ModelBundle:
     spec = cfg["model"]
     name = spec["builder"]
-    damping = DampingProfile.from_dict(spec["damping"]) if "damping" in spec else None
-    built = _BUILDERS[name](damping, **spec.get("params", {}))
+    kwargs = dict(spec.get("params", {}))
+    if "damping" in spec:
+        kwargs["damping"] = DampingProfile.from_dict(spec["damping"])
+    built = _BUILDERS[name](**kwargs)
     if isinstance(built, SphereBlockModel):
         return ModelBundle(name, built.model, sphere=built)
     return ModelBundle(name, built)
@@ -426,6 +438,7 @@ def _task_spectrum(cfg, bundle, ctx):
                  [(i, ev.real, ev.imag) for i, ev in enumerate(rep.eigenvalues)])
 
 
+# the solvers ``"method": "all"`` runs, as each other's oracles
 _METHODS = {
     "series": periodic_w0_series,
     "direct": periodic_w0_direct,
@@ -451,7 +464,7 @@ def _task_periodic_solve(cfg, bundle, ctx):
                 gap = model.space.norm(reports[a].w0 - reports[b].w0)
                 pairwise[f"{a}_vs_{b}"] = gap
     else:
-        rep = _METHODS[method](model, f, n_periods=n_periods)
+        rep = periodic_w0_direct(model, f, n_periods=n_periods)
         pairwise = None
 
     payload = {
@@ -538,33 +551,6 @@ def _task_decay_scan(cfg, bundle, ctx):
     ])
 
 
-def _task_resolvent_scan(cfg, bundle, ctx):
-    scan_spec = cfg["scan"]
-    eta = _grid(scan_spec["eta_grid"])
-    scan = resolvent_scan(bundle.model, eta)
-    fit = fit_power_law(scan, window=scan_spec.get("eta_window"),
-                        use="running_max")
-    ctx.emit_csv("resolvent.csv",
-                 [("eta", "1/t"), ("norm", "1"), ("running_max", "1")],
-                 zip(eta, scan.values, scan.extras["running_max"]))
-    ctx.emit_json("resolvent.json", {
-        "alpha_hat": fit.exponent,
-        "constant": fit.constant,
-        "r2": fit.r2,
-        "window": list(fit.window),
-    })
-    ctx.emit_plot("resolvent_plot.gp", _gp_header("resolvent growth") + [
-        "set logscale xy",
-        "set xlabel 'eta'",
-        "set ylabel '|R(i eta)|'",
-        f"C = {fit.constant!r}",
-        f"p = {fit.exponent!r}",
-        "plot 'resolvent.csv' skip 1 using 1:3 with lines"
-        " title 'running max', \\",
-        "     C * x**p title sprintf('fit eta^{%.3f}', p)",
-    ])
-
-
 def _task_bt_crosscheck(cfg, bundle, ctx):
     scan_spec = cfg["scan"]
     rep = bt_crosscheck(bundle.model,
@@ -623,30 +609,6 @@ def _task_interpolation_check(cfg, bundle, ctx):
     })
 
 
-def _task_mlog_bound(cfg, bundle, ctx):
-    scan_spec = cfg["scan"]
-    rep = mlog_bound_curve(bundle.model, _grid(scan_spec["eta_grid"]),
-                           _grid(scan_spec["t_grid"]))
-    ctx.emit_csv("mlog_resolvent.csv",
-                 [("eta", "1/t"), ("M", "1"), ("M_log", "1")],
-                 zip(rep.eta_grid, rep.resolvent_max, rep.m_log))
-    ctx.emit_csv("mlog.csv",
-                 [("t", "t"), ("decay", "1"), ("bound", "1")],
-                 zip(rep.t_grid, rep.decay, rep.bound))
-    ctx.emit_json("mlog.json", {
-        "constant": rep.constant,
-        "fraction_satisfied": rep.fraction_satisfied,
-    })
-    ctx.emit_plot("mlog_plot.gp", _gp_header("log-corrected bound") + [
-        "set logscale xy",
-        "set xlabel 't'",
-        "plot 'mlog.csv' skip 1 using 1:2 with lines"
-        " title 'measured decay', \\",
-        "     'mlog.csv' skip 1 using 1:3 with lines"
-        " title 'inverted M_log bound'",
-    ])
-
-
 def _task_gain_identity(cfg, bundle, ctx):
     model = bundle.model
     f = build_forcing(bundle, cfg["forcing"])
@@ -692,15 +654,13 @@ def _task_gain_identity(cfg, bundle, ctx):
 def _task_growth(cfg, bundle, ctx):
     gspec = cfg["growth"]
     block = bundle.sphere
-    j = gspec["j"]
-    k = gspec.get("k", 0)
-    _require(j == block.m, "growth.j must equal the block order model.params.m")
-    lam = j * (j + 1.0)
+    k = gspec["k"]
+    lam = block.m * (block.m + 1.0)
     period = 2.0 * math.pi
     if gspec.get("period_mode", "resonant") == "detuned":
         period *= 1.0 + 1.0 / (2.0 * lam)
-    f = resonant_forcing(block, j, k, period)
-    exp = growth_experiment(block, j, k, n_max=gspec.get("n_max"),
+    f = resonant_forcing(block, k, period)
+    exp = growth_experiment(block, k, n_max=gspec.get("n_max"),
                             period=period, forcing=f,
                             deviation_checks=gspec.get("deviation_checks", 200))
     ctx.emit_csv("growth.csv",
@@ -712,7 +672,7 @@ def _task_growth(cfg, bundle, ctx):
                    (m + 1) * period * exp.concentration_norm)
                   for m in range(exp.deviation_norms.size)])
     payload = {
-        "j": j, "k": k, "Jmax": exp.Jmax,
+        "j": block.m, "k": k, "Jmax": exp.Jmax,
         "period": period,
         "period_mode": gspec.get("period_mode", "resonant"),
         "C_j": exp.C_j,
@@ -827,7 +787,7 @@ def _task_boundary_solve(cfg, bundle, ctx):
     model = bundle.model
     fspec = cfg["forcing"]
     sspec = _solver_spec(cfg)
-    periods = fspec.get("periods") or [fspec.get("period", 1.0)]
+    periods = fspec["periods"]
     rows = []
     details = {}
     for T in periods:
@@ -961,10 +921,8 @@ _TASKS = {
     "periodic_solve": _task_periodic_solve,
     "convergence": _task_convergence,
     "decay_scan": _task_decay_scan,
-    "resolvent_scan": _task_resolvent_scan,
     "bt_crosscheck": _task_bt_crosscheck,
     "interpolation_check": _task_interpolation_check,
-    "mlog_bound": _task_mlog_bound,
     "gain_identity": _task_gain_identity,
     "growth": _task_growth,
     "concentration": _task_concentration,

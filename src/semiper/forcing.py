@@ -296,11 +296,11 @@ def duhamel_FT(model: Model, f: PeriodicForcing) -> np.ndarray:
 
 
 def duhamel_quadrature(model: Model, f: PeriodicForcing, panels: int | None = None,
-                       order: int = 8, tol: float = 1e-9):
+                       order: int = 8):
     """F_T(f) by composite Gauss-Legendre quadrature, and its refinement gap.
 
     The integral is assembled on ``panels`` panels of ``order`` nodes and
-    again on twice as many; unless the two agree to tol relative to the
+    again on twice as many; unless the two agree to 1e-9 relative to the
     size of the finer one, QuadratureUnderResolved is raised. The default
     panel count resolves the highest harmonic of Fourier data. Returns
     (F_T, gap).
@@ -320,10 +320,10 @@ def duhamel_quadrature(model: Model, f: PeriodicForcing, panels: int | None = No
     coarse = assemble(panels)
     fine = assemble(2 * panels)
     gap = model.space.norm(fine - coarse)
-    if gap > tol * (1.0 + model.space.norm(fine)):
+    if gap > 1e-9 * (1.0 + model.space.norm(fine)):
         raise QuadratureUnderResolved(
             f"Duhamel quadrature moved by {gap:.3e} when doubling "
-            f"{panels} panels (tol {tol:.1e})")
+            f"{panels} panels (tol 1e-9)")
     return fine, gap
 
 

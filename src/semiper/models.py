@@ -150,9 +150,8 @@ def build_damped_wave_interval(n: int, length: float, damping: DampingProfile) -
                        blocks=_wave_blocks(np.arange(1, n + 1) / (n + 1), "interval"))
 
 
-def build_damped_wave_circle(n: int, damping: DampingProfile,
-                             length: float = 2 * math.pi) -> Model:
-    """Damped wave on a circle of the given circumference.
+def build_damped_wave_circle(n: int, damping: DampingProfile) -> Model:
+    """Damped wave on a circle of circumference 2 pi.
 
     Periodic finite differences on n nodes. The generator kernel is the
     constant-displacement state; ``pi0`` is the closed-form spectral
@@ -161,6 +160,7 @@ def build_damped_wave_circle(n: int, damping: DampingProfile,
     squared mean of u so that it is positive definite on the whole space.
     """
     _check_grid(n, 3)
+    length = 2 * math.pi
     h = length / n
     x = h * np.arange(n)
     a = damping(x)

@@ -535,9 +535,9 @@ def domain_inv_sqrt(model: Model, alpha: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def contour_spectral_projector(model: Model, center: complex = 0.0,
-                               radius: float | None = None,
-                               n_nodes: int = 64) -> np.ndarray:
-    """Spectral projector by a trapezoid contour integral of the resolvent.
+                               radius: float | None = None) -> np.ndarray:
+    """Spectral projector by a 64-node trapezoid contour integral of the
+    resolvent.
 
     Used as an independent cross-check of closed-form projectors, so it
     solves with z I - A at each node and never reads the eigenbasis. The
@@ -545,10 +545,10 @@ def contour_spectral_projector(model: Model, center: complex = 0.0,
     eigenvalue outside a 1e-8 neighborhood of it (the eigenvalues are
     read for that default only).
 
-    When A is real, ``center`` is real and ``n_nodes`` is even, node
-    N - k is the conjugate of node k and so is its term; only the nodes
-    k = 0..N/2 are solved and each term with 0 < k < N/2 enters as
-    term + conj(term). Otherwise every node is solved.
+    When A and ``center`` are real, node N - k is the conjugate of node k
+    and so is its term; only the nodes k = 0..N/2 are solved and each term
+    with 0 < k < N/2 enters as term + conj(term). Otherwise every node is
+    solved.
     """
     w, _, _, _ = model.eig
     if radius is None:
@@ -557,10 +557,10 @@ def contour_spectral_projector(model: Model, center: complex = 0.0,
         if outside.size == 0:
             raise ValueError("no eigenvalue away from the center to set a radius")
         radius = 0.5 * float(outside.min())
+    n_nodes = 64
     theta = 2 * np.pi * np.arange(n_nodes) / n_nodes
     half = n_nodes // 2
-    paired = (n_nodes % 2 == 0 and complex(center).imag == 0
-              and not np.any(model.A.imag))
+    paired = complex(center).imag == 0 and not np.any(model.A.imag)
     eye = np.eye(model.dim)
     acc = np.zeros((model.dim, model.dim), dtype=complex)
     for k in range(half + 1 if paired else n_nodes):

@@ -122,12 +122,11 @@ def _finish_report(model: Model, f: PeriodicForcing, w0, method, n_periods,
 
 
 def periodic_w0_series(model: Model, f: PeriodicForcing, tol: float = 1e-12,
-                       max_terms: int = 100000,
                        n_periods: int = 1) -> PeriodicSolveReport:
     """Sum the propagated one-period responses until they are negligible.
 
     Stops when the current term e^{N T A} F_T has norm at most
-    tol * (1 + |F_T|); raises SlowConvergence past ``max_terms`` terms.
+    tol * (1 + |F_T|); raises SlowConvergence past 100000 terms.
     The tail estimate extrapolates the last term geometrically.
     """
     FT = duhamel_FT(model, f)
@@ -149,9 +148,9 @@ def periodic_w0_series(model: Model, f: PeriodicForcing, tol: float = 1e-12,
         acc += term
         n_terms += 1
         prev_norm = cur
-        if n_terms > max_terms:
+        if n_terms > 100000:
             raise SlowConvergence(
-                f"series did not reach tol {tol:.1e} within {max_terms} terms "
+                f"series did not reach tol {tol:.1e} within 100000 terms "
                 f"(last term {cur:.3e}); the monodromy contracts too slowly")
     w0 = _strip_kernel(model, acc)
     return _finish_report(model, f, w0, f"series(N={n_terms})", n_periods,
@@ -329,7 +328,8 @@ def _nonlinear_source(model: Model, poly: dict, states: np.ndarray,
     raise ValueError(f"unknown nonlinear structure {structure!r}")
 
 
-# defaults of picard_nonlinear and picard_divergence_threshold
+# defaults of picard_nonlinear and picard_divergence_threshold, and the
+# number of uniform time nodes every Picard solve samples
 PICARD_STRUCTURE = "wave"
 PICARD_NODES = 64
 PICARD_MAX_ITER = 30
@@ -338,7 +338,6 @@ PICARD_TOL = 1e-10
 
 def picard_nonlinear(model: Model, f: PeriodicForcing, poly: dict,
                      structure: str = PICARD_STRUCTURE,
-                     n_nodes: int = PICARD_NODES,
                      max_iter: int = PICARD_MAX_ITER,
                      tol: float = PICARD_TOL) -> NonlinearSolveReport:
     """Periodic orbit of u' = A u + f + g(u) by Picard iteration.
@@ -352,7 +351,7 @@ def picard_nonlinear(model: Model, f: PeriodicForcing, poly: dict,
 
     Each sweep is one step of alternating frequency-time (AFT) harmonic
     balance: the frozen source f + g(u_m) on the uniform grid of
-    ``n_nodes`` times becomes its trigonometric interpolant
+    PICARD_NODES times becomes its trigonometric interpolant
     sum_k c_k e^{i omega_k t} (one FFT), whose periodic response
     sum_k (i omega_k - A)^{-1} c_k e^{i omega_k t} is exact: one
     :func:`harmonic_solve` of all harmonics (ResonantHarmonic) and one
@@ -365,11 +364,11 @@ def picard_nonlinear(model: Model, f: PeriodicForcing, poly: dict,
     three consecutive sweeps, and SlowConvergence when ``max_iter``
     sweeps do not reach ``tol``.
     """
-    return _picard(model, f, poly, structure, True, n_nodes, max_iter, tol)
+    return _picard(model, f, poly, structure, True, max_iter, tol)
 
 
 def _picard(model: Model, f: PeriodicForcing, poly: dict, structure: str,
-            check_monodromy: bool, n_nodes: int, max_iter: int,
+            check_monodromy: bool, max_iter: int,
             tol: float) -> NonlinearSolveReport:
     """:func:`picard_nonlinear`, with the SingularMonodromy check of
     I - e^{TA} taken only when ``check_monodromy`` is set; an amplitude
@@ -381,7 +380,7 @@ def _picard(model: Model, f: PeriodicForcing, poly: dict, structure: str,
     # its ValueError before any solve
     _nonlinear_source(model, poly, np.zeros(model.dim), structure)
     T = f.period
-    times = T * np.arange(n_nodes) / n_nodes
+    times = T * np.arange(PICARD_NODES) / PICARD_NODES
 
     def linear_periodic(samples: np.ndarray) -> np.ndarray:
         four = fourier_from_samples(T, samples, model.space)
@@ -444,13 +443,12 @@ def _ode_residual(model, poly, structure, T, f_samples, traj) -> float:
 
 def picard_divergence_threshold(model: Model, f: PeriodicForcing, poly: dict,
                                 structure: str = PICARD_STRUCTURE,
-                                amplitudes=None, n_nodes: int = PICARD_NODES,
-                                max_iter: int = PICARD_MAX_ITER,
+                                amplitudes=None,
                                 tol: float = PICARD_TOL) -> dict:
     """Scale the forcing until the Picard iteration stops converging.
 
-    Each probe is a :func:`picard_nonlinear` solve with ``structure``,
-    ``n_nodes``, ``max_iter`` and ``tol``. Returns the largest amplitude
+    Each probe is a :func:`picard_nonlinear` solve with ``structure`` and
+    ``tol``, at most PICARD_MAX_ITER sweeps. Returns the largest amplitude
     that converged and the first that failed (None when every probe
     converged). The probes share one model
     and period, so I - e^{TA} is checked for singularity once, in the
@@ -466,7 +464,7 @@ def picard_divergence_threshold(model: Model, f: PeriodicForcing, poly: dict,
         if scaled is None:
             raise ValueError("amplitude sweep needs Fourier data")
         try:
-            _picard(model, scaled, poly, structure, i == 0, n_nodes, max_iter, tol)
+            _picard(model, scaled, poly, structure, i == 0, PICARD_MAX_ITER, tol)
             last_ok = amp
         except (Diverged, SlowConvergence):
             first_bad = amp

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BackwardGrowthExcessive, InvalidGrid
+from .errors import BackwardGrowthExcessive
 from .forcing import SemigroupPullbackForcing, check_class, duhamel_FT
 from .models import (
     DampingProfile,
@@ -34,8 +34,8 @@ DEFAULT_PERIOD = 2.0 * math.pi
 DEFAULT_EXTRA_DEGREES = 60
 
 
-def truncation_tail(block: SphereBlockModel, top: int = 10) -> float:
-    """Relative mass of M_a Phi_j carried by the top retained degrees.
+def truncation_tail(block: SphereBlockModel) -> float:
+    """Relative mass of M_a Phi_j carried by the top ten retained degrees.
 
     Diagnostic for how far the damping scatters the equatorial harmonic
     across degrees; the adequacy invariant for the truncation itself is
@@ -45,7 +45,7 @@ def truncation_tail(block: SphereBlockModel, top: int = 10) -> float:
     total = float(np.linalg.norm(col))
     if total == 0:
         return 0.0
-    return float(np.linalg.norm(col[-top:])) / total
+    return float(np.linalg.norm(col[-10:])) / total
 
 
 @dataclass
@@ -94,9 +94,9 @@ def concentration_scan(j_values, damping: DampingProfile,
 
 
 def measured_propagation_bound(block: SphereBlockModel, k: int,
-                               period: float = DEFAULT_PERIOD,
-                               samples: int = 33) -> float:
-    """sup over s in [0, T] of |e^{(s-T)A} Phi_j|_{H^k} / |Phi_j|_{H^k}.
+                               period: float = DEFAULT_PERIOD) -> float:
+    """sup over s in [0, T] of |e^{(s-T)A} Phi_j|_{H^k} / |Phi_j|_{H^k},
+    sampled at 33 equispaced times.
 
     The backward orbit of the equatorial harmonic is nearly isometric;
     values far above 1 mean the block is being driven through strongly
@@ -106,7 +106,7 @@ def measured_propagation_bound(block: SphereBlockModel, k: int,
     phi = equatorial_harmonic(block)
     ref = block.hk_norm(phi, k)
     worst = 0.0
-    for s in np.linspace(0.0, period, samples):
+    for s in np.linspace(0.0, period, 33):
         state = propagate(block.model, s - period, phi)
         worst = max(worst, block.hk_norm(state, k) / ref)
     if worst > 1e6:
@@ -115,17 +115,16 @@ def measured_propagation_bound(block: SphereBlockModel, k: int,
     return worst
 
 
-def resonant_forcing(block: SphereBlockModel, j: int, k: int,
+def resonant_forcing(block: SphereBlockModel, k: int,
                      period: float = DEFAULT_PERIOD) -> SemigroupPullbackForcing:
-    """Pullback forcing tuned to the equatorial harmonic of the block.
+    """Pullback forcing tuned to the equatorial harmonic Phi_j of the block,
+    j = block.m.
 
     The scale C_j = 1 / (C * |Phi_j|_{H^k}) uses the measured
     propagation bound C, which keeps the forcing's L^1(H^k) norm inside
     (0, 1]. The one-period response of the returned forcing is exactly
     C_j Phi_j.
     """
-    if j != block.m:
-        raise InvalidGrid(f"block has azimuthal order {block.m}, requested j={j}")
     phi = equatorial_harmonic(block)
     C = measured_propagation_bound(block, k, period)
     scale = 1.0 / (C * block.hk_norm(phi, k))
@@ -175,12 +174,13 @@ def orbit_norms(M: np.ndarray, FT: np.ndarray, n_max: int):
     return norms, leakage
 
 
-def growth_experiment(block: SphereBlockModel, j: int, k: int,
+def growth_experiment(block: SphereBlockModel, k: int,
                       n_max: int | None = None,
                       period: float = DEFAULT_PERIOD,
                       forcing: SemigroupPullbackForcing | None = None,
                       deviation_checks: int = 200) -> GrowthExperiment:
-    """Drive the block resonantly and record the orbit norms per period.
+    """Drive the block resonantly at j = block.m and record the orbit norms
+    per period.
 
     ``forcing`` defaults to the block's own resonant pullback; passing
     the forcing built on another block runs a cross-driving control
@@ -190,7 +190,7 @@ def growth_experiment(block: SphereBlockModel, j: int, k: int,
     against the undamped reference A_0 = -i Lambda.
     """
     if forcing is None:
-        forcing = resonant_forcing(block, j, k, period)
+        forcing = resonant_forcing(block, k, period)
     lam = float(block.eigenvalues[0])
     if n_max is None:
         n_max = min(200, resonant_horizon(block, k))
@@ -214,7 +214,7 @@ def growth_experiment(block: SphereBlockModel, j: int, k: int,
 
     l1 = check_class(forcing, 0).l1_norm
     fitted_c = float(-math.log(max(c_hat, 1e-300)) / math.sqrt(lam))
-    return GrowthExperiment(j=j, Jmax=block.Jmax, k=k, C_j=C_j, period=period,
+    return GrowthExperiment(j=block.m, Jmax=block.Jmax, k=k, C_j=C_j, period=period,
                             n_grid=n_grid, norms=norms,
                             lower_bound_curve=lower, deviation_norms=dev,
                             concentration_norm=c_hat, fitted_c=fitted_c,

@@ -180,10 +180,12 @@ def test_every_schema_property_is_read():
 
 
 def _enum_values(schema):
-    """(field, value) for every value of the kinds and builders the schema
-    declares."""
+    """(field, value) for every value of the tasks, solver methods, kinds and
+    builders the schema declares."""
     defs = schema["definitions"]
-    enums = {"profile.kind": defs["profile"]["properties"]["kind"],
+    enums = {"task": schema["properties"]["task"],
+             "solver.method": defs["solver"]["properties"]["method"],
+             "profile.kind": defs["profile"]["properties"]["kind"],
              "forcing.kind": defs["forcing"]["properties"]["kind"],
              "damping.kind": defs["damping"]["properties"]["kind"],
              "model.builder": defs["model"]["properties"]["builder"]}
@@ -193,16 +195,19 @@ def _enum_values(schema):
 # config section -> the schema enum its "kind" is drawn from
 _KIND_FIELDS = {"profile": "profile.kind", "forcing": "forcing.kind",
                 "damping": "damping.kind", "control_damping": "damping.kind"}
+# key -> the schema enum its value is drawn from, wherever it is set
+_ENUM_KEYS = {"task": "task", "method": "solver.method", "builder": "model.builder"}
 
 
 def _config_values(node, field=None):
-    """(field, value) for every kind and builder a config sets."""
+    """(field, value) for every task, solver method, kind and builder a
+    config sets."""
     if isinstance(node, list):
         for sub in node:
             yield from _config_values(sub, field)
     elif isinstance(node, dict):
-        if "builder" in node:
-            yield ("model.builder", node["builder"])
+        for key in _ENUM_KEYS.keys() & node.keys():
+            yield (_ENUM_KEYS[key], node[key])
         if "kind" in node and field is not None:
             yield (field, node["kind"])
         for key, sub in node.items():
@@ -215,9 +220,9 @@ ENUM_VALUES_RUN_BY_TESTS = {}
 
 
 def test_every_enum_value_is_run(config_dir):
-    """Each profile, forcing and damping kind and each model builder the
-    schema accepts is set by a shipped config or run by a named test, so a
-    kind with no user cannot be added back unnoticed."""
+    """Each task, solver method, profile, forcing and damping kind and
+    model builder the schema accepts is set by a shipped config or run by a
+    named test, so a value with no user cannot be added back unnoticed."""
     used = {pair for path in config_dir.glob("*.json")
             for pair in _config_values(json.loads(path.read_text()))}
     assert all(name in globals() for name in ENUM_VALUES_RUN_BY_TESTS.values())
@@ -380,11 +385,16 @@ def cases(*rows):
     ("scalar_oracle.json", _set("model", "builder", "diagonal"), "diagonal"),
     ("circle_spectrum.json", _set("model", "params", "length", 6.0), "length"),
     ("picard_cubic.json", _set("picard", "structure", "wave"), "structure"),
+    *[("bt_heatwave.json", _set("task", task), task)
+      for task in ("resolvent_scan", "mlog_bound")],
+    *[("interval_periodic.json", _set("solver", "method", method), method)
+      for method in ("series", "harmonic_balance")],
+    ("resonance_growth.json", _set("growth", "j", 10), "j"),
 ))
 def test_main_removed_kind_or_key_exit_two(tmp_path, config_dir, capsys, config,
                                            edit, named):
-    """Kinds and keys that no config used are gone; a config that sets one,
-    even to its old default, is refused and the kind or key is named."""
+    """Tasks, methods, kinds and keys that no config used are gone; a config
+    that sets one, even to its old default, is refused and it is named."""
     assert run_edited(tmp_path, config_dir, config, edit) == 2
     err = capsys.readouterr().err
     assert "config error" in err and names_key(err, named)
@@ -399,11 +409,22 @@ def test_main_removed_kind_or_key_exit_two(tmp_path, config_dir, capsys, config,
     ("interval_periodic.json", _drop("forcing", "profile"), "profile"),
     ("interval_periodic.json", _set("model", "params", "lenght", 2.0), "lenght"),
     ("scalar_oracle.json", _set("model", "params", "n", 3), "n"),
+    *[(config, _set("model", "damping", {"kind": "constant", "amplitude": 5.0}),
+       "damping")
+      for config in ("scalar_oracle.json", "heatwave_decay.json",
+                     "bt_synthetic_alpha1.json")],
+    ("resonance_growth.json", _drop("model", "damping"), "damping"),
+    ("resonance_concentration.json", _set("model", "builder", "scalar"), "builder"),
+    ("resonance_concentration.json", _set("model", "params", {"m": 10}), "params"),
+    ("boundary_wave.json", _drop("forcing", "periods"), "periods"),
+    ("boundary_wave.json", _set("forcing", "period", 1.0), "period"),
 ))
 def test_main_missing_or_misspelt_key_exit_two(tmp_path, config_dir, capsys, config,
                                                edit, named):
-    """A required key left out, or a param the builder does not take, is a
-    config error that names the key, not a KeyError or a silent default."""
+    """A required key left out, or a key the builder, task or forcing does
+    not take (damping on an undamped builder, params on the concentration
+    model, a single period on a boundary signal), is a config error that
+    names the key, not a KeyError or a silent default."""
     assert run_edited(tmp_path, config_dir, config, edit) == 2
     err = capsys.readouterr().err
     assert "config error" in err and names_key(err, named)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from semiper.errors import BackwardGrowthExcessive, InvalidGrid
+from semiper.errors import BackwardGrowthExcessive
 from semiper.forcing import duhamel_FT
 from semiper.models import (
     DampingProfile,
@@ -89,18 +89,13 @@ def test_propagation_bound_refuses_strong_damping():
 
 
 def test_resonant_forcing_normalization(cap_block):
-    f = resonant_forcing(cap_block, 10, 0)
+    f = resonant_forcing(cap_block, 0)
     C = measured_propagation_bound(cap_block, 0)
     assert f.scale == pytest.approx(1.0 / C, rel=1e-12)
     phi = equatorial_harmonic(cap_block)
     FT = duhamel_FT(cap_block.model, f)
     err = np.linalg.norm(FT - f.scale * phi)
     assert err <= 1e-9
-
-
-def test_resonant_forcing_wrong_order(cap_block):
-    with pytest.raises(InvalidGrid):
-        resonant_forcing(cap_block, 12, 0)
 
 
 def test_resonant_horizon_scaling(cap_block):
@@ -114,7 +109,7 @@ def test_resonant_horizon_scaling(cap_block):
 # ---------------------------------------------------------------------------
 
 def test_growth_is_linear_within_horizon(cap_block):
-    exp = growth_experiment(cap_block, 10, 0, n_max=30)
+    exp = growth_experiment(cap_block, 0, n_max=30)
     ratio = exp.norms / (exp.C_j * exp.n_grid)
     assert np.min(ratio) >= 0.9
     assert exp.single_period_response == pytest.approx(exp.C_j, rel=1e-6)
@@ -124,7 +119,7 @@ def test_growth_is_linear_within_horizon(cap_block):
 
 
 def test_growth_deviations_obey_submultiplicative_bound(cap_block):
-    exp = growth_experiment(cap_block, 10, 0, n_max=30, deviation_checks=30)
+    exp = growth_experiment(cap_block, 0, n_max=30, deviation_checks=30)
     m = np.arange(1, exp.deviation_norms.size + 1)
     gate = 1.1 * m * exp.period * exp.concentration_norm
     assert np.all(exp.deviation_norms <= gate)
@@ -134,7 +129,7 @@ def test_detuned_period_cancels_growth(cap_block):
     """Shifting the period by pi / lambda flips alternate periods."""
     lam = float(cap_block.eigenvalues[0])
     T_det = 2 * math.pi * (1.0 + 1.0 / (2.0 * lam))
-    exp = growth_experiment(cap_block, 10, 0, n_max=30, period=T_det)
+    exp = growth_experiment(cap_block, 0, n_max=30, period=T_det)
     assert exp.norms[-1] <= 1e-6 * exp.C_j * 30
     assert np.max(exp.norms) <= 1.05 * exp.C_j
 
@@ -142,7 +137,7 @@ def test_detuned_period_cancels_growth(cap_block):
 def test_damped_control_shows_no_growth():
     block = build_sphere_schrodinger(50, 10,
                                      DampingProfile("constant", amplitude=1.0))
-    exp = growth_experiment(block, 10, 0, n_max=30)
+    exp = growth_experiment(block, 0, n_max=30)
     per_period = exp.norms / exp.n_grid
     assert per_period[-1] <= 0.05 * per_period[0]
     assert np.max(exp.norms) <= 1.0
