@@ -85,6 +85,34 @@ from .stability_lab import (
 
 _NO_MODEL_TASKS = {"concentration", "invariants"}
 
+# The config sections each task reads besides task, label and seed, each
+# with the keys it reads (None: every key the schema allows). Every one of
+# them is required but ``solver``, whose keys all have defaults. A section
+# or key a task does not read is refused.
+_TASK_READS = {
+    "spectrum": {"model": None},
+    "periodic_solve": {"model": None, "forcing": None,
+                       "solver": {"method", "n_periods"}},
+    "convergence": {"model": None, "forcing": None, "solver": {"n_periods"}},
+    "decay_scan": {"model": None, "scan": {"alpha", "t_grid", "t_window"}},
+    "bt_crosscheck": {"model": None,
+                      "scan": {"t_grid", "eta_grid", "t_window", "eta_window"}},
+    "interpolation_check": {"model": None, "scan": {"alpha", "t_grid"}},
+    "gain_identity": {"model": None, "forcing": None},
+    "growth": {"model": None, "growth": None},
+    "concentration": {"model": None, "concentration": None},
+    "picard": {"model": None, "forcing": None, "picard": None},
+    "boundary_solve": {"model": None, "forcing": None, "solver": {"n_periods"}},
+    "invariants": {},
+}
+
+# the keys each forcing kind reads besides ``kind``, True where it needs one
+_FORCING_KEYS = {
+    "fourier": {"period": True, "components": False},
+    "bump": {"period": True, "profile": True, "order": False, "amplitude": False},
+    "boundary_signal": {"periods": True, "amplitude": False},
+}
+
 # fixed task settings: random starts of ``convergence``, the grid stretch of
 # ``interpolation_check`` and the derivative orders of ``gain_identity``
 CONVERGENCE_VECTORS = 5
@@ -106,6 +134,12 @@ def _require(cond: bool, msg: str):
         raise ValueError(msg)
 
 
+def _refuse_unread(reader: str, section: str, given: dict, keys) -> None:
+    unread = sorted(given.keys() - keys)
+    _require(not unread, f"{reader} does not read "
+             + ", ".join(f"{section}.{key}" for key in unread))
+
+
 def validate_config(cfg: dict) -> None:
     """Schema validation plus the cross-field checks the schema cannot say.
 
@@ -117,27 +151,28 @@ def validate_config(cfg: dict) -> None:
     if error is not None:
         raise error
     task = cfg["task"]
+    reads = _TASK_READS[task]
+    for section in sorted(cfg.keys() - {"task", "label", "seed"}):
+        _require(section in reads, f"task {task!r} does not read a {section!r} section")
+        if reads[section] is not None:
+            _refuse_unread(f"task {task!r}", section, cfg[section], reads[section])
+    for section in sorted(reads.keys() - {"solver"}):
+        _require(section in cfg, f"task {task!r} needs a {section!r} section")
     if task not in _NO_MODEL_TASKS:
-        _require("model" in cfg, f"task {task!r} needs a 'model' section")
         _check_params(cfg["model"])
-    if task in ("periodic_solve", "convergence", "gain_identity", "picard",
-                "boundary_solve"):
-        _require("forcing" in cfg, f"task {task!r} needs a 'forcing' section")
     fkind = cfg.get("forcing", {}).get("kind")
     if task == "boundary_solve":
         _require(fkind == "boundary_signal",
                  "boundary_solve needs a boundary_signal forcing")
-        _require("periods" in cfg["forcing"],
-                 "a boundary_signal forcing needs forcing.periods")
-        _require("period" not in cfg["forcing"], "a boundary_signal forcing "
-                 "takes forcing.periods, not forcing.period")
     elif fkind == "boundary_signal":
         raise ValueError(f"a boundary_signal forcing drives the boundary_solve "
                          f"task only, not {task!r}")
-    if fkind in ("fourier", "bump"):
-        _require("period" in cfg["forcing"], f"a {fkind} forcing needs forcing.period")
-    if fkind == "bump":
-        _require("profile" in cfg["forcing"], "a bump forcing needs forcing.profile")
+    if fkind is not None:
+        keys = _FORCING_KEYS[fkind]
+        _refuse_unread(f"a {fkind} forcing", "forcing", cfg["forcing"],
+                       keys.keys() | {"kind"})
+        for key in sorted(k for k, needed in keys.items() if needed):
+            _require(key in cfg["forcing"], f"a {fkind} forcing needs forcing.{key}")
     scan = cfg.get("scan", {})
     if task in ("decay_scan", "interpolation_check"):
         _require("t_grid" in scan, f"task {task!r} needs scan.t_grid")
@@ -147,20 +182,16 @@ def validate_config(cfg: dict) -> None:
         _require("t_grid" in scan and "eta_grid" in scan,
                  "bt_crosscheck needs scan.t_grid and scan.eta_grid")
     if task == "growth":
-        _require("growth" in cfg, "growth task needs a 'growth' section")
         _require(cfg["model"]["builder"] == "sphere_block",
                  "growth task needs a sphere_block model")
     if task == "concentration":
-        _require("concentration" in cfg,
-                 "concentration task needs a 'concentration' section")
-        spec = cfg.get("model", {})
+        spec = cfg["model"]
         _require(spec.get("builder") == "sphere_block",
                  "concentration task needs model.builder 'sphere_block'")
         _require("params" not in spec, "concentration task builds one block per "
                  "concentration.js and takes no model.params")
         _require("damping" in spec, "concentration task needs model.damping")
     if task == "picard":
-        _require("picard" in cfg, "picard task needs a 'picard' section")
         p = cfg["picard"]
         _require(len(p["powers"]) == len(p["coefficients"]),
                  "picard powers and coefficients must have equal length")

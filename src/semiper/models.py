@@ -253,9 +253,48 @@ class SphereBlockModel:
         return float(np.linalg.norm(weights * np.asarray(x, dtype=complex)))
 
 
-# Newton passes allowed per Gauss-Legendre rule; 3 or 4 are taken from
-# 2 to 6000 nodes, so reaching the cap means the iteration has stalled.
+# Newton passes allowed per Gauss-Legendre rule. From the asymptotic starts
+# below, every count from 27 to 4000 nodes stops after 2 passes (one that
+# converges, one that confirms it), counts from 3 to 26 after 3 and 2 nodes
+# after 4, so reaching the cap means the iteration has stalled.
 LEGENDRE_MAX_PASSES = 10
+
+# the first ten positive zeros j_{0,k} of the Bessel function J_0
+_J0_ZEROS = np.array([2.404825557695773, 5.520078110286311, 8.653727912911013,
+                      11.79153443901428, 14.93091770848779, 18.07106396791092,
+                      21.21163662987926, 24.35247153074930, 27.49347913204025,
+                      30.63460646843198])
+
+
+def _legendre_starts(n: int) -> np.ndarray:
+    """Asymptotic zeros x_1 > x_2 > ... of P_n on the nonnegative half.
+
+    With phi_k = pi (4k - 1) / (4n + 2), rho = n + 1/2 and psi_k =
+    j_{0,k} / rho (Hale & Townsend, SIAM J. Sci. Comput. 35, 2013):
+    where psi_k < 1, Gatteschi's Bessel-zero formula
+    x_k = cos(psi_k + (psi_k cot psi_k - 1) / (8 psi_k rho^2)); elsewhere
+    Tricomi's expansion
+    x_k = (1 - (n-1)/(8n^3) - (39 - 28/sin^2 phi_k)/(384 n^4)) cos phi_k.
+    The zeros j_{0,k} past the tenth come from McMahon's expansion, which
+    is within 5e-13 of them there.
+    """
+    k = np.arange(1, (n + 1) // 2 + 1)
+    phi = np.pi * (4 * k - 1) / (4 * n + 2)
+    x = (1.0 - (n - 1) / (8.0 * n**3)
+         - (39.0 - 28.0 / np.sin(phi) ** 2) / (384.0 * n**4)) * np.cos(phi)
+    beta = (k - 0.25) * np.pi
+    e = 1.0 / (8.0 * beta)
+    j0 = (beta + e - 124.0 / 3.0 * e**3 + 120928.0 / 15.0 * e**5
+          - 401743168.0 / 105.0 * e**7)
+    j0[:10] = _J0_ZEROS[:j0.size]
+    rho = n + 0.5
+    psi = j0 / rho
+    near = psi < 1.0
+    p = psi[near]
+    x[near] = np.cos(p + (p / np.tan(p) - 1.0) / (8.0 * p * rho**2))
+    if n % 2:
+        x[-1] = 0.0                          # P_n is odd: 0 is a node
+    return x
 
 
 @lru_cache(maxsize=8)
@@ -263,15 +302,18 @@ def gauss_legendre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only Gauss-Legendre nodes and weights on [-1, 1], cached by count.
 
     The nodes are found by Newton's method on P_n, n = nodes, started from
-    Tricomi's guesses (1 - (n-1)/(8n^3)) cos(pi (4k-1)/(4n+2)) and run on
-    the nonnegative half only (the rule is symmetric). Each pass runs the
-    orthonormal three-term recurrence q_0..q_n once, vectorized over the
-    half-nodes, in O(nodes) operations per node; q_n and q_{n-1} give P_n,
-    P_{n-1} and the step P_n (1 - x^2) / (n (P_{n-1} - x P_n)). The
-    iteration stops once no node moves by more than 2e-16, and raises
-    SlowConvergence after ``LEGENDRE_MAX_PASSES`` passes instead of
-    returning unconverged nodes. Golub-Welsch (a tridiagonal eigensolve)
-    costs O(nodes^2) per rule, numpy's ``leggauss`` a dense O(nodes^3) one.
+    the asymptotic nodes of ``_legendre_starts`` and run on the nonnegative
+    half only (the rule is symmetric). The starts are within 8e-16 of the
+    nodes at 2000 nodes and 4e-16 at 3000, so one pass converges and a
+    second confirms it: every count from 27 to 4000 takes 2 passes, smaller
+    ones 3 (4 at two nodes). Each pass runs the orthonormal three-term
+    recurrence q_0..q_n once, vectorized over the half-nodes, in O(nodes)
+    operations per node; q_n and q_{n-1} give P_n, P_{n-1} and the step
+    P_n (1 - x^2) / (n (P_{n-1} - x P_n)). The iteration stops once no node
+    moves by more than 2e-16, and raises SlowConvergence after
+    ``LEGENDRE_MAX_PASSES`` passes instead of returning unconverged nodes.
+    Golub-Welsch (a tridiagonal eigensolve) costs O(nodes^2) per rule,
+    numpy's ``leggauss`` a dense O(nodes^3) one.
 
     The weights are the Christoffel function 1 / sum_{k<n} q_k(s)^2,
     accumulated by the same recurrence in the last pass, at nodes within
@@ -285,10 +327,7 @@ def gauss_legendre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     if nodes < 1:
         raise InvalidGrid(f"need at least one quadrature node, got {nodes}")
     n = nodes
-    k = np.arange(1, (n + 1) // 2 + 1)
-    x = (1.0 - (n - 1) / (8.0 * n**3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
-    if n % 2:
-        x[-1] = 0.0                          # P_n is odd: 0 is a node
+    x = _legendre_starts(n)
     i = np.arange(1, n + 1)
     b = np.concatenate(([0.0], i / np.sqrt(4.0 * i * i - 1.0)))
     q_prev, q, tmp, total = (np.empty_like(x) for _ in range(4))
@@ -325,9 +364,18 @@ def gauss_legendre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sphere_multiplier(m: int, Jmax: int, damping: DampingProfile, nodes: int) -> np.ndarray:
+    """M_a = sum over the nodes s_i of w_i a(s_i) X(s_i) X(s_i)^T, X the
+    ``normalized_legendre_block`` column, on a ``nodes``-point rule.
+
+    Only the nodes with w_i a(s_i) != 0 are evaluated: a cap leaves its
+    equatorial band undamped (71% of the nodes for the shipped caps), and
+    each term dropped there is exactly 0.0.
+    """
     s, w = gauss_legendre_rule(nodes)
-    X = normalized_legendre_block(m, Jmax, s)
-    return (X * (w * damping(s))) @ X.T
+    wa = w * damping(s)
+    damped = wa != 0.0
+    X = normalized_legendre_block(m, Jmax, s[damped])
+    return (X * wa[damped]) @ X.T
 
 
 def build_sphere_schrodinger(Jmax: int, m: int, damping: DampingProfile,

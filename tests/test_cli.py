@@ -359,6 +359,15 @@ def _drop(*path):
     return edit
 
 
+def _add(*path_and_values):
+    """An edit that sets several keys of the section at a key path."""
+    *path, values = path_and_values
+
+    def edit(cfg):
+        _walk(cfg, path).update(values)
+    return edit
+
+
 def names_key(err, key):
     """The message quotes ``key`` or ends a dotted path with it."""
     return re.search(rf"['.]{re.escape(key)}\b", err) is not None
@@ -418,13 +427,25 @@ def test_main_removed_kind_or_key_exit_two(tmp_path, config_dir, capsys, config,
     ("resonance_concentration.json", _set("model", "params", {"m": 10}), "params"),
     ("boundary_wave.json", _drop("forcing", "periods"), "periods"),
     ("boundary_wave.json", _set("forcing", "period", 1.0), "period"),
+    ("interval_periodic.json", _add("forcing", {"periods": [5.0], "components": []}),
+     "periods"),
+    ("bt_synthetic_alpha1.json", _set("forcing", {"kind": "fourier", "period": 1.0}),
+     "forcing"),
+    ("invariants.json", _set("model", {"builder": "scalar", "params": {"lam": 3.0}}),
+     "model"),
+    ("gain_interval.json", _set("solver", {"n_periods": 2}), "solver"),
+    ("scalar_oracle.json", _set("forcing", "amplitude", 2.0), "amplitude"),
+    ("boundary_wave.json", _set("forcing", "order", 2), "order"),
+    ("convergence.json", _set("solver", "method", "all"), "method"),
+    ("heatwave_decay.json", _set("scan", "eta_window", [1.0, 10.0]), "eta_window"),
 ))
 def test_main_missing_or_misspelt_key_exit_two(tmp_path, config_dir, capsys, config,
                                                edit, named):
-    """A required key left out, or a key the builder, task or forcing does
-    not take (damping on an undamped builder, params on the concentration
-    model, a single period on a boundary signal), is a config error that
-    names the key, not a KeyError or a silent default."""
+    """A required key left out, or a section or key that the task, builder
+    or forcing kind does not read (damping on an undamped builder, params
+    on the concentration model, a single period on a boundary signal,
+    periods on a bump forcing, a forcing on a scan), is a config error that
+    names it, not a KeyError or a silent default."""
     assert run_edited(tmp_path, config_dir, config, edit) == 2
     err = capsys.readouterr().err
     assert "config error" in err and names_key(err, named)
@@ -546,6 +567,43 @@ def test_acceptance_script_refuses_modules_loaded_by_runs(tmp_path, config_dir, 
         assert last == "1 configs, 0 unexpected outcomes"
     else:
         assert last == f"runs loaded modules the imports did not: {lazy}"
+
+
+def _artifact_tree(root, csv_x, json_w, flag, extra=()):
+    """A small run_all_acceptance-style output tree."""
+    run = root / "cfg"
+    run.mkdir(parents=True)
+    (run / "data.csv").write_text(f"n [1],x [X]\n1,1\n2,{csv_x!r}\n")
+    (run / "same.csv").write_text("n [1]\n1\n")
+    (run / "out.json").write_text(json.dumps(
+        {"w": [[1.0, 0.0], [json_w, float("nan")]], "flag": flag, "label": "x"}))
+    (run / "manifest.json").write_text(json.dumps({"wall_clock": str(root)}))
+    for name in extra:
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text("{}")
+    return root
+
+
+def test_compare_artifacts_reports_each_changed_column(tmp_path, config_dir,
+                                                       monkeypatch, capsys):
+    """Each changed CSV column and JSON array is one line with its change
+    relative to the array's largest entry; identical files, manifests and
+    matching NaNs are quiet, and a file in one tree only is named."""
+    script = load_script(config_dir.parent, "compare_artifacts")
+    a = _artifact_tree(tmp_path / "a", 2.0, -4.0, True, extra=["other/only.json"])
+    b = _artifact_tree(tmp_path / "b", 2.002, -4.004, False)
+    monkeypatch.setattr(sys, "argv", ["compare_artifacts.py", str(a), str(b)])
+    assert script.main() == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "cfg/data.csv  x [X]  rel 1.00e-03  abs 2.00e-03",
+        "cfg/out.json  flag  changed",
+        "cfg/out.json  w  rel 1.00e-03  abs 4.00e-03",
+        "other/only.json  only in A",
+        "3 files differ",
+    ]
+    monkeypatch.setattr(sys, "argv", ["compare_artifacts.py", str(a), str(a)])
+    assert script.main() == 0
+    assert capsys.readouterr().out.splitlines() == ["no differences"]
 
 
 def test_fit_window_scan_prints_every_window(config_dir, monkeypatch, capsys):

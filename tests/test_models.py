@@ -284,6 +284,16 @@ def test_gauss_legendre_rule_raises_when_newton_stalls(monkeypatch):
         gauss_legendre_rule(2000)
 
 
+@pytest.mark.parametrize("n", [27, 80, 360, 540, 1200, 1800, 2000, 3000, 3001])
+def test_gauss_legendre_rule_converges_in_two_passes(monkeypatch, n):
+    """The asymptotic starts are close enough that one Newton pass converges
+    and a second confirms it, at every count the package builds."""
+    monkeypatch.setattr(models, "LEGENDRE_MAX_PASSES", 2)
+    gauss_legendre_rule.cache_clear()
+    s, w = gauss_legendre_rule(n)
+    assert s.size == w.size == n
+
+
 def test_gauss_legendre_rule_exact_to_degree_2n_minus_1():
     for n in (2000, 3000, 3001):
         s, w = gauss_legendre_rule(n)
@@ -313,6 +323,35 @@ def test_sphere_multiplier_matches_leggauss_assembly():
     ref = (X * (w * cap(s))) @ X.T
     M = _sphere_multiplier(m, Jmax, cap, nodes)
     assert np.max(np.abs(M - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _full_node_multiplier(m, Jmax, damping, nodes):
+    s, w = gauss_legendre_rule(nodes)
+    X = normalized_legendre_block(m, Jmax, s)
+    return (X * (w * damping(s))) @ X.T
+
+
+def test_sphere_multiplier_on_constant_damping_is_the_full_node_product():
+    """Constant damping leaves no node out, so nothing moves by a bit."""
+    from semiper.models import _sphere_multiplier
+
+    const = DampingProfile("constant", amplitude=0.7)
+    M = _sphere_multiplier(3, 40, const, 360)
+    assert np.array_equal(M, _full_node_multiplier(3, 40, const, 360))
+
+
+def test_sphere_multiplier_drops_only_undamped_nodes():
+    """A cap's undamped band contributes exact zeros: leaving it out moves the
+    entries by summation order only, and a zero-amplitude cap is exactly 0."""
+    from semiper.models import _sphere_multiplier
+
+    cap = DampingProfile("cap", amplitude=1.0, width=0.02, cutoff=0.9)
+    M = _sphere_multiplier(10, 70, cap, 360)
+    ref = _full_node_multiplier(10, 70, cap, 360)
+    assert np.max(np.abs(M - ref)) <= 1e-15 * np.max(np.abs(ref))
+    silent = DampingProfile("cap", amplitude=0.0, width=0.02, cutoff=0.9)
+    assert np.array_equal(_sphere_multiplier(10, 70, silent, 360),
+                          np.zeros((61, 61)))
 
 
 def test_legendre_block_orthonormal():
