@@ -254,34 +254,35 @@ class SphereBlockModel:
 
 
 # Newton passes allowed per Gauss-Legendre rule. From the asymptotic starts
-# below, every count from 27 to 4000 nodes stops after 2 passes (one that
-# converges, one that confirms it), counts from 3 to 26 after 3 and 2 nodes
-# after 4, so reaching the cap means the iteration has stalled.
+# below, every count from 25 to 4000 nodes stops after 2 passes (one that
+# converges, one that confirms it), counts from 2 to 24 after 3 and one node
+# after 1, so reaching the cap means the iteration has stalled.
 LEGENDRE_MAX_PASSES = 10
+_STIELTJES_TERMS = 20                                # M in gauss_legendre_rule
 
 # the first ten positive zeros j_{0,k} of the Bessel function J_0
 _J0_ZEROS = np.array([2.404825557695773, 5.520078110286311, 8.653727912911013,
                       11.79153443901428, 14.93091770848779, 18.07106396791092,
                       21.21163662987926, 24.35247153074930, 27.49347913204025,
                       30.63460646843198])
+_QUARTER_COS = np.array([1.0, 0.0, -1.0, 0.0])      # cos(r pi/2), r = 0..3
 
 
 def _legendre_starts(n: int) -> np.ndarray:
-    """Asymptotic zeros x_1 > x_2 > ... of P_n on the nonnegative half.
+    """Asymptotic zeros of P_n on the nonnegative half, as phi = arcsin x
+    from pi/2 down to 0 (Hale & Townsend, SIAM J. Sci. Comput. 35, 2013).
 
-    With phi_k = pi (4k - 1) / (4n + 2), rho = n + 1/2 and psi_k =
-    j_{0,k} / rho (Hale & Townsend, SIAM J. Sci. Comput. 35, 2013):
+    With t_k = pi (4k - 1) / (4n + 2), rho = n + 1/2 and psi_k = j_{0,k} / rho:
     where psi_k < 1, Gatteschi's Bessel-zero formula
-    x_k = cos(psi_k + (psi_k cot psi_k - 1) / (8 psi_k rho^2)); elsewhere
-    Tricomi's expansion
-    x_k = (1 - (n-1)/(8n^3) - (39 - 28/sin^2 phi_k)/(384 n^4)) cos phi_k.
+    pi/2 - phi_k = psi_k + (psi_k cot psi_k - 1) / (8 psi_k rho^2); elsewhere
+    Tricomi's x_k = (1 - (n-1)/(8n^3) - (39 - 28/sin^2 t_k)/(384 n^4)) cos t_k.
     The zeros j_{0,k} past the tenth come from McMahon's expansion, which
     is within 5e-13 of them there.
     """
     k = np.arange(1, (n + 1) // 2 + 1)
-    phi = np.pi * (4 * k - 1) / (4 * n + 2)
-    x = (1.0 - (n - 1) / (8.0 * n**3)
-         - (39.0 - 28.0 / np.sin(phi) ** 2) / (384.0 * n**4)) * np.cos(phi)
+    t = np.pi * (4 * k - 1) / (4 * n + 2)
+    phi = np.arcsin((1.0 - (n - 1) / (8.0 * n**3)
+                     - (39.0 - 28.0 / np.sin(t) ** 2) / (384.0 * n**4)) * np.cos(t))
     beta = (k - 0.25) * np.pi
     e = 1.0 / (8.0 * beta)
     j0 = (beta + e - 124.0 / 3.0 * e**3 + 120928.0 / 15.0 * e**5
@@ -291,71 +292,114 @@ def _legendre_starts(n: int) -> np.ndarray:
     psi = j0 / rho
     near = psi < 1.0
     p = psi[near]
-    x[near] = np.cos(p + (p / np.tan(p) - 1.0) / (8.0 * p * rho**2))
+    phi[near] = np.pi / 2 - (p + (p / np.tan(p) - 1.0) / (8.0 * p * rho**2))
     if n % 2:
-        x[-1] = 0.0                          # P_n is odd: 0 is a node
-    return x
+        phi[-1] = 0.0                        # P_n is odd: 0 is a node
+    return phi
+
+
+def _phase(q, c, phi):
+    """cos and sin of q pi/2 - c phi, with c phi exact as hi + lo by Dekker's
+    two-product for 2c an integer below 2**26; rounded, it kept Newton's step
+    above 2e-16."""
+    hi = c * phi
+    t = 134217729.0 * phi
+    head = t - (t - phi)
+    lo = (c * head - hi) + c * (phi - head)
+    cos_hi, sin_hi = np.cos(hi), np.sin(hi)
+    cos_b, sin_b = cos_hi - lo * sin_hi, sin_hi + lo * cos_hi
+    a, b = _QUARTER_COS[q % 4], _QUARTER_COS[(q - 1) % 4]
+    return a * cos_b + b * sin_b, b * cos_b - a * sin_b
+
+
+def _stieltjes_h(n: int) -> np.ndarray:
+    m = np.arange(1, _STIELTJES_TERMS + 1)
+    return np.cumprod(np.concatenate(([1.0], (m - 0.5) ** 2 / (m * (n + m + 0.5)))))
+
+
+def _near_end(n: int, phi: np.ndarray) -> np.ndarray:
+    bound = 2.0 * _stieltjes_h(n)[-1] / (2.0 * np.cos(phi)) ** (_STIELTJES_TERMS + 0.5)
+    return bound >= 1e-17
+
+
+def _stieltjes(n: int, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n and dP_n/dtheta by Stieltjes' series. C_n is summed in logs by
+    fsum: an lgamma difference put the end weights 4e-13 off at 2000 nodes."""
+    m = np.arange(_STIELTJES_TERMS)[:, None]
+    u, tan = 0.5 / np.cos(phi), np.tan(phi)
+    cos_a, sin_a = _phase(n, n + 0.5, phi)
+    # term m is term 0 times (u e^{-i phi})^m = ((1 - i tan phi) / 2)^m
+    t = np.empty((_STIELTJES_TERMS, phi.size), dtype=complex)
+    t[0] = np.sqrt(u) * (cos_a + 1j * sin_a)
+    t[1:] = 0.5 - 0.5j * tan
+    np.cumprod(t, axis=0, out=t)             # in place: t is 20 x nodes/2
+    t *= _stieltjes_h(n)[:-1, None]
+    f = t.real.sum(axis=0)
+    df = ((n + m + 0.5) * t.imag + (m + 0.5) * tan * t.real).sum(axis=0)
+    c_n = 4.0 / math.pi * math.exp(-math.fsum(np.log1p(0.5 / np.arange(1, n + 1))))
+    return c_n * f, -c_n * df
+
+
+def _cosine_series(n: int, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n and dP_n/dtheta by the cosine series, in elementwise sums (no BLAS)."""
+    k = np.arange(1, n + 1)
+    g = np.cumprod(np.concatenate(([1.0], (2 * k - 1) / (2.0 * k))))
+    k = np.arange(n // 2 + 1)
+    j = (n - 2 * k)[:, None]
+    coef = (g[k] * g[n - k] * np.where(2 * k < n, 2.0, 1.0))[:, None]
+    cos_a, sin_a = _phase(j, j, phi)
+    return (coef * cos_a).sum(axis=0), -(coef * j * sin_a).sum(axis=0)
 
 
 @lru_cache(maxsize=8)
 def gauss_legendre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only Gauss-Legendre nodes and weights on [-1, 1], cached by count.
 
-    The nodes are found by Newton's method on P_n, n = nodes, started from
-    the asymptotic nodes of ``_legendre_starts`` and run on the nonnegative
-    half only (the rule is symmetric). The starts are within 8e-16 of the
-    nodes at 2000 nodes and 4e-16 at 3000, so one pass converges and a
-    second confirms it: every count from 27 to 4000 takes 2 passes, smaller
-    ones 3 (4 at two nodes). Each pass runs the orthonormal three-term
-    recurrence q_0..q_n once, vectorized over the half-nodes, in O(nodes)
-    operations per node; q_n and q_{n-1} give P_n, P_{n-1} and the step
-    P_n (1 - x^2) / (n (P_{n-1} - x P_n)). The iteration stops once no node
-    moves by more than 2e-16, and raises SlowConvergence after
-    ``LEGENDRE_MAX_PASSES`` passes instead of returning unconverged nodes.
-    Golub-Welsch (a tridiagonal eigensolve) costs O(nodes^2) per rule,
-    numpy's ``leggauss`` a dense O(nodes^3) one.
+    Newton's method on P_n, n = nodes, runs in phi = arcsin x = pi/2 - theta
+    from ``_legendre_starts``, on the nonnegative half (the rule is
+    symmetric). Each pass evaluates P_n and dP_n/dtheta at all half-nodes in
+    closed form. Inside, Stieltjes' series P_n(cos theta) = C_n sum_{m<M}
+    h_m cos(n pi/2 - (n+m+1/2) phi) / (2 cos phi)^(m+1/2), with M = 20, h_0
+    = 1, h_m = h_{m-1} (m-1/2)^2 / (m (n+m+1/2)) and C_n = (4/pi)
+    prod_{k<=n} k/(k+1/2), costs O(1) per node. Where its remainder bound
+    2 h_M / (2 cos phi)^(M+1/2) reaches 1e-17 (8 nodes per end from 360 to
+    4000 nodes, every node below 15), the exact P_n(cos theta) = sum_{k<=n}
+    g_k g_{n-k} cos((n-2k) theta), g_0 = 1, g_k = g_{k-1} (2k-1)/(2k),
+    costs O(n). So a rule costs O(n), against O(n^2) for the three-term
+    recurrence or Golub-Welsch and O(n^3) for numpy's ``leggauss``. Every
+    count from 25 to 4000 takes 2 passes, smaller ones 3. Newton stops once
+    no node moves by more than 2e-16 in x (dx = cos phi dphi), and raises
+    SlowConvergence after ``LEGENDRE_MAX_PASSES`` passes.
 
-    The weights are the Christoffel function 1 / sum_{k<n} q_k(s)^2,
-    accumulated by the same recurrence in the last pass, at nodes within
-    2e-16 of the returned ones, so no separate pass is needed. It is a sum
-    of positive terms that keeps monomial exactness near 1e-15 up to 3000
-    nodes; the derivative formula 2 / ((1 - s^2) P_n'(s)^2) used by the
-    library rules loses about 1e-13 at 2000 nodes. Block scans and the
-    panel quadratures ask for the same few counts over and over; the
-    arrays are shared by every caller, so they are frozen.
+    The weights 2 / (dP_n/dtheta)^2 of the last pass are carried to the node
+    its step points to by Legendre's equation (P'' = -cot theta P' at a
+    zero). Against 50-digit Newton, nodes are within 6.3e-17 and weights
+    within 1.2e-14 relative up to 4000 nodes; the recurrence's Christoffel
+    weights were 1.7e-11 off at the end node of 2000, so the derivative
+    formula, once taken to lose 1e-13 there, does not in this evaluation.
+    The frozen arrays are shared by every caller.
     """
     if nodes < 1:
         raise InvalidGrid(f"need at least one quadrature node, got {nodes}")
     n = nodes
-    x = _legendre_starts(n)
-    i = np.arange(1, n + 1)
-    b = np.concatenate(([0.0], i / np.sqrt(4.0 * i * i - 1.0)))
-    q_prev, q, tmp, total = (np.empty_like(x) for _ in range(4))
+    phi = _legendre_starts(n)
+    end = _near_end(n, phi)
+    p, dp = np.empty_like(phi), np.empty_like(phi)
     for _ in range(LEGENDRE_MAX_PASSES):
-        q_prev.fill(0.0)
-        q.fill(math.sqrt(0.5))
-        total.fill(0.0)
-        for j in range(1, n + 1):
-            np.multiply(q, q, out=tmp)
-            total += tmp
-            # q_j = (x q_{j-1} - b_{j-1} q_{j-2}) / b_j, written over q_{j-2}
-            np.multiply(x, q, out=tmp)
-            q_prev *= b[j - 1]
-            np.subtract(tmp, q_prev, out=q_prev)
-            q_prev /= b[j]
-            q_prev, q = q, q_prev
-        p_n = q / math.sqrt(n + 0.5)
-        p_nm1 = q_prev / math.sqrt(n - 0.5)
-        dx = p_n * (1.0 - x * x) / (n * (p_nm1 - x * p_n))
-        x -= dx
-        step = float(np.max(np.abs(dx)))
+        p[end], dp[end] = _cosine_series(n, phi[end])
+        if not end.all():               # below 15 nodes every node is an end node
+            p[~end], dp[~end] = _stieltjes(n, phi[~end])
+        dphi = p / dp                        # dP/dphi = -dP/dtheta
+        phi += dphi
+        step = float(np.max(np.abs(np.cos(phi) * dphi)))
         if step <= 2e-16:
             break
     else:
         raise SlowConvergence(
             f"Gauss-Legendre Newton iteration at {n} nodes: last max|dx| "
             f"{step:.3e} after {LEGENDRE_MAX_PASSES} passes")
-    w_half = 1.0 / total                     # x and w_half run from s = 1 inward
+    x = np.sin(phi)                          # x and w_half run from s = 1 inward
+    w_half = 2.0 / (dp * (1.0 + np.tan(phi) * dphi)) ** 2
     s = np.concatenate((-x[:n // 2], x[::-1]))
     w = np.concatenate((w_half[:n // 2], w_half[::-1]))
     s.setflags(write=False)

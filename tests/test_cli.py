@@ -8,6 +8,7 @@ import inspect
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -618,6 +619,42 @@ def test_fit_window_scan_prints_every_window(config_dir, monkeypatch, capsys):
         rows = [line.split() for line in table.splitlines()[2:] if line]
         assert len(rows) == 15
         assert all(len(row) == 4 for row in rows)
+
+
+def test_bench_configs_writes_a_ledger_row_per_config(config_dir, tmp_path):
+    """Each config's median over fresh children, its outcome (an expected
+    failure names its error) and the environment the times belong to."""
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    for name in ("scalar_oracle", "circle_obstruction"):
+        shutil.copy(config_dir / f"{name}.json", configs)
+    out = tmp_path / "BENCH_configs.json"
+    subprocess.run([sys.executable, str(config_dir.parent / "scripts" / "bench_configs.py"),
+                    "--configs", str(configs), "--out", str(out)],
+                   capture_output=True, text=True, check=True)
+    ledger = json.loads(out.read_text())
+    rows = ledger["configs"]
+    assert sorted(rows) == ["circle_obstruction", "scalar_oracle"]
+    assert rows["scalar_oracle"]["outcome"] == "ok"
+    assert rows["circle_obstruction"]["outcome"] == "KernelObstruction"
+    for row in rows.values():
+        assert 0 < row["min_s"] <= row["median_s"] <= row["max_s"]
+    env = ledger["environment"]
+    assert env["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
+    for key in ("machine", "cpu", "nproc", "blas_name", "blas_version", "numpy"):
+        assert env[key]
+
+
+def test_bench_configs_refuses_runs_that_end_differently(config_dir, monkeypatch):
+    """A median over a full run and an early exit on an error means nothing."""
+    monkeypatch.setattr(sys, "path", list(sys.path))    # the script adds perfbench/
+    try:
+        script = load_script(config_dir.parent, "bench_configs")
+        runs = [{"run_s": 0.2}, {"run_s": 0.01, "error": "semiper.errors.KernelObstruction"}]
+        with pytest.raises(RuntimeError, match="ended differently"):
+            script.ledger({"circle_kernel": runs}, {})
+    finally:
+        sys.modules.pop("run", None)                     # perfbench/run.py
 
 
 def fresh_python(code, *args):

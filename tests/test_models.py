@@ -6,7 +6,11 @@ dissipation identity, and the heat-wave system against an integrated
 energy balance along a propagated trajectory.
 """
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -284,7 +288,13 @@ def test_gauss_legendre_rule_raises_when_newton_stalls(monkeypatch):
         gauss_legendre_rule(2000)
 
 
-@pytest.mark.parametrize("n", [27, 80, 360, 540, 1200, 1800, 2000, 3000, 3001])
+# a deterministic spread of counts from 1 to 4000, plus a few small and
+# mid-range ones
+_SAMPLE_COUNTS = sorted({*range(1, 4001, 97), 11, 14, 261, 276, 320, 4000})
+
+
+@pytest.mark.parametrize("n", sorted({27, 80, 360, 540, 1200, 1800, 2000, 3000, 3001}
+                                     | {n for n in _SAMPLE_COUNTS if n >= 27}))
 def test_gauss_legendre_rule_converges_in_two_passes(monkeypatch, n):
     """The asymptotic starts are close enough that one Newton pass converges
     and a second confirms it, at every count the package builds."""
@@ -292,6 +302,70 @@ def test_gauss_legendre_rule_converges_in_two_passes(monkeypatch, n):
     gauss_legendre_rule.cache_clear()
     s, w = gauss_legendre_rule(n)
     assert s.size == w.size == n
+
+
+@pytest.mark.parametrize("n", _SAMPLE_COUNTS)
+def test_gauss_legendre_rule_is_symmetric_and_positive(n):
+    s, w = gauss_legendre_rule(n)
+    assert np.all(np.diff(s) > 0)
+    assert np.array_equal(s, -s[::-1]) and np.array_equal(w, w[::-1])
+    assert np.all(w > 0)
+    assert math.fsum(w) == pytest.approx(2.0, rel=0, abs=4e-15)
+
+
+@pytest.mark.parametrize("n", [360, 2000, 3000])
+def test_stieltjes_and_cosine_series_agree_at_the_split(n):
+    """Both evaluations at the two nodes on each side of the split between
+    them; P_n, which vanishes there, against its local amplitude
+    |dP_n/dtheta| / (n + 1/2)."""
+    s, _ = gauss_legendre_rule(n)
+    phi = np.arcsin(s[::-1][:(n + 1) // 2])
+    ends = int(np.sum(models._near_end(n, phi)))
+    phi = phi[ends - 2:ends + 2]
+    p_s, dp_s = models._stieltjes(n, phi)
+    p_c, dp_c = models._cosine_series(n, phi)
+    assert np.all(np.abs(p_s - p_c) <= 1e-14 * np.abs(dp_c) / (n + 0.5))
+    assert np.all(np.abs(dp_s - dp_c) <= 1e-14 * np.abs(dp_c))
+
+
+def _mp_legendre(n, x):
+    """P_n(x) and P_n'(x) by the three-term recurrence, in x's precision."""
+    p_prev, p = 1, x
+    for k in range(2, n + 1):
+        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+    return p, n * (x * p - p_prev) / (x * x - 1)
+
+
+@pytest.mark.parametrize("n", [80, 2000])
+def test_gauss_legendre_rule_against_50_digit_newton(n):
+    """Three 50-digit Newton steps from each returned node give the node
+    and its weight 2 / ((1 - x^2) P_n'(x)^2)."""
+    mpmath = pytest.importorskip("mpmath")
+    s, w = gauss_legendre_rule(n)
+    with mpmath.workdps(50):
+        for i in (0, 1, 9, n // 2 - 1):
+            x = mpmath.mpf(float(s[i]))
+            for _ in range(3):
+                p, dp = _mp_legendre(n, x)
+                x -= p / dp
+            _, dp = _mp_legendre(n, x)
+            weight = 2 / ((1 - x * x) * dp * dp)
+            assert abs(float(s[i]) - x) <= 1e-16, (n, i)
+            assert abs(float(w[i]) - weight) <= 1e-12 * weight, (n, i)
+
+
+def test_gauss_legendre_rule_bytes_do_not_depend_on_blas_threads():
+    code = ("import hashlib; from semiper.models import gauss_legendre_rule; "
+            "s, w = gauss_legendre_rule(3000); "
+            "print(hashlib.sha256(s.tobytes() + w.tobytes()).hexdigest())")
+    digests = {subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True,
+                              env=os.environ | {"PYTHONPATH": os.pathsep.join(sys.path),
+                                                "OPENBLAS_NUM_THREADS": threads}).stdout
+               for threads in ("1", "2")}
+    assert len(digests) == 1
+    s, w = gauss_legendre_rule(3000)
+    assert digests == {hashlib.sha256(s.tobytes() + w.tobytes()).hexdigest() + "\n"}
 
 
 def test_gauss_legendre_rule_exact_to_degree_2n_minus_1():
