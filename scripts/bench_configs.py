@@ -8,7 +8,8 @@ child forked by the benchmark's fork server (``perfbench/child.py serve``),
 with BLAS pinned to one thread. So every run starts from cold process-level
 caches, as a ``semiper run`` does; interpreter start and imports are left
 out, as in the benchmark's ``wall_s``. Round r runs every config once, so a
-drift in the machine's speed spreads over all configs alike. The ledger
+drift in the machine's speed spreads over all configs alike and shows in the
+round totals (``round_totals_s``, also printed). The ledger
 (default ``BENCH_configs.json`` at the repository root) holds each config's
 median, fastest and slowest seconds and its outcome (``ok`` or the
 ``SemiperError`` it raised, as ``circle_obstruction`` must; runs of one
@@ -79,10 +80,12 @@ def ledger(results: dict, env: dict) -> dict:
     for key in ("seed", "git_commit"):
         machine.pop(key)
     machine["cpu"] = cpu_model()
+    rounds = [round(sum(r["run_s"] for r in runs), 6) for runs in zip(*results.values())]
     return {"about": __doc__.strip().splitlines()[0],
             "runs_per_config": RUNS,
             "environment": machine,
             "total_median_s": round(sum(c["median_s"] for c in configs.values()), 6),
+            "round_totals_s": rounds,
             "configs": configs}
 
 
@@ -102,6 +105,7 @@ def main() -> int:
         print(f"{name:<28}{c['median_s']:8.3f} s  {c['outcome']}")
     print(f"{'total':<28}{report['total_median_s']:8.3f} s  "
           f"({RUNS} runs per config)")
+    print(f"{'round totals':<28}" + "  ".join(f"{t:.3f}" for t in report["round_totals_s"]))
     return 0
 
 

@@ -93,7 +93,9 @@ class PeriodicForcing:
             return self.space.norm(vec)
         return float(np.linalg.norm(vec))
 
-    def _row_norms(self, vals: np.ndarray) -> np.ndarray:
+    def norms_at(self, ts, deriv: int = 0) -> np.ndarray:
+        """Norms of f^(deriv) at the times ts."""
+        vals = self.eval_many(ts, deriv)
         if self.space is not None:
             return self.space.row_norms(vals)
         return np.linalg.norm(vals, axis=1)
@@ -118,6 +120,7 @@ class FourierForcing(PeriodicForcing):
         self.space = space
         self.dim = C.shape[1]
         self._per0 = None
+        self._span = None
 
     @property
     def omega(self) -> np.ndarray:
@@ -128,6 +131,15 @@ class FourierForcing(PeriodicForcing):
         factors = (1j * self.omega) ** deriv
         phases = np.exp(1j * np.outer(ts, self.omega))
         return (phases * factors) @ self.coefficients
+
+    def norms_at(self, ts, deriv: int = 0) -> np.ndarray:
+        """Norms of f^(deriv)(ts) = P C, C the coefficient rows, taken in
+        their span: the row norms of P C conj(L), where L L* is the Gram."""
+        P = np.exp(1j * np.outer(ts, self.omega)) * (1j * self.omega) ** deriv
+        if self._span is None:
+            C = self.coefficients
+            self._span = C if self.space is None else C @ self.space.gram_cholesky.conj()
+        return np.linalg.norm(P @ self._span, axis=1)
 
     def derivative_forcing(self, order: int) -> "FourierForcing":
         factors = (1j * self.omega) ** order
@@ -253,14 +265,16 @@ def check_class(f: PeriodicForcing, k: int) -> ForcingNormReport:
     space) by composite quadrature, and checks that derivatives of order
     0..k-1 vanish at the period endpoints relative to the size of the
     corresponding derivative. ``class_verified`` reflects the endpoint
-    checks only; the norms are always reported.
+    checks only; the norms are always reported. Fourier data takes its
+    norms in the span of its coefficient rows (``FourierForcing.norms_at``),
+    with no nodes x dim x dim product.
     """
     nodes, weights = gauss_panels(f.period, _CLASS_PANELS, _CLASS_ORDER)
     l1 = 0.0
     wk1 = 0.0
     sup_by_order = []
     for j in range(k + 1):
-        norms = f._row_norms(f.eval_many(nodes, j))
+        norms = f.norms_at(nodes, j)
         contrib = float(np.dot(weights, norms))
         if j == 0:
             l1 = contrib

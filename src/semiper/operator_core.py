@@ -3,7 +3,9 @@
 All states live in C^dim equipped with a Hermitian positive definite Gram
 matrix G; every norm and operator norm in the package is the one induced
 by G (operator norms are computed as the largest singular value of
-G^{1/2} M G^{-1/2}). Generators are dense matrices. Propagation,
+G^{1/2} M G^{-1/2}). Generators are dense complex128 matrices; a real
+one is factored and propagated in real arithmetic, in its real
+eigenbasis (Golub & Van Loan, section 7.4). Propagation,
 harmonic solves and fractional powers all read one cached
 eigendecomposition per model and fall back to scaling-and-squaring,
 dense solves or ``fractional_matrix_power`` when the eigenvector basis is
@@ -47,6 +49,18 @@ BACKWARD_WARN_RATIO = 1e6
 _HERMITIAN_RTOL = 1e-12
 
 
+def _real_if_real(M: np.ndarray) -> np.ndarray:
+    """M.real when M has no imaginary part, so LAPACK takes its real driver."""
+    return M if np.any(M.imag) else M.real
+
+
+def _gram_roots(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(G^{1/2}, G^{-1/2}) of a positive definite G from one eigh."""
+    vals, vecs = np.linalg.eigh(_real_if_real(G))
+    vals = np.sqrt(np.maximum(vals, 1e-300))
+    return (vecs * vals) @ vecs.conj().T, (vecs / vals) @ vecs.conj().T
+
+
 def _as_matrix(a) -> np.ndarray:
     m = np.asarray(a)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -66,13 +80,15 @@ class StateSpace:
         Hermitian positive definite Gram matrix; the squared norm of a
         state x is the real quadratic form x* gram x.
     field_tag : str
-        "real" or "complex"; a bookkeeping tag only, all arithmetic is
-        done in complex128.
+        "real" or "complex"; a bookkeeping tag only (a real Gram is
+        factored in real arithmetic).
     gram_roots : tuple of ndarray
-        (G^{1/2}, G^{-1/2}), cached on first use; ``sqrt_gram`` and
-        ``inv_sqrt_gram`` read it.
+        (G^{1/2}, G^{-1/2}), cached on first use (real for a real Gram);
+        ``sqrt_gram`` and ``inv_sqrt_gram`` read it.
     real_gram : ndarray or None
         The Gram as a real array if it has no imaginary part, else None.
+    gram_cholesky : ndarray
+        The Cholesky factor L of G = L L*, real for a real Gram.
     """
 
     dim: int
@@ -100,12 +116,12 @@ class StateSpace:
         return None if np.any(self.gram.imag) else np.ascontiguousarray(self.gram.real)
 
     @cached_property
+    def gram_cholesky(self) -> np.ndarray:
+        return np.linalg.cholesky(_real_if_real(self.gram))
+
+    @cached_property
     def gram_roots(self) -> tuple[np.ndarray, np.ndarray]:
-        vals, vecs = np.linalg.eigh(self.gram)
-        vals = np.maximum(vals, 0.0)
-        with np.errstate(divide="ignore"):
-            inv = np.where(vals > 0, 1.0 / np.sqrt(vals), 0.0)
-        return (vecs * np.sqrt(vals)) @ vecs.conj().T, (vecs * inv) @ vecs.conj().T
+        return _gram_roots(self.gram)
 
     @property
     def sqrt_gram(self) -> np.ndarray:
@@ -117,7 +133,7 @@ class StateSpace:
 
     def op_norm(self, M) -> float:
         """Operator norm of M as a map (X, gram) -> (X, gram)."""
-        W = self.sqrt_gram @ np.asarray(M, dtype=complex) @ self.inv_sqrt_gram
+        W = self.sqrt_gram @ np.asarray(M) @ self.inv_sqrt_gram
         return float(np.linalg.norm(W, 2))
 
 
@@ -143,7 +159,7 @@ def make_state_space(dim: int, gram, field_tag: str = "real") -> StateSpace:
     if scale == 0 or np.linalg.norm(G - G.conj().T) > _HERMITIAN_RTOL * scale:
         raise NonHermitian("gram matrix is not Hermitian to 1e-12 relative")
     G = 0.5 * (G + G.conj().T)
-    if np.linalg.eigvalsh(G)[0] <= 0:
+    if np.linalg.eigvalsh(_real_if_real(G))[0] <= 0:
         raise NotPositiveDefinite("gram matrix must be positive definite")
     if field_tag not in ("real", "complex"):
         raise ValueError(f"unknown field_tag {field_tag!r}")
@@ -187,7 +203,8 @@ class Model:
         (w, V, Vinv, cond): eigenvalues and eigenvectors of A_r, the
         inverse eigenvector matrix (None if singular) and cond(V). This
         is the model's one spectral factorization; it is computed in
-        real arithmetic when A_r is real, and cast to complex.
+        real arithmetic when A_r is real, and cast to complex. cond(V) is
+        then that of the real basis (below), pair columns times sqrt(2).
     ``eig``
         The same four fields for A on the whole space. For kernel-free
         models this is ``deflated_eig`` itself; on kernel models it is
@@ -195,6 +212,10 @@ class Model:
         V e^{tw} Vinv = pi0 + Q e^{tA_r} Q* (I - pi0). ``cond`` is the
         deflated cond(V), which decides between the eigenbasis and the
         fallbacks (expm, dense solves, ``fractional_matrix_power``).
+    ``real_eig``
+        (first, X) if A, pi0 and the kernel basis are real and ``eig``
+        has exact conjugate pairs j, j + 1 (``first`` lists each j). X
+        inverts the real basis (columns Re and Im of V[:, j] at j, j + 1).
     ``reduced_gram_roots``
         (G_r^{1/2}, G_r^{-1/2}) on the deflated block.
     ``weighted_generator``
@@ -222,7 +243,7 @@ class Model:
     def deflated(self) -> tuple:
         if not self.has_kernel:
             return self.A, self.space.gram, None
-        P = np.eye(self.dim) - self.pi0
+        P = np.eye(self.dim) - _real_if_real(self.pi0)
         U, s, _ = np.linalg.svd(P, full_matrices=False)
         Q = U[:, s > 1e-10 * s[0]]
         A_r = Q.conj().T @ self.A @ Q
@@ -231,10 +252,12 @@ class Model:
 
     @cached_property
     def deflated_eig(self) -> tuple:
-        w, V = _eig(self.deflated[0])
+        w, V, first = _eig(self.deflated[0])
         try:
             Vinv = np.linalg.inv(V)
-            cond = np.linalg.cond(V)
+            # V = R D U with U unitary and D = sqrt(2) on R's pair columns
+            cond = np.linalg.cond(V if first is None
+                                  else _real_columns(V, first, np.sqrt(2.0)))
         except np.linalg.LinAlgError:
             Vinv, cond = None, np.inf
         return w, V, Vinv, cond
@@ -257,15 +280,21 @@ class Model:
         return w, V, Vinv, cond
 
     @cached_property
+    def real_eig(self) -> tuple | None:
+        w, _, Vinv, _ = self.eig
+        first = _conjugate_pairs(w)
+        real = not any(np.any(M.imag) for M in (self.A, self.pi0, *self.kernel_basis))
+        if first is None or not real:
+            return None
+        X = Vinv.real.copy()
+        X[first] *= 2.0
+        X[first + 1] = -2.0 * Vinv[first].imag
+        return first, X
+
+    @cached_property
     def reduced_gram_roots(self) -> tuple:
         _, G_r, Q = self.deflated
-        if Q is None:
-            return self.space.gram_roots
-        vals, vecs = np.linalg.eigh(G_r)
-        vals = np.maximum(vals, 1e-300)
-        S = (vecs * np.sqrt(vals)) @ vecs.conj().T
-        Si = (vecs / np.sqrt(vals)) @ vecs.conj().T
-        return S, Si
+        return self.space.gram_roots if Q is None else _gram_roots(G_r)
 
     @cached_property
     def weighted_generator(self) -> np.ndarray:
@@ -311,18 +340,39 @@ def build_model(space: StateSpace, A, kernel_basis=(), pi0=None, B=None,
 
 
 def _eig(M: np.ndarray) -> tuple:
-    """Eigenvalues and right eigenvectors of M as complex arrays.
+    """Eigenvalues and right eigenvectors of M as complex arrays, and
+    :func:`_conjugate_pairs` of the eigenvalues (None unless M is real).
 
     A matrix without imaginary part goes to the real LAPACK driver,
-    which is faster and returns exact conjugate pairs.
+    which is faster and returns each pair x +- iy in adjacent columns.
     """
-    real = not np.any(M.imag)
-    w, V = np.linalg.eig(M.real if real else M)
-    return w.astype(complex, copy=False), V.astype(complex, copy=False)
+    M = _real_if_real(M)
+    w, V = np.linalg.eig(M)
+    w, V = w.astype(complex, copy=False), V.astype(complex, copy=False)
+    return w, V, _conjugate_pairs(w) if np.isrealobj(M) else None
+
+
+def _conjugate_pairs(w: np.ndarray) -> np.ndarray | None:
+    """Indices j with w[j + 1] == conj(w[j]) exactly, covering every w
+    with nonzero imaginary part, or None when w is not laid out so."""
+    nonreal = np.flatnonzero(w.imag)
+    first = nonreal[::2]
+    paired = np.array_equal(nonreal[1::2], first + 1)
+    return first if paired and np.all(w[first + 1] == w[first].conj()) else None
+
+
+def _real_columns(E: np.ndarray, first: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """Re E with column j + 1 of each pair replaced by Im E[:, j], and
+    both columns of each pair times ``scale``."""
+    R = E.real.copy()
+    R[:, first + 1] = E[:, first].imag
+    if scale != 1.0:
+        R[:, np.r_[first, first + 1]] *= scale
+    return R
 
 
 def _spectral_kernel_projector(A: np.ndarray, kdim: int) -> np.ndarray:
-    w, V = _eig(A)
+    w, V, _ = _eig(A)
     idx = np.argsort(np.abs(w))[:kdim]
     # the rows of V^{-1} are the left eigenvectors dual to the columns of V
     return V[:, idx] @ np.linalg.inv(V)[idx]
@@ -335,15 +385,32 @@ def _spectral_kernel_projector(A: np.ndarray, kdim: int) -> np.ndarray:
 def propagator_matrix(model: Model, t: float) -> np.ndarray:
     """Dense matrix of e^{tA}, V e^{tw} V^{-1} from the cached eigenbasis.
 
-    When cond(V) exceeds EIG_COND_LIMIT it is ``scipy.linalg.expm``
+    On a real model it is the float64 Y X (``Model.real_eig``), Y with
+    columns Re and Im of e^{t w_j} V[:, j] at each pair j, j + 1. When
+    cond(V) exceeds EIG_COND_LIMIT it is ``scipy.linalg.expm``
     (scaling-and-squaring) instead; scipy.linalg is imported on that
     branch only.
     """
     w, V, Vinv, cond = model.eig
     if cond <= EIG_COND_LIMIT:
-        return (V * np.exp(w * t)) @ Vinv
+        E = V * np.exp(w * t)
+        if model.real_eig is None:
+            return E @ Vinv
+        first, X = model.real_eig
+        return _real_columns(E, first) @ X
     import scipy.linalg
     return scipy.linalg.expm(model.A * t)
+
+
+def apply_real(op, M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """op(M, X) for an op linear in X, such as ``np.matmul`` or
+    ``np.linalg.solve``; a real M takes a complex X's real and imaginary
+    parts as the interleaved columns of one real array."""
+    if np.iscomplexobj(M) or not np.iscomplexobj(X):
+        return op(M, X)
+    X = np.ascontiguousarray(X)
+    Y = op(M, X.view(np.float64).reshape(len(X), -1))
+    return np.ascontiguousarray(Y).view(complex).reshape(X.shape)
 
 
 def propagated_columns(model: Model, offsets, states, weights,

@@ -36,6 +36,7 @@ from .forcing import (
 )
 from .operator_core import (
     Model,
+    apply_real,
     from_block,
     harmonic_solve,
     propagate,
@@ -102,10 +103,11 @@ def _direct_w0(model: Model, T: float, FT: np.ndarray):
     """w0 solving (I - e^{TA}) w0 = F_T on the deflated block, and the
     condition number of that system. The singularity check runs before
     the matrix is factored; ``np.linalg.solve`` then takes one LU
-    factorization (getrf, then getrs) per call."""
+    factorization (getrf, then getrs) per call, a real one with F_T's
+    real and imaginary parts as two columns when the model is real."""
     _kernel_guard(model, FT)
     fixed, condition = _fixed_point_matrix(model, T)
-    w0 = from_block(model, np.linalg.solve(fixed, to_block(model, FT)))
+    w0 = from_block(model, apply_real(np.linalg.solve, fixed, to_block(model, FT)))
     return _strip_kernel(model, w0), condition
 
 
@@ -139,7 +141,7 @@ def periodic_w0_series(model: Model, f: PeriodicForcing, tol: float = 1e-12,
     n_terms = 1
     tail = None
     while True:
-        term = M @ term
+        term = apply_real(np.matmul, M, term)
         cur = model.space.norm(term)
         if cur <= tol * scale:
             rho = cur / prev_norm if prev_norm > 0 else 0.0
@@ -248,7 +250,7 @@ def convergence_gap(model: Model, f: PeriodicForcing, v0, n_periods: int,
     u = np.asarray(v0, dtype=complex).copy()
     gaps = [model.space.norm(u - w0)]
     for _ in range(n_periods):
-        u = M @ u + FT
+        u = apply_real(np.matmul, M, u) + FT
         gaps.append(model.space.norm(u - w0))
     ratios = [gaps[i + 1] / gaps[i] if gaps[i] > 0 else np.nan
               for i in range(len(gaps) - 1)]

@@ -621,17 +621,19 @@ def test_fit_window_scan_prints_every_window(config_dir, monkeypatch, capsys):
         assert all(len(row) == 4 for row in rows)
 
 
-def test_bench_configs_writes_a_ledger_row_per_config(config_dir, tmp_path):
+def test_bench_configs_writes_a_ledger_row_per_config(config_dir, tmp_path, monkeypatch):
     """Each config's median over fresh children, its outcome (an expected
-    failure names its error) and the environment the times belong to."""
+    failure names its error), the total of each round (a drift of the
+    machine shows there) and the environment the times belong to."""
     configs = tmp_path / "configs"
     configs.mkdir()
     for name in ("scalar_oracle", "circle_obstruction"):
         shutil.copy(config_dir / f"{name}.json", configs)
     out = tmp_path / "BENCH_configs.json"
-    subprocess.run([sys.executable, str(config_dir.parent / "scripts" / "bench_configs.py"),
-                    "--configs", str(configs), "--out", str(out)],
-                   capture_output=True, text=True, check=True)
+    script_path = config_dir.parent / "scripts" / "bench_configs.py"
+    stdout = subprocess.run([sys.executable, str(script_path),
+                             "--configs", str(configs), "--out", str(out)],
+                            capture_output=True, text=True, check=True).stdout
     ledger = json.loads(out.read_text())
     rows = ledger["configs"]
     assert sorted(rows) == ["circle_obstruction", "scalar_oracle"]
@@ -639,6 +641,20 @@ def test_bench_configs_writes_a_ledger_row_per_config(config_dir, tmp_path):
     assert rows["circle_obstruction"]["outcome"] == "KernelObstruction"
     for row in rows.values():
         assert 0 < row["min_s"] <= row["median_s"] <= row["max_s"]
+    totals = ledger["round_totals_s"]
+    assert len(totals) == ledger["runs_per_config"] == 5
+    for total in totals:
+        assert sum(r["min_s"] for r in rows.values()) <= total + 2e-6
+        assert total <= sum(r["max_s"] for r in rows.values()) + 2e-6
+    assert "round totals" in stdout
+    # each round's total is the sum of that round's run_s over the configs
+    monkeypatch.setattr(sys, "path", list(sys.path))    # the script adds perfbench/
+    try:
+        script = load_script(config_dir.parent, "bench_configs")
+        runs = {"a": [{"run_s": 0.25}, {"run_s": 0.5}], "b": [{"run_s": 0.125}, {"run_s": 1.0}]}
+        assert script.ledger(runs, {})["round_totals_s"] == [0.375, 1.5]
+    finally:
+        sys.modules.pop("run", None)                     # perfbench/run.py
     env = ledger["environment"]
     assert env["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
     for key in ("machine", "cpu", "nproc", "blas_name", "blas_version", "numpy"):

@@ -5,6 +5,7 @@ quadrature against scipy's adaptive quadrature, and the derivative
 shift identity against its integration-by-parts boundary sum.
 """
 
+import json
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 import scipy.integrate
 from numpy.testing import assert_allclose
 
+from semiper import cli
 from semiper.errors import QuadratureUnderResolved, ResonantHarmonic
 from semiper.forcing import (
     FourierForcing,
@@ -157,6 +159,45 @@ def test_class_verification_pass_and_fail():
     rep = check_class(cos, 1)
     assert not rep.class_verified
     assert len(rep.endpoint_residuals) == 1
+
+
+
+def _assert_span_norms_match_dense(f, ts, deriv):
+    """Span norms against the Gram norms of the evaluated values: 1e-13
+    relative, or 1e-15 of the coefficients' norm where f^(deriv) cancels."""
+    dense = f.space.row_norms(f.eval_many(ts, deriv))
+    scale = np.linalg.norm(f.space.row_norms(f.derivative_forcing(deriv).coefficients))
+    gap = np.abs(f.norms_at(ts, deriv) - dense)
+    assert np.all(gap <= np.maximum(1e-13 * dense, 1e-15 * scale))
+    return dense, scale
+
+
+def test_fourier_norms_in_the_coefficient_span_match_dense_row_norms(config_dir):
+    """check_class's norms of the interval_periodic forcing, which vanishes
+    to fourth order at the period ends, at every node and order it reads."""
+    cfg = json.loads((config_dir / "interval_periodic.json").read_text())
+    f = cli.build_forcing(cli.build_bundle(cfg), cfg["forcing"])
+    nodes, _ = gauss_panels(f.period, 48, 8)
+    assert f.per0_order == 4
+    for j in range(f.per0_order + 1):
+        dense, _ = _assert_span_norms_match_dense(f, nodes, j)
+        if j == 0:                          # f ~ t^4 at the first node
+            assert dense.min() < 1e-10 * dense.max()
+
+
+def test_fourier_norms_in_the_coefficient_span_at_a_cancelling_node(rng):
+    """c e^{i w t} + d e^{-i w t} with d chosen so that the value at t0 is
+    1e-12 of c: the span norm keeps the dense norm's absolute accuracy."""
+    model = build_damped_wave_interval(40, math.pi, DampingProfile("constant", amplitude=1.0))
+    c = rng.standard_normal(model.dim) + 1j * rng.standard_normal(model.dim)
+    t0, T = 0.37, 1.0
+    phase = np.exp(2j * np.pi * t0 / T)
+    f = make_fourier_forcing(T, {1: c, -1: -(1 - 1e-12) * phase ** 2 * c}, model.space)
+    ts = np.concatenate([[t0], np.linspace(0.0, T, 17)])
+    for j in range(3):
+        dense, scale = _assert_span_norms_match_dense(f, ts, j)
+        if j % 2 == 0:                    # odd orders flip the sign of d
+            assert dense[0] < 1e-11 * scale
 
 
 # ---------------------------------------------------------------------------

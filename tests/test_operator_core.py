@@ -581,3 +581,74 @@ def test_cached_model_is_freed_by_refcount():
         assert ref() is None
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# real models in real arithmetic
+# ---------------------------------------------------------------------------
+
+REAL_MODELS = [
+    lambda: build_heat_wave_1d(12, 10),
+    lambda: build_damped_wave_circle(24, DampingProfile("constant", amplitude=1.0)),
+]
+
+
+@pytest.mark.parametrize("make", REAL_MODELS, ids=["heat_wave", "circle"])
+@pytest.mark.parametrize("t", [0.3, 2.0])
+def test_real_model_propagator_is_float64_and_matches_expm(make, t):
+    model = make()
+    P = propagator_matrix(model, t)
+    ref = scipy.linalg.expm(model.A.real * t)
+    assert P.dtype == np.float64
+    assert np.linalg.norm(P - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("make", REAL_MODELS, ids=["heat_wave", "circle"])
+def test_real_basis_condition_number_equals_cond_of_V(make):
+    """cond(V) = cond(R D) for the real basis R, D = sqrt(2) on the pairs."""
+    w, V, _, cond = make().deflated_eig
+    assert np.count_nonzero(w.imag) > 0
+    assert cond == pytest.approx(np.linalg.cond(V), rel=1e-12)
+
+
+def test_complex_model_keeps_complex_arrays():
+    model = build_diagonal_model([-1.0 + 2.0j, -3.0 - 1.0j, -0.5])
+    assert model.real_eig is None
+    assert propagator_matrix(model, 0.4).dtype == np.complex128
+
+
+def test_near_defective_fixture_takes_expm_in_propagator_and_fixed_point(
+        near_defective, monkeypatch):
+    from semiper.periodic_solver import _fixed_point_matrix
+    calls = []
+    original = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm",
+                        lambda M: calls.append(M) or original(M))
+    P = propagator_matrix(near_defective, 0.7)
+    fixed, _ = _fixed_point_matrix(near_defective, 1.5)
+    assert len(calls) == 2
+    assert_array_equal(P, original(near_defective.A * 0.7))
+    assert_array_equal(fixed, np.eye(3) - original(near_defective.A * 1.5))
+
+
+def test_broken_pairing_takes_the_complex_path(monkeypatch):
+    """An eig whose conjugate pairs are not adjacent is a valid factorization
+    but not the real driver's layout: the code must not read it as one."""
+    reference = propagator_matrix(build_heat_wave_1d(12, 10), 0.8)
+    original = np.linalg.eig
+
+    def split_first_pair(M):
+        w, V = original(M)
+        j = np.flatnonzero(w.imag)[0]
+        perm = np.r_[np.delete(np.arange(w.size), j), j]
+        return w[perm], V[:, perm]
+
+    monkeypatch.setattr(np.linalg, "eig", split_first_pair)
+    model = build_heat_wave_1d(12, 10)
+    w, V, _, cond = model.deflated_eig
+    assert np.flatnonzero(w.imag)[-1] == w.size - 1
+    assert model.real_eig is None
+    assert cond == pytest.approx(np.linalg.cond(V), rel=1e-12)
+    P = propagator_matrix(model, 0.8)
+    assert P.dtype == np.complex128
+    assert np.linalg.norm(P - reference) <= 1e-13 * np.linalg.norm(reference)

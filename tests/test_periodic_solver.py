@@ -177,6 +177,42 @@ def test_direct_solver_factors_once_per_period(monkeypatch):
     assert third.condition != first.condition
 
 
+def test_direct_solver_factors_real_arrays_on_a_real_model(config_dir, monkeypatch):
+    """On interval_periodic's real model the SVD and the LU of I - e^{TA}
+    are real: F_T enters the solve as two real columns."""
+    cfg = json.loads((config_dir / "interval_periodic.json").read_text())
+    bundle = cli.build_bundle(cfg)
+    f = cli.build_forcing(bundle, cfg["forcing"])
+    seen = []
+    for name in ("svd", "solve"):
+        original = getattr(np.linalg, name)
+
+        def recording(a, *args, _name=name, _original=original, **kwargs):
+            seen.append((_name, np.asarray(a).dtype, np.asarray(args[0]).dtype
+                         if args else None))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    report = periodic_w0_direct(bundle.model, f)
+    assert sorted(name for name, *_ in seen) == ["solve", "svd"]
+    for name, a_dtype, b_dtype in seen:
+        assert a_dtype == np.float64, name
+        assert b_dtype in (None, np.float64), name
+    assert np.iscomplexobj(report.w0)
+
+
+@pytest.mark.parametrize("name", ["interval_periodic", "circle_kernel",
+                                  "heatwave_periodic_k7"])
+def test_w0_imaginary_part_is_round_off(config_dir, tmp_path, name):
+    """A real model under a real forcing has a real orbit: the imaginary
+    part of w0 is bounded by the solve's conditioning,
+    10 * condition * eps * max|w0_real|, with condition from the report."""
+    cli.run(config_dir / f"{name}.json", out_dir=tmp_path)
+    report = json.loads((tmp_path / "periodic_report.json").read_text())
+    bound = 10 * report["condition"] * np.finfo(float).eps * np.max(np.abs(report["w0_real"]))
+    assert np.max(np.abs(report["w0_imag"])) <= bound
+
+
 # ---------------------------------------------------------------------------
 # kernel conventions on the circle
 # ---------------------------------------------------------------------------
