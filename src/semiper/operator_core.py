@@ -9,7 +9,10 @@ eigenbasis (Golub & Van Loan, section 7.4). Propagation,
 harmonic solves and fractional powers all read one cached
 eigendecomposition per model and fall back to scaling-and-squaring,
 dense solves or ``fractional_matrix_power`` when the eigenvector basis is
-ill conditioned. Every other path uses numpy alone; scipy.linalg is
+ill conditioned. A kernel-free constantly damped wave
+A = [[0, I], [L, -a I]] gets that eigendecomposition in closed form from
+one symmetric eigh of L (:func:`_damped_wave_eig`); other models take
+LAPACK's eig. Every path but the fallbacks uses numpy alone; scipy.linalg is
 imported only inside those fallbacks, so it stays out of startup. A
 model caches only data that depends on A alone; anything that depends
 on a time, an exponent or a period is recomputed by the call that asks
@@ -205,6 +208,12 @@ class Model:
         is the model's one spectral factorization; it is computed in
         real arithmetic when A_r is real, and cast to complex. cond(V) is
         then that of the real basis (below), pair columns times sqrt(2).
+        A kernel-free A = [[0, I], [L, -a I]] (L real symmetric, a a
+        scalar: the interval waves with constant damping) is factored in
+        closed form by :func:`_damped_wave_eig`, one eigh of L and no
+        eig, inv or SVD, in the layout of LAPACK's real driver. It
+        declines to the general route when a mode is critically damped
+        to round-off or cond(V) would exceed EIG_COND_LIMIT.
     ``eig``
         The same four fields for A on the whole space. For kernel-free
         models this is ``deflated_eig`` itself; on kernel models it is
@@ -252,6 +261,9 @@ class Model:
 
     @cached_property
     def deflated_eig(self) -> tuple:
+        closed = None if self.has_kernel else _damped_wave_eig(self.A)
+        if closed is not None:
+            return closed
         w, V, first = _eig(self.deflated[0])
         try:
             Vinv = np.linalg.inv(V)
@@ -350,6 +362,65 @@ def _eig(M: np.ndarray) -> tuple:
     w, V = np.linalg.eig(M)
     w, V = w.astype(complex, copy=False), V.astype(complex, copy=False)
     return w, V, _conjugate_pairs(w) if np.isrealobj(M) else None
+
+
+def _damped_wave_eig(A: np.ndarray) -> tuple | None:
+    """(w, V, Vinv, cond) of A = [[0, I], [L, -a I]], L real symmetric and
+    a a scalar, in closed form from one eigh of L; None when A is not of
+    that form, when a mode is critically damped to round-off or when cond
+    exceeds EIG_COND_LIMIT.
+
+    With L = U diag(mu) U^T the eigenproblem splits into one quadratic
+    lambda^2 + a lambda - mu_k = 0 per mode (Tisseur & Meerbergen, SIAM
+    Rev. 43, 2001, section 3.10). Each root gives the unit column
+    [u_k; lambda u_k] / sqrt(1 + |lambda|^2), and the two roots of a mode
+    sit in adjacent columns as the real LAPACK driver lays them out: a
+    complex pair has positive imaginary part first and its exact
+    conjugate second. The rows of Vinv invert each mode's 2 x 2 block.
+    cond is that of the real basis of ``Model.deflated_eig`` (pair
+    columns Re, Im times sqrt(2)). blockdiag(U, U) is orthogonal, so it
+    is the largest over the smallest singular value of the n real 2 x 2
+    blocks. A block has Frobenius norm sqrt(2) and |det| d =
+    |lambda_1 - lambda_2| / (r_1 r_2), r_i = sqrt(1 + |lambda_i|^2), so
+    sigma_max^2 = 1 + sqrt(1 - d^2) and sigma_min = d / sigma_max.
+    """
+    n = len(A) // 2
+    if n == 0 or len(A) % 2 or np.any(A.imag):
+        return None
+    A = A.real
+    L = A[n:, :n]
+    a = -A[n, n]
+    if (np.any(A[:n, :n]) or not np.array_equal(A[:n, n:], np.eye(n))
+            or not np.array_equal(A[n:, n:], -a * np.eye(n))
+            or not np.array_equal(L, L.T)):
+        return None
+    mu, U = np.linalg.eigh(L)
+    a2 = 0.25 * a * a
+    disc = a2 + mu
+    # eigh's mu_k carry an absolute error of order n eps |L|; a discriminant
+    # inside that band may be zero, a defective (critically damped) mode
+    if np.any(np.abs(disc) <= n * np.finfo(float).eps * (a2 + np.abs(mu).max())):
+        return None
+    s = np.sqrt(np.abs(disc))
+    under = disc < 0
+    # real roots: the larger in magnitude first, the other from their product -mu
+    big = np.where(under, 1.0, -(0.5 * a + np.copysign(s, a)))
+    lam1 = np.where(under, -0.5 * a + 1j * s, big)
+    lam2 = np.where(under, lam1.conj(), -mu / big)
+    nrm = np.hypot(1.0, np.abs(np.stack([lam1, lam2])))
+    d = np.abs(lam1 - lam2) / (nrm[0] * nrm[1])
+    smax = np.sqrt(1.0 + np.sqrt(np.maximum(1.0 - d * d, 0.0)))
+    cond = float(smax.max() / np.min(d / smax))
+    if not cond <= EIG_COND_LIMIT:
+        return None
+    w = np.stack([lam1, lam2], axis=1).ravel()
+    other = np.stack([lam2, lam1], axis=1).ravel()
+    nrm = nrm.T.ravel()
+    Ur = np.repeat(U, 2, axis=1)
+    V = np.concatenate([Ur / nrm, Ur * (w / nrm)])
+    c = nrm / (other - w)
+    Vinv = np.concatenate([Ur.T * (c * other)[:, None], Ur.T * -c[:, None]], axis=1)
+    return w, V, Vinv, cond
 
 
 def _conjugate_pairs(w: np.ndarray) -> np.ndarray | None:

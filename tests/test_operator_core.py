@@ -7,6 +7,7 @@ norms, and closed-form powers of diagonal generators.
 """
 
 import gc
+import json
 import weakref
 from collections import Counter
 
@@ -15,6 +16,7 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose, assert_array_equal
 
+from semiper import cli
 from semiper.errors import (
     NonFiniteInput,
     NonHermitian,
@@ -24,12 +26,19 @@ from semiper.errors import (
 )
 from semiper.models import (
     DampingProfile,
+    build_boundary_forced_wave,
     build_damped_wave_circle,
+    build_damped_wave_interval,
     build_diagonal_model,
     build_heat_wave_1d,
     build_scalar_model,
 )
 from semiper.operator_core import (
+    EIG_COND_LIMIT,
+    _conjugate_pairs,
+    _damped_wave_eig,
+    _eig,
+    _real_columns,
     build_model,
     contour_spectral_projector,
     domain_gram,
@@ -510,7 +519,10 @@ def test_one_eig_and_no_schur_per_model(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eig", counted("eig", np.linalg.eig))
     monkeypatch.setattr(scipy.linalg, "schur", counted("schur", scipy.linalg.schur))
-    for model in (kernel_model(), build_heat_wave_1d(12, 10)):
+    bump = DampingProfile("bump", amplitude=1.0, center=1.5, width=1.0)
+    for model in (kernel_model(), build_heat_wave_1d(12, 10),
+                  build_damped_wave_interval(30, np.pi, bump),
+                  build_damped_wave_circle(24, DampingProfile("constant", amplitude=1.0))):
         calls.clear()
         use_spectral_paths(model)
         use_spectral_paths(model)
@@ -652,3 +664,157 @@ def test_broken_pairing_takes_the_complex_path(monkeypatch):
     P = propagator_matrix(model, 0.8)
     assert P.dtype == np.complex128
     assert np.linalg.norm(P - reference) <= 1e-13 * np.linalg.norm(reference)
+
+
+# ---------------------------------------------------------------------------
+# constantly damped waves in closed form
+# ---------------------------------------------------------------------------
+
+def constant_wave(n, a=1.0):
+    return build_damped_wave_interval(n, np.pi, DampingProfile("constant", amplitude=a))
+
+
+CLOSED_FORM_MODELS = {
+    "interval_50": lambda: constant_wave(50),
+    "interval_200": lambda: constant_wave(200),
+    "boundary_120": lambda: build_boundary_forced_wave(
+        120, np.pi, DampingProfile("constant", amplitude=1.0)),
+    "overdamped_50": lambda: constant_wave(50, 5.0),
+}
+
+
+def eig_route(model):
+    """The general factorization: LAPACK eig, inv and cond of the real basis,
+    as ``Model.deflated_eig`` computes it for every other model."""
+    w, V, first = _eig(model.deflated[0])
+    return w, V, np.linalg.inv(V), np.linalg.cond(_real_columns(V, first, np.sqrt(2.0)))
+
+
+def on_eig_route(make):
+    model = make()
+    model.__dict__["deflated_eig"] = eig_route(model)
+    return model
+
+
+def sine_series_propagator(n, a, t):
+    """e^{tA} of the interval wave on (0, pi) from the exact eigenpairs of
+    the 3-point Dirichlet Laplacian, mu_k = -(4/h^2) sin^2(k h/2) with sine
+    eigenvectors, and the 2 x 2 exponential of each mode's
+    [[0, 1], [mu, -a]] = -a/2 + N, N^2 = -b^2: e^{tN} = cos(bt) + sin(bt) N / b."""
+    h = np.pi / (n + 1)
+    k = np.arange(1, n + 1)
+    mu = -(4 / h**2) * np.sin(k * h / 2) ** 2
+    U = np.sqrt(2 / (n + 1)) * np.sin(np.outer(k, k) * h)
+    b = np.sqrt(-(mu + a * a / 4) + 0j)
+    c = (np.exp(-a * t / 2) * np.cos(b * t)).real
+    s = (np.exp(-a * t / 2) * np.sin(b * t) / b).real
+    return np.block([[(U * (c + a / 2 * s)) @ U.T, (U * s) @ U.T],
+                     [(U * (mu * s)) @ U.T, (U * (c - a / 2 * s)) @ U.T]])
+
+
+def sorted_spectrum(w):
+    return w[np.lexsort((w.real, w.imag))]
+
+
+@pytest.mark.parametrize("make", CLOSED_FORM_MODELS.values(), ids=CLOSED_FORM_MODELS)
+def test_closed_form_factor_matches_the_eig_route(make, rng):
+    model, reference = make(), on_eig_route(make)
+    assert _damped_wave_eig(model.A) is not None
+    w, V, Vinv, cond = model.deflated_eig
+    w_ref, *_, cond_ref = reference.deflated_eig
+    scale = np.abs(w).max()
+    assert np.abs(sorted_spectrum(w) - sorted_spectrum(w_ref)).max() <= 1e-13 * scale
+    assert np.linalg.norm(model.A @ V - V * w) <= 1e-15 * np.linalg.norm(model.A)
+    assert np.abs(Vinv @ V - np.eye(model.dim)).max() <= 1e-13
+    first = _conjugate_pairs(w)
+    assert first is not None and model.real_eig is not None
+    assert np.all(w[first].imag > 0)
+    assert cond == pytest.approx(np.linalg.cond(_real_columns(V, first, np.sqrt(2.0))),
+                                 rel=1e-12)
+    assert cond == pytest.approx(cond_ref, rel=1e-12)
+    rhs = rng.standard_normal((5, model.dim)) + 1j * rng.standard_normal((5, model.dim))
+    X = harmonic_solve(model, np.arange(-2, 3), 2.0, rhs)
+    X_ref = harmonic_solve(reference, np.arange(-2, 3), 2.0, rhs)
+    assert np.linalg.norm(X - X_ref) <= 1e-12 * np.linalg.norm(X_ref)
+
+
+@pytest.mark.parametrize("make", CLOSED_FORM_MODELS.values(), ids=CLOSED_FORM_MODELS)
+@pytest.mark.parametrize("t", [0.3, 1.0, 7.0])
+def test_closed_form_propagator_matches_the_sine_series(make, t):
+    """Within 1e-12 of the exact propagator (measured <= 3.1e-13). The eig
+    route is itself up to 9.7e-12 from it (n = 200, t = 7), so the two
+    routes are compared at 2e-11."""
+    model = make()
+    n, a = model.dim // 2, -model.A[-1, -1].real
+    exact = sine_series_propagator(n, a, t)
+    P = propagator_matrix(model, t)
+    assert P.dtype == np.float64
+    assert np.linalg.norm(P - exact) <= 1e-12 * np.linalg.norm(exact)
+    P_ref = propagator_matrix(on_eig_route(make), t)
+    assert np.linalg.norm(P - P_ref) <= 2e-11 * np.linalg.norm(P_ref)
+
+
+def test_overdamped_modes_get_real_eigenvalue_pairs():
+    """a = 5 on (0, pi): a^2/4 + mu_k > 0 for k = 1, 2, so four real roots."""
+    model = constant_wave(50, 5.0)
+    w = model.deflated_eig[0]
+    real = w[w.imag == 0].real
+    mu = -(4 / (np.pi / 51) ** 2) * np.sin(np.arange(1, 3) * np.pi / 102) ** 2
+    expected = -2.5 + np.r_[1, -1][:, None] * np.sqrt(6.25 + mu)
+    # eigh's mu carry an absolute error of order eps |L| = 2.4e-13
+    assert_allclose(np.sort(real), np.sort(expected.ravel()), rtol=0, atol=1e-12)
+    assert model.real_eig is not None
+    assert propagator_matrix(model, 0.4).dtype == np.float64
+
+
+def exactly_critical_model():
+    """[[0, I], [diag(-1, -4), -2 I]]: mode 1 is a Jordan block at -1."""
+    A = np.block([[np.zeros((2, 2)), np.eye(2)], [np.diag([-1.0, -4.0]), -2 * np.eye(2)]])
+    return build_model(make_state_space(4, np.eye(4)), A)
+
+
+def builder_critical_model():
+    """The interval wave at critical damping a = 2 sqrt(-mu_1) of its lowest
+    mode, mu_1 from the builder's Laplacian."""
+    n = 50
+    mu_1 = np.linalg.eigvalsh(constant_wave(n).A.real[n:, :n])[-1]
+    return constant_wave(n, 2 * np.sqrt(-mu_1))
+
+
+@pytest.mark.parametrize("make, takes_expm", [(builder_critical_model, False),
+                                              (exactly_critical_model, True)],
+                         ids=["builder", "exact"])
+def test_critical_damping_declines_to_the_eig_route(make, takes_expm, monkeypatch):
+    """Both decline on the discriminant. LAPACK's cond(V) is then 7e6 on the
+    builder's model (the eig path) and 2e16 on the Jordan block (expm)."""
+    model = make()
+    assert _damped_wave_eig(model.A) is None
+    w, V, Vinv, cond = model.deflated_eig
+    w_ref, V_ref, Vinv_ref, cond_ref = eig_route(model)
+    for got, ref in ((w, w_ref), (V, V_ref), (Vinv, Vinv_ref)):
+        assert_array_equal(got, ref)
+    assert cond == cond_ref
+    calls = []
+    original = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda M: calls.append(M) or original(M))
+    P = propagator_matrix(model, 0.7)
+    assert (cond > EIG_COND_LIMIT) == takes_expm
+    assert len(calls) == takes_expm
+    if takes_expm:
+        assert_array_equal(P, original(model.A * 0.7))
+
+
+@pytest.mark.parametrize("name", ["interval_periodic", "boundary_wave", "gain_interval",
+                                  "picard_cubic", "convergence"])
+def test_shipped_constant_damping_configs_take_the_closed_form(config_dir, name,
+                                                               monkeypatch):
+    """A config edit that moves one of these off the closed form fails here."""
+    cfg = json.loads((config_dir / f"{name}.json").read_text())
+    model = cli.build_bundle(cfg).model
+    calls = Counter()
+    for fn in ("eig", "inv"):
+        original = getattr(np.linalg, fn)
+        monkeypatch.setattr(np.linalg, fn, lambda *args, _fn=fn, _original=original,
+                            **kwargs: calls.update([_fn]) or _original(*args, **kwargs))
+    assert model.deflated_eig[3] <= EIG_COND_LIMIT
+    assert not calls
