@@ -292,8 +292,7 @@ def _random_state(rng: np.random.Generator, n: int, complex_: bool) -> np.ndarra
 def vector_from_profile(bundle: ModelBundle, spec: dict) -> np.ndarray:
     """Build a state-space vector from a profile record in the config."""
     model = bundle.model
-    dtype = complex if model.space.field_tag == "complex" else float
-    out = np.zeros(model.dim, dtype=dtype)
+    out = np.zeros(model.dim, dtype=model.A.dtype)
     block_name = spec.get("block", next(iter(model.blocks)))
     _require(block_name in model.blocks,
              f"model {bundle.name!r} has no block {block_name!r}")
@@ -526,7 +525,7 @@ def _task_convergence(cfg, bundle, ctx):
     f = build_forcing(bundle, cfg["forcing"])
     n_periods = sspec.get("n_periods", 60)
     w0 = periodic_w0_direct(model, f).w0
-    complex_ = model.space.field_tag == "complex"
+    complex_ = np.iscomplexobj(model.A)
     reports = [convergence_gap(model, f,
                                _random_state(ctx.rng, model.dim, complex_),
                                n_periods, w0=w0)
@@ -863,7 +862,7 @@ def _task_invariants(cfg, bundle, ctx):
 
     worst = 0.0
     for _, model in models:
-        x = _random_state(ctx.rng, model.dim, model.space.field_tag == "complex")
+        x = _random_state(ctx.rng, model.dim, np.iscomplexobj(model.A))
         for t, s in ((0.3, 0.7), (1.1, 0.4)):
             lhs = propagator_matrix(model, t + s) @ x
             rhs = propagator_matrix(model, t) @ (propagator_matrix(model, s) @ x)

@@ -145,7 +145,7 @@ def build_damped_wave_interval(n: int, length: float, damping: DampingProfile) -
     gram = np.zeros((2 * n, 2 * n))
     gram[:n, :n] = stiff
     gram[n:, n:] = h * np.eye(n)
-    space = make_state_space(2 * n, gram, "real")
+    space = make_state_space(2 * n, gram)
     return build_model(space, A, label=f"damped_wave_interval(n={n})",
                        blocks=_wave_blocks(np.arange(1, n + 1) / (n + 1), "interval"))
 
@@ -191,7 +191,7 @@ def build_damped_wave_circle(n: int, damping: DampingProfile) -> Model:
     gram = np.zeros((2 * n, 2 * n))
     gram[:n, :n] = stiff + (h**2 / length) * np.ones((n, n))
     gram[n:, n:] = h * np.eye(n)
-    space = make_state_space(2 * n, gram, "real")
+    space = make_state_space(2 * n, gram)
     return build_model(space, A, kernel_basis=(e_k,), pi0=pi0,
                        label=f"damped_wave_circle(n={n})",
                        blocks=_wave_blocks(np.arange(n) / n, "circle"))
@@ -453,7 +453,7 @@ def build_sphere_schrodinger(Jmax: int, m: int, damping: DampingProfile,
     lam = degrees * (degrees + 1.0)
     A = -1j * np.diag(lam) - M_a
     dim = degrees.size
-    space = make_state_space(dim, np.eye(dim), "complex")
+    space = make_state_space(dim, np.eye(dim, dtype=complex))
     model = build_model(space, A, label=f"sphere_schrodinger(m={m}, Jmax={Jmax})")
     return SphereBlockModel(model=model, m=m, Jmax=Jmax, degrees=degrees,
                             eigenvalues=lam, multiplier=M_a, quad_nodes=quad_nodes)
@@ -542,7 +542,7 @@ def build_heat_wave_1d(n_heat: int, n_wave: int) -> Model:
         gram[iv(i), iv(i)] = 0.5 * hW
 
     heat = Block(slice(0, nu), np.arange(1, n_heat) / n_heat, "interval")
-    space = make_state_space(dim, gram, "real")
+    space = make_state_space(dim, gram)
     return build_model(space, A,
                        label=f"heat_wave_1d(nH={n_heat}, nW={n_wave})",
                        blocks={"heat": heat, **_wave_blocks(
@@ -576,10 +576,9 @@ def build_boundary_forced_wave(n: int, length: float, damping: DampingProfile) -
 # ---------------------------------------------------------------------------
 
 def build_scalar_model(lam: complex = -1.0) -> Model:
-    """One-dimensional model u' = lam u with the trivial Gram."""
-    space = make_state_space(1, np.eye(1),
-                             "real" if np.isreal(lam) else "complex")
-    return build_model(space, np.array([[lam]], dtype=complex),
+    """One-dimensional model u' = lam u with the trivial Gram, real for real lam."""
+    A = np.array([[lam if np.iscomplex(lam) else np.real(lam)]])
+    return build_model(make_state_space(1, np.eye(1, dtype=A.dtype)), A,
                        label=f"scalar(lam={lam})")
 
 
@@ -593,7 +592,7 @@ def build_synthetic_resolvent_model(n_modes: int, alpha: float) -> Model:
     """
     k = np.arange(1, n_modes + 1, dtype=float)
     eigs = -(k ** (-alpha)) + 1j * k
-    space = make_state_space(n_modes, np.eye(n_modes), "complex")
+    space = make_state_space(n_modes, np.eye(n_modes, dtype=complex))
     return build_model(space, np.diag(eigs),
                        label=f"synthetic_resolvent(alpha={alpha})")
 
@@ -602,5 +601,6 @@ def build_diagonal_model(eigenvalues, gram=None) -> Model:
     """Diagonal model from an explicit eigenvalue list (test fixture)."""
     eigs = np.asarray(eigenvalues, dtype=complex)
     n = eigs.size
-    space = make_state_space(n, np.eye(n) if gram is None else gram, "complex")
+    gram = np.eye(n) if gram is None else gram
+    space = make_state_space(n, np.asarray(gram, dtype=complex))
     return build_model(space, np.diag(eigs), label="diagonal")

@@ -3,9 +3,10 @@
 All states live in C^dim equipped with a Hermitian positive definite Gram
 matrix G; every norm and operator norm in the package is the one induced
 by G (operator norms are computed as the largest singular value of
-G^{1/2} M G^{-1/2}). Generators are dense complex128 matrices; a real
-one is factored and propagated in real arithmetic, in its real
-eigenbasis (Golub & Van Loan, section 7.4). Propagation,
+G^{1/2} M G^{-1/2}). Generators are dense matrices whose dtype records
+their field: a real model stays float64 and is factored and propagated
+in real arithmetic, in its real eigenbasis (Golub & Van Loan, section
+7.4). Propagation,
 harmonic solves and fractional powers all read one cached
 eigendecomposition per model and fall back to scaling-and-squaring,
 dense solves or ``fractional_matrix_power`` when the eigenvector basis is
@@ -52,14 +53,9 @@ BACKWARD_WARN_RATIO = 1e6
 _HERMITIAN_RTOL = 1e-12
 
 
-def _real_if_real(M: np.ndarray) -> np.ndarray:
-    """M.real when M has no imaginary part, so LAPACK takes its real driver."""
-    return M if np.any(M.imag) else M.real
-
-
 def _gram_roots(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(G^{1/2}, G^{-1/2}) of a positive definite G from one eigh."""
-    vals, vecs = np.linalg.eigh(_real_if_real(G))
+    vals, vecs = np.linalg.eigh(G)
     vals = np.sqrt(np.maximum(vals, 1e-300))
     return (vecs * vals) @ vecs.conj().T, (vecs / vals) @ vecs.conj().T
 
@@ -80,47 +76,38 @@ class StateSpace:
     dim : int
         Coordinate dimension.
     gram : ndarray
-        Hermitian positive definite Gram matrix; the squared norm of a
-        state x is the real quadratic form x* gram x.
-    field_tag : str
-        "real" or "complex"; a bookkeeping tag only (a real Gram is
-        factored in real arithmetic).
+        Hermitian positive definite Gram matrix, float64 or complex128;
+        the squared norm of a state x is the real quadratic form x* gram x,
+        taken in real arithmetic on a float64 Gram.
     gram_roots : tuple of ndarray
         (G^{1/2}, G^{-1/2}), cached on first use (real for a real Gram);
         ``sqrt_gram`` and ``inv_sqrt_gram`` read it.
-    real_gram : ndarray or None
-        The Gram as a real array if it has no imaginary part, else None.
     gram_cholesky : ndarray
         The Cholesky factor L of G = L L*, real for a real Gram.
     """
 
     dim: int
     gram: np.ndarray
-    field_tag: str = "real"
 
     def norm(self, x) -> float:
-        x = np.asarray(x, dtype=complex)
-        q = np.real(np.vdot(x, self.gram @ x))
+        x = np.asarray(x)
+        q = np.vdot(x, apply_real(np.matmul, self.gram, x)).real
         return float(np.sqrt(max(q, 0.0)))
 
     def row_norms(self, X) -> np.ndarray:
         """Norm of each row of the state stack X, in one contraction; with
         a real Gram, x* G x = a^T G a + b^T G b for x = a + ib."""
-        X = np.asarray(X, dtype=complex)
-        G = self.real_gram
-        if G is None:
-            q = np.einsum("ij,ij->i", X.conj(), X @ self.gram.T).real
+        X = np.asarray(X)
+        G = self.gram
+        if np.iscomplexobj(G):
+            q = np.einsum("ij,ij->i", X.conj(), X @ G.T).real
         else:
             q = sum(np.einsum("ij,ij->i", Y, Y @ G.T) for Y in (X.real, X.imag))
         return np.sqrt(np.maximum(q, 0.0))
 
     @cached_property
-    def real_gram(self) -> np.ndarray | None:
-        return None if np.any(self.gram.imag) else np.ascontiguousarray(self.gram.real)
-
-    @cached_property
     def gram_cholesky(self) -> np.ndarray:
-        return np.linalg.cholesky(_real_if_real(self.gram))
+        return np.linalg.cholesky(self.gram)
 
     @cached_property
     def gram_roots(self) -> tuple[np.ndarray, np.ndarray]:
@@ -140,8 +127,9 @@ class StateSpace:
         return float(np.linalg.norm(W, 2))
 
 
-def make_state_space(dim: int, gram, field_tag: str = "real") -> StateSpace:
-    """Validate a Gram matrix and wrap it in a :class:`StateSpace`.
+def make_state_space(dim: int, gram) -> StateSpace:
+    """Validate a Gram matrix and wrap it in a :class:`StateSpace`; a real
+    Gram is kept as float64, a complex one as complex128.
 
     Raises
     ------
@@ -153,7 +141,8 @@ def make_state_space(dim: int, gram, field_tag: str = "real") -> StateSpace:
     NotPositiveDefinite
         If the smallest eigenvalue is not strictly positive.
     """
-    G = _as_matrix(gram).astype(complex)
+    G = _as_matrix(gram)
+    G = G.astype(np.result_type(G, float))
     if G.shape != (dim, dim):
         raise ValueError(f"gram has shape {G.shape}, expected ({dim}, {dim})")
     if not np.all(np.isfinite(G)):
@@ -162,11 +151,9 @@ def make_state_space(dim: int, gram, field_tag: str = "real") -> StateSpace:
     if scale == 0 or np.linalg.norm(G - G.conj().T) > _HERMITIAN_RTOL * scale:
         raise NonHermitian("gram matrix is not Hermitian to 1e-12 relative")
     G = 0.5 * (G + G.conj().T)
-    if np.linalg.eigvalsh(_real_if_real(G))[0] <= 0:
+    if np.linalg.eigvalsh(G)[0] <= 0:
         raise NotPositiveDefinite("gram matrix must be positive definite")
-    if field_tag not in ("real", "complex"):
-        raise ValueError(f"unknown field_tag {field_tag!r}")
-    return StateSpace(dim=dim, gram=G, field_tag=field_tag)
+    return StateSpace(dim=dim, gram=G)
 
 
 class Block(NamedTuple):
@@ -188,11 +175,13 @@ class Model:
 
     ``pi0`` is the spectral projector onto ker A (zero when the kernel is
     trivial); ``kernel_basis`` spans the same kernel. ``B`` is an optional
-    input matrix for boundary-forced models. ``blocks`` maps block names
-    to the :class:`Block` layout the builder chose for the state; wave
-    models name their first two ``displacement`` and ``velocity``. The
-    instance is treated as immutable after construction. Its derived
-    factorizations are cached on it, each computed on first use:
+    input matrix for boundary-forced models. A, pi0, the kernel basis and
+    B share one dtype, float64 on a real model and complex128 otherwise.
+    ``blocks`` maps block names to the :class:`Block` layout the builder
+    chose for the state; wave models name their first two
+    ``displacement`` and ``velocity``. The instance is treated as
+    immutable after construction. Its derived factorizations are cached
+    on it, each computed on first use:
 
     ``deflated``
         (A_r, G_r, Q): reduced coordinates of the invariant complement
@@ -206,7 +195,7 @@ class Model:
         (w, V, Vinv, cond): eigenvalues and eigenvectors of A_r, the
         inverse eigenvector matrix (None if singular) and cond(V). This
         is the model's one spectral factorization; it is computed in
-        real arithmetic when A_r is real, and cast to complex. cond(V) is
+        real arithmetic when A_r is float64, and cast to complex. cond(V) is
         then that of the real basis (below), pair columns times sqrt(2).
         A kernel-free A = [[0, I], [L, -a I]] (L real symmetric, a a
         scalar: the interval waves with constant damping) is factored in
@@ -222,7 +211,7 @@ class Model:
         deflated cond(V), which decides between the eigenbasis and the
         fallbacks (expm, dense solves, ``fractional_matrix_power``).
     ``real_eig``
-        (first, X) if A, pi0 and the kernel basis are real and ``eig``
+        (first, X) if the model is real (A is float64) and ``eig``
         has exact conjugate pairs j, j + 1 (``first`` lists each j). X
         inverts the real basis (columns Re and Im of V[:, j] at j, j + 1).
     ``reduced_gram_roots``
@@ -252,7 +241,7 @@ class Model:
     def deflated(self) -> tuple:
         if not self.has_kernel:
             return self.A, self.space.gram, None
-        P = np.eye(self.dim) - _real_if_real(self.pi0)
+        P = np.eye(self.dim) - self.pi0
         U, s, _ = np.linalg.svd(P, full_matrices=False)
         Q = U[:, s > 1e-10 * s[0]]
         A_r = Q.conj().T @ self.A @ Q
@@ -295,8 +284,7 @@ class Model:
     def real_eig(self) -> tuple | None:
         w, _, Vinv, _ = self.eig
         first = _conjugate_pairs(w)
-        real = not any(np.any(M.imag) for M in (self.A, self.pi0, *self.kernel_basis))
-        if first is None or not real:
+        if first is None or np.iscomplexobj(self.A):
             return None
         X = Vinv.real.copy()
         X[first] *= 2.0
@@ -321,14 +309,17 @@ def build_model(space: StateSpace, A, kernel_basis=(), pi0=None, B=None,
     When ``kernel_basis`` is nonempty and no projector is supplied, the
     spectral projector onto the kernel is computed from left and right
     eigenvectors of the eigenvalues nearest zero. Without ``blocks`` the
-    whole state is one modal block named ``all``.
+    whole state is one modal block named ``all``. A, pi0, the kernel
+    basis and B are stored as float64 unless one of them is complex.
     """
-    A = _as_matrix(A).astype(complex)
+    dtype = np.result_type(*(np.asarray(M) for M in (A, pi0, B, *kernel_basis)
+                             if M is not None), float)
+    A = _as_matrix(A).astype(dtype)
     if A.shape[0] != space.dim:
         raise ValueError("generator dimension does not match the state space")
     if not np.all(np.isfinite(A)):
         raise NonFiniteInput("generator has non-finite entries")
-    kb = tuple(np.asarray(v, dtype=complex) for v in kernel_basis)
+    kb = tuple(np.asarray(v, dtype=dtype) for v in kernel_basis)
     for v in kb:
         if v.shape != (space.dim,):
             raise ValueError("kernel basis vector has wrong shape")
@@ -336,11 +327,11 @@ def build_model(space: StateSpace, A, kernel_basis=(), pi0=None, B=None,
         if kb:
             pi0 = _spectral_kernel_projector(A, len(kb))
         else:
-            pi0 = np.zeros((space.dim, space.dim), dtype=complex)
+            pi0 = np.zeros((space.dim, space.dim), dtype=dtype)
     else:
-        pi0 = _as_matrix(pi0).astype(complex)
+        pi0 = _as_matrix(pi0).astype(dtype)
     if B is not None:
-        B = np.asarray(B, dtype=complex)
+        B = np.asarray(B, dtype=dtype)
         if B.ndim == 1:
             B = B[:, None]
         if B.shape[0] != space.dim:
@@ -355,10 +346,9 @@ def _eig(M: np.ndarray) -> tuple:
     """Eigenvalues and right eigenvectors of M as complex arrays, and
     :func:`_conjugate_pairs` of the eigenvalues (None unless M is real).
 
-    A matrix without imaginary part goes to the real LAPACK driver,
-    which is faster and returns each pair x +- iy in adjacent columns.
+    A float64 matrix goes to the real LAPACK driver, which is faster and
+    returns each pair x +- iy in adjacent columns.
     """
-    M = _real_if_real(M)
     w, V = np.linalg.eig(M)
     w, V = w.astype(complex, copy=False), V.astype(complex, copy=False)
     return w, V, _conjugate_pairs(w) if np.isrealobj(M) else None
@@ -385,9 +375,8 @@ def _damped_wave_eig(A: np.ndarray) -> tuple | None:
     sigma_max^2 = 1 + sqrt(1 - d^2) and sigma_min = d / sigma_max.
     """
     n = len(A) // 2
-    if n == 0 or len(A) % 2 or np.any(A.imag):
+    if n == 0 or len(A) % 2 or np.iscomplexobj(A):
         return None
-    A = A.real
     L = A[n:, :n]
     a = -A[n, n]
     if (np.any(A[:n, :n]) or not np.array_equal(A[:n, n:], np.eye(n))
@@ -446,7 +435,8 @@ def _spectral_kernel_projector(A: np.ndarray, kdim: int) -> np.ndarray:
     w, V, _ = _eig(A)
     idx = np.argsort(np.abs(w))[:kdim]
     # the rows of V^{-1} are the left eigenvectors dual to the columns of V
-    return V[:, idx] @ np.linalg.inv(V)[idx]
+    P = V[:, idx] @ np.linalg.inv(V)[idx]
+    return P if np.iscomplexobj(A) else P.real
 
 
 # ---------------------------------------------------------------------------
@@ -683,10 +673,10 @@ def contour_spectral_projector(model: Model, center: complex = 0.0,
     eigenvalue outside a 1e-8 neighborhood of it (the eigenvalues are
     read for that default only).
 
-    When A and ``center`` are real, node N - k is the conjugate of node k
-    and so is its term; only the nodes k = 0..N/2 are solved and each term
-    with 0 < k < N/2 enters as term + conj(term). Otherwise every node is
-    solved.
+    When A is float64 and ``center`` is real, node N - k is the
+    conjugate of node k and so is its term; only the nodes k = 0..N/2 are
+    solved and each term with 0 < k < N/2 enters as term + conj(term).
+    Otherwise every node is solved.
     """
     w, _, _, _ = model.eig
     if radius is None:
@@ -698,7 +688,7 @@ def contour_spectral_projector(model: Model, center: complex = 0.0,
     n_nodes = 64
     theta = 2 * np.pi * np.arange(n_nodes) / n_nodes
     half = n_nodes // 2
-    paired = complex(center).imag == 0 and not np.any(model.A.imag)
+    paired = complex(center).imag == 0 and np.isrealobj(model.A)
     eye = np.eye(model.dim)
     acc = np.zeros((model.dim, model.dim), dtype=complex)
     for k in range(half + 1 if paired else n_nodes):

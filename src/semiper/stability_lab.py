@@ -96,7 +96,7 @@ def _envelope_values(model: Model, alphas, t_grid) -> np.ndarray:
             for a, Di in enumerate(Dis):
                 values[a, i] = _sigma_max(SP @ Di)
         return values
-    real = not (np.any(A_r.imag) or np.any(G_r.imag))
+    real = np.isrealobj(A_r) and np.isrealobj(G_r)
     L = S @ V
     Rs = [Vinv @ Di for Di in Dis]
     for i, t in enumerate(t_grid):

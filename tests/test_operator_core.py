@@ -32,6 +32,8 @@ from semiper.models import (
     build_diagonal_model,
     build_heat_wave_1d,
     build_scalar_model,
+    build_sphere_schrodinger,
+    build_synthetic_resolvent_model,
 )
 from semiper.operator_core import (
     EIG_COND_LIMIT,
@@ -70,12 +72,12 @@ def taylor_expm(A, t, terms=80):
     return acc
 
 
-def random_stable_model(rng, n=4, field="real"):
+def random_stable_model(rng, n=4):
     A = rng.standard_normal((n, n))
     A = A - (np.abs(np.linalg.eigvals(A).real).max() + 0.5) * np.eye(n)
     B = rng.standard_normal((n, n))
     G = B @ B.T + n * np.eye(n)
-    space = make_state_space(n, G, field)
+    space = make_state_space(n, G)
     return build_model(space, A, label="random_stable")
 
 
@@ -98,24 +100,26 @@ def test_row_norms_match_per_state_norm(rng):
     n = 6
     B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     G = B @ B.conj().T + n * np.eye(n)
-    space = make_state_space(n, G, "complex")
+    space = make_state_space(n, G)
     X = rng.standard_normal((9, n)) + 1j * rng.standard_normal((9, n))
     assert_allclose(space.row_norms(X), [space.norm(x) for x in X], rtol=1e-13)
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_row_norms_match_complex_contraction(rng, field):
-    """A real Gram takes the two-real-matmul path, a complex one does not;
-    both agree with the complex contraction x* G x."""
+    """A real Gram is kept as float64 and takes the real-matmul paths, a
+    complex one does not; row_norms and norm both agree with the complex
+    contraction x* G x."""
     n = 7
     B = rng.standard_normal((n, n))
     if field == "complex":
         B = B + 1j * rng.standard_normal((n, n))
-    space = make_state_space(n, B @ B.conj().T + n * np.eye(n), field)
-    assert (space.real_gram is None) == (field == "complex")
+    space = make_state_space(n, B @ B.conj().T + n * np.eye(n))
+    assert space.gram.dtype == (np.complex128 if field == "complex" else np.float64)
     X = rng.standard_normal((11, n)) + 1j * rng.standard_normal((11, n))
     q = np.einsum("ij,ij->i", X.conj(), X @ space.gram.T).real
     assert_allclose(space.row_norms(X), np.sqrt(q), rtol=1e-14)
+    assert_allclose([space.norm(x) for x in X], np.sqrt(q), rtol=1e-14)
 
 
 def test_op_norm_diagonal_identity_gram():
@@ -266,7 +270,7 @@ def test_resolvent_norm_matches_weighted_inverse_on_heat_wave():
 def test_resolvent_guard_reads_weighted_sigma_min():
     """i*eta one ulp from the eigenvalue 2i of a non-normal generator
     whose Gram is not the identity."""
-    space = make_state_space(2, np.array([[2.0, 0.5], [0.5, 1.0]]), "complex")
+    space = make_state_space(2, np.array([[2.0, 0.5], [0.5, 1.0]]))
     model = build_model(space, np.array([[-1.0, 5.0], [0.0, 2.0j]]))
     eta = np.nextafter(2.0, 3.0)
     assert abs(1j * eta - 2.0j) < 1e-15
@@ -445,7 +449,7 @@ def test_spectrum_report_stable_model():
 
 
 def test_spectrum_report_flags_imaginary_eigenvalue():
-    space = make_state_space(1, [[1.0]], "complex")
+    space = make_state_space(1, [[1.0]])
     model = build_model(space, [[1.0j]])
     rep = spectrum_report(model)
     assert not rep.assumptions_ok
@@ -627,6 +631,39 @@ def test_complex_model_keeps_complex_arrays():
     model = build_diagonal_model([-1.0 + 2.0j, -3.0 - 1.0j, -0.5])
     assert model.real_eig is None
     assert propagator_matrix(model, 0.4).dtype == np.complex128
+
+
+BUILT_MODELS = {
+    "interval": (lambda: constant_wave(20), True),
+    "bump_interval": (lambda: build_damped_wave_interval(
+        20, np.pi, DampingProfile("bump", amplitude=2.0, center=1.5, width=1.0)), True),
+    "circle": (lambda: build_damped_wave_circle(
+        16, DampingProfile("constant", amplitude=1.0)), True),
+    "heat_wave": (lambda: build_heat_wave_1d(8, 8), True),
+    "boundary_wave": (lambda: build_boundary_forced_wave(
+        20, np.pi, DampingProfile("constant", amplitude=1.0)), True),
+    "scalar_real": (lambda: build_scalar_model(-1.0), True),
+    "scalar_imag": (lambda: build_scalar_model(2j * np.pi), False),
+    "sphere": (lambda: build_sphere_schrodinger(
+        8, 2, DampingProfile("cap", amplitude=1.0, width=0.5)).model, False),
+    "synthetic": (lambda: build_synthetic_resolvent_model(6, 1.0), False),
+    "diagonal": (lambda: build_diagonal_model([-1.0, -4.0]), False),
+}
+
+
+@pytest.mark.parametrize("make, real", BUILT_MODELS.values(), ids=BUILT_MODELS)
+def test_builders_fix_the_field_by_dtype(make, real):
+    """Every array of a model, its Gram included, is float64 exactly when
+    the model is real, and complex128 otherwise; the real propagator data
+    exist exactly on the real models."""
+    model = make()
+    arrays = {"A": model.A, "pi0": model.pi0, "gram": model.space.gram,
+              **{f"kernel_{i}": v for i, v in enumerate(model.kernel_basis)}}
+    if model.B is not None:
+        arrays["B"] = model.B
+    expected = np.float64 if real else np.complex128
+    assert {k: M.dtype for k, M in arrays.items()} == dict.fromkeys(arrays, expected)
+    assert (model.real_eig is not None) == real
 
 
 def test_near_defective_fixture_takes_expm_in_propagator_and_fixed_point(
