@@ -229,15 +229,13 @@ class SemigroupPullbackForcing(PeriodicForcing):
         self.dim = model.dim
 
     def eval_many(self, ts, deriv: int = 0) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
+        """Rows f^(deriv)(t) = scale e^{(s - T)A} A^deriv phi / T, s = t mod T,
+        for all ts from one array-valued :func:`propagate`."""
+        s = np.mod(np.asarray(ts, dtype=float), self.period)
         base = self.phi
         for _ in range(deriv):
             base = self.model.A @ base
-        out = np.empty((ts.size, self.dim), dtype=complex)
-        for i, t in enumerate(ts):
-            s = float(np.mod(t, self.period))
-            out[i] = (self.scale / self.period) * propagate(self.model, s - self.period, base)
-        return out
+        return (self.scale / self.period) * propagate(self.model, s - self.period, base).T
 
     @property
     def tag(self) -> str:
@@ -393,13 +391,13 @@ def admissibility_constant(model: Model, T: float, panels: int = 24,
     Realized on the quadrature grid: the columns sqrt(w_i) e^{A(T-s_i)} b_j,
     one for every node s_i and every column b_j of B, assemble the map
     from weighted samples, whose largest singular value in the Gram
-    geometry is returned.
+    geometry is returned. Each column b_j takes one array-valued
+    :func:`propagate` over all nodes.
     """
     if model.B is None:
         raise ValueError("model has no input matrix")
     nodes, weights = gauss_panels(T, panels, order)
-    m = model.B.shape[1]
-    states = np.tile(model.B.T, (nodes.size, 1))
-    cols = propagated_columns(model, np.repeat(T - nodes, m), states,
-                              np.repeat(np.sqrt(weights), m))
+    root_w = np.sqrt(weights)
+    cols = np.concatenate([propagate(model, T - nodes, b) * root_w for b in model.B.T],
+                          axis=1)
     return float(np.linalg.norm(model.space.sqrt_gram @ cols, 2))

@@ -247,10 +247,13 @@ class SphereBlockModel:
     def dim(self) -> int:
         return self.model.dim
 
+    def hk_weights(self, k: int) -> np.ndarray:
+        """The H^k weight (1 + l(l+1))^{k/2} of each retained degree."""
+        return (1.0 + self.eigenvalues) ** (k / 2.0)
+
     def hk_norm(self, x, k: int) -> float:
-        """H^k norm: the coefficients weighted by (1 + l(l+1))^{k/2}."""
-        weights = (1.0 + self.eigenvalues) ** (k / 2.0)
-        return float(np.linalg.norm(weights * np.asarray(x, dtype=complex)))
+        """H^k norm: the coefficients weighted by :meth:`hk_weights`."""
+        return float(np.linalg.norm(self.hk_weights(k) * np.asarray(x, dtype=complex)))
 
 
 # Newton passes allowed per Gauss-Legendre rule. From the asymptotic starts

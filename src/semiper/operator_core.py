@@ -50,6 +50,10 @@ EIG_COND_LIMIT = 1e8
 # growth monitor warns when the realized amplification exceeds this.
 BACKWARD_WARN_RATIO = 1e6
 
+# Times per eigenbasis contraction in an array-valued propagate, which
+# bounds its exponential factors and their products at dim x _PROPAGATE_BLOCK.
+_PROPAGATE_BLOCK = 64
+
 _HERMITIAN_RTOL = 1e-12
 
 
@@ -283,13 +287,7 @@ class Model:
     @cached_property
     def real_eig(self) -> tuple | None:
         w, _, Vinv, _ = self.eig
-        first = _conjugate_pairs(w)
-        if first is None or np.iscomplexobj(self.A):
-            return None
-        X = Vinv.real.copy()
-        X[first] *= 2.0
-        X[first + 1] = -2.0 * Vinv[first].imag
-        return first, X
+        return None if np.iscomplexobj(self.A) else _real_inverse(w, Vinv)
 
     @cached_property
     def reduced_gram_roots(self) -> tuple:
@@ -421,6 +419,33 @@ def _conjugate_pairs(w: np.ndarray) -> np.ndarray | None:
     return first if paired and np.all(w[first + 1] == w[first].conj()) else None
 
 
+def _real_inverse(w: np.ndarray, Vinv: np.ndarray) -> tuple | None:
+    """(first, X) for the eigenvalues w of a real matrix and the inverse
+    Vinv of their eigenvector matrix V, or None when w is not laid out
+    in exact conjugate pairs j, j + 1 (``first`` lists each j).
+
+    X inverts the real basis of V (columns Re and Im of V[:, j] at j,
+    j + 1): for any E = V f(w) with f(conj w) = conj f(w),
+    E Vinv = :func:`_real_columns` (E, first) X in real arithmetic.
+    """
+    first = _conjugate_pairs(w)
+    if first is None:
+        return None
+    X = Vinv.real.copy()
+    X[first] *= 2.0
+    X[first + 1] = -2.0 * Vinv[first].imag
+    return first, X
+
+
+def _eig_product(E: np.ndarray, Vinv: np.ndarray, real: tuple | None) -> np.ndarray:
+    """E Vinv for E = V f(w), taken in real arithmetic through
+    ``real`` = :func:`_real_inverse` (w, Vinv) unless that is None."""
+    if real is None:
+        return E @ Vinv
+    first, X = real
+    return _real_columns(E, first) @ X
+
+
 def _real_columns(E: np.ndarray, first: np.ndarray, scale: float = 1.0) -> np.ndarray:
     """Re E with column j + 1 of each pair replaced by Im E[:, j], and
     both columns of each pair times ``scale``."""
@@ -454,11 +479,7 @@ def propagator_matrix(model: Model, t: float) -> np.ndarray:
     """
     w, V, Vinv, cond = model.eig
     if cond <= EIG_COND_LIMIT:
-        E = V * np.exp(w * t)
-        if model.real_eig is None:
-            return E @ Vinv
-        first, X = model.real_eig
-        return _real_columns(E, first) @ X
+        return _eig_product(V * np.exp(w * t), Vinv, model.real_eig)
     import scipy.linalg
     return scipy.linalg.expm(model.A * t)
 
@@ -495,28 +516,62 @@ def propagated_columns(model: Model, offsets, states, weights,
     return cols.sum(axis=1) if summed else cols
 
 
-def propagate(model: Model, t: float, x) -> np.ndarray:
-    """Apply e^{tA} to the state x.
+def propagate(model: Model, t, x) -> np.ndarray:
+    """Apply e^{tA} to the state x, at one time or at each of a 1-d array
+    of times.
 
-    Negative t is allowed (matrix exponentials form a group); a warning is
-    emitted when the realized backward amplification exceeds
-    ``BACKWARD_WARN_RATIO``.
+    A scalar t returns the state; an array of times returns the states
+    as the columns of a dim x len(t) matrix, as in
+    :func:`propagated_columns`. On the eigendecomposition path
+    c = V^{-1} x is formed once and V (e^{w t} c) is built for at most
+    _PROPAGATE_BLOCK times at a time, so the exponential factors and
+    their products are never held for all times at once; when cond(V)
+    exceeds EIG_COND_LIMIT each distinct time takes one
+    :func:`propagator_matrix`.
+
+    Negative times are allowed (matrix exponentials form a group); one
+    :meth:`StateSpace.row_norms` over the states at negative times
+    checks the realized backward amplification, and a warning names the
+    first time at which it exceeds ``BACKWARD_WARN_RATIO``.
     """
     x = np.asarray(x, dtype=complex)
     if not np.all(np.isfinite(x)):
         raise NonFiniteInput("state has non-finite entries")
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1:
+        raise ValueError("t must be a time or a 1-d array of times")
     w, V, Vinv, cond = model.eig
-    if cond <= EIG_COND_LIMIT:
-        out = V @ (np.exp(w * t) * (Vinv @ x))
+    if ts.ndim == 0:
+        out = (V @ (np.exp(w * ts) * (Vinv @ x)) if cond <= EIG_COND_LIMIT
+               else propagator_matrix(model, float(ts)) @ x)
+        if ts < 0:
+            _warn_on_backward_growth(model, x, ts[None], out[:, None])
+        return out
+    if cond > EIG_COND_LIMIT:
+        mats = {s: propagator_matrix(model, s) for s in set(ts.tolist())}
+        out = np.stack([mats[s] @ x for s in ts.tolist()], axis=1)
     else:
-        out = propagator_matrix(model, t) @ x
-    if t < 0:
-        nx = model.space.norm(x)
-        if nx > 0 and model.space.norm(out) > BACKWARD_WARN_RATIO * nx:
-            warnings.warn(f"backward propagation amplified the state by more "
-                          f"than {BACKWARD_WARN_RATIO:.0e} at t = {t}",
-                          stacklevel=2)
+        c = (Vinv @ x)[:, None]
+        out = np.empty((len(x), ts.size), dtype=complex)
+        for i in range(0, ts.size, _PROPAGATE_BLOCK):
+            block = ts[i:i + _PROPAGATE_BLOCK]
+            out[:, i:i + block.size] = V @ (np.exp(np.outer(w, block)) * c)
+    back = ts < 0
+    if back.any():
+        _warn_on_backward_growth(model, x, ts[back], out[:, back])
     return out
+
+
+def _warn_on_backward_growth(model: Model, x, times, states) -> None:
+    """Warn, naming the first of ``times`` whose column of ``states`` is
+    more than BACKWARD_WARN_RATIO times as large as x; the norms of all
+    columns come from one :meth:`StateSpace.row_norms`."""
+    limit = BACKWARD_WARN_RATIO * model.space.norm(x)
+    grown = np.flatnonzero(model.space.row_norms(states.T) > limit)
+    if grown.size:
+        warnings.warn(f"backward propagation amplified the state by more "
+                      f"than {BACKWARD_WARN_RATIO:.0e} at t = {times[grown[0]]}",
+                      stacklevel=3)
 
 
 # ---------------------------------------------------------------------------
@@ -616,6 +671,8 @@ def fractional_power(model: Model, alpha: float) -> np.ndarray:
     (principal branch powers of the eigenvalues of -A) and falls back to
     ``scipy.linalg.fractional_matrix_power`` when the eigenvector basis
     is ill conditioned; scipy.linalg is imported on that branch only.
+    When A_r is real the eigenbasis product is taken in its real basis,
+    as :func:`propagator_matrix` does, and the result is float64.
 
     Raises
     ------
@@ -633,7 +690,8 @@ def fractional_power(model: Model, alpha: float) -> np.ndarray:
     if alpha == int(alpha) and alpha >= 0:
         return np.linalg.matrix_power(-A_r, int(alpha))
     if cond <= EIG_COND_LIMIT:
-        return (V * np.power(mu, alpha)) @ Vinv
+        real = None if np.iscomplexobj(A_r) else _real_inverse(w, Vinv)
+        return _eig_product(V * np.power(mu, alpha), Vinv, real)
     import scipy.linalg
     return scipy.linalg.fractional_matrix_power(-A_r, alpha)
 

@@ -98,17 +98,18 @@ def measured_propagation_bound(block: SphereBlockModel, k: int,
     """sup over s in [0, T] of |e^{(s-T)A} Phi_j|_{H^k} / |Phi_j|_{H^k},
     sampled at 33 equispaced times.
 
-    The backward orbit of the equatorial harmonic is nearly isometric;
-    values far above 1 mean the block is being driven through strongly
-    damped directions and the pullback normalization would be
-    meaningless, so growth beyond 1e6 raises BackwardGrowthExcessive.
+    The 33 states come from one array-valued :func:`propagate`, and the
+    H^k weights are applied to its columns. The backward orbit of the
+    equatorial harmonic is nearly isometric; values far above 1 mean the
+    block is being driven through strongly damped directions and the
+    pullback normalization would be meaningless, so growth beyond 1e6
+    raises BackwardGrowthExcessive.
     """
     phi = equatorial_harmonic(block)
     ref = block.hk_norm(phi, k)
-    worst = 0.0
-    for s in np.linspace(0.0, period, 33):
-        state = propagate(block.model, s - period, phi)
-        worst = max(worst, block.hk_norm(state, k) / ref)
+    states = propagate(block.model, np.linspace(0.0, period, 33) - period, phi)
+    hk = np.linalg.norm(block.hk_weights(k)[:, None] * states, axis=0)
+    worst = float(hk.max()) / ref
     if worst > 1e6:
         raise BackwardGrowthExcessive(
             f"backward orbit grew by {worst:.3e}; pullback normalization refused")
@@ -162,15 +163,18 @@ def orbit_norms(M: np.ndarray, FT: np.ndarray, n_max: int):
     ``M`` is the one-period propagator and ``FT`` the one-period response.
     Also returns the truncation leakage: the largest share of |u(nT)|^2
     carried by the last ten coordinates, the top degrees of a sphere block.
+    The states are stepped by the recurrence and stored, and the norms and
+    the leakage are then taken over all of them at once; a closed-form
+    geometric sum would move the ill-conditioned outputs of detuned runs.
     """
+    U = np.empty((n_max, M.shape[0]), dtype=complex)
     u = np.zeros(M.shape[0], dtype=complex)
-    norms = np.empty(n_max)
-    leakage = 0.0
-    for n in range(1, n_max + 1):
+    for n in range(n_max):
         u = M @ u + FT
-        norms[n - 1] = float(np.linalg.norm(u))
-        top = float(np.sum(np.abs(u[-10:]) ** 2))
-        leakage = max(leakage, top / max(norms[n - 1] ** 2, 1e-300))
+        U[n] = u
+    norms = np.linalg.norm(U, axis=1)
+    top = np.sum(np.abs(U[:, -10:]) ** 2, axis=1)
+    leakage = float(np.max(top / np.maximum(norms ** 2, 1e-300), initial=0.0))
     return norms, leakage
 
 

@@ -38,6 +38,7 @@ from semiper.operator_core import (
     EIG_COND_LIMIT,
     fractional_power,
     harmonic_solve,
+    propagate,
     propagator_matrix,
 )
 from semiper.periodic_solver import (
@@ -218,6 +219,18 @@ def test_admissibility_constant_fallback_matches_expm(near_defective, counted_pr
                      for s, w in zip(nodes, weights)], axis=1)
     ref = np.linalg.norm(near_defective.space.sqrt_gram @ cols, 2)
     assert value == pytest.approx(ref, rel=1e-12)
+
+
+def test_batched_propagate_fallback_matches_expm(near_defective, counted_propagator):
+    """An array of times on the expm path takes one propagator_matrix per
+    distinct time, and each column is expm(tA) x."""
+    ts = np.array([0.5, 1.0, 0.5, -0.2, 1.0])
+    x = np.array([1.0, -0.5, 0.25])
+    out = propagate(near_defective, ts, x)
+    assert sorted(counted_propagator) == [-0.2, 0.5, 1.0]
+    for t, col in zip(ts, out.T):
+        ref = sla.expm(near_defective.A * t) @ x
+        assert np.linalg.norm(col - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_quadrature_sums_fallback_match_expm(near_defective, counted_propagator,

@@ -8,6 +8,7 @@ norms, and closed-form powers of diagonal generators.
 
 import gc
 import json
+import warnings
 import weakref
 from collections import Counter
 
@@ -213,6 +214,47 @@ def test_propagate_rejects_nan_state():
     model = build_scalar_model()
     with pytest.raises(NonFiniteInput):
         propagate(model, 1.0, np.array([np.nan]))
+    with pytest.raises(NonFiniteInput):
+        propagate(model, np.array([1.0, 2.0]), np.array([np.nan]))
+    with pytest.raises(ValueError, match="1-d array"):
+        propagate(model, np.ones((2, 2)), np.array([1.0]))
+
+
+BATCHED_MODELS = {
+    "sphere": lambda: build_sphere_schrodinger(
+        30, 6, DampingProfile("cap", amplitude=1.0, width=0.05, cutoff=0.85),
+        quad_nodes=1200).model,
+    "bump_interval": lambda: build_damped_wave_interval(
+        40, np.pi, DampingProfile("bump", amplitude=1.0, center=1.5, width=2.0)),
+}
+
+
+@pytest.mark.parametrize("make", BATCHED_MODELS.values(), ids=BATCHED_MODELS)
+def test_batched_propagate_matches_per_time_loop(make, rng):
+    """An array of times, negative ones included and more of them than one
+    contraction block takes, gives the columns the scalar calls give."""
+    model = make()
+    x = rng.standard_normal(model.dim) + 1j * rng.standard_normal(model.dim)
+    ts = np.linspace(-0.6, 2.0, 151)
+    out = propagate(model, ts, x)
+    ref = np.stack([propagate(model, t, x) for t in ts], axis=1)
+    assert out.shape == (model.dim, ts.size)
+    err = np.linalg.norm(out - ref, axis=0) / np.linalg.norm(ref, axis=0)
+    assert err.max() <= 1e-14
+    assert propagate(model, 0.7, x).shape == (model.dim,)
+
+
+def test_batched_propagate_warns_on_backward_growth():
+    """e^{20} ~ 4.9e8 at t = -1 exceeds the warning ratio, and the warning
+    names that time; the states at positive times do not trigger it."""
+    model = build_scalar_model(-20.0)
+    x = np.array([1.0])
+    with pytest.warns(UserWarning, match=r"at t = -1\.0$"):
+        out = propagate(model, np.array([2.0, -0.1, -1.0, -1.5]), x)
+    assert out[0, 2] == pytest.approx(np.exp(20.0), rel=1e-13)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        propagate(model, np.array([2.0, -0.1]), x)
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +346,33 @@ def test_power_composition_law(rng):
     F4 = fractional_power(model, 0.4)
     F7 = fractional_power(model, 0.7)
     assert_allclose(F3 @ F4, F7, rtol=1e-9, atol=1e-10)
+
+
+FRACTIONAL_MODELS = {
+    "bump_interval": (lambda: build_damped_wave_interval(
+        60, np.pi, DampingProfile("bump", amplitude=1.0, center=np.pi / 2, width=2.0)), True),
+    "heat_wave": (lambda: build_heat_wave_1d(24, 24), True),
+    "circle": (lambda: build_damped_wave_circle(
+        16, DampingProfile("constant", amplitude=1.0)), True),
+    "sphere": (lambda: build_sphere_schrodinger(
+        8, 2, DampingProfile("cap", amplitude=1.0, width=0.5)).model, False),
+    "synthetic": (lambda: build_synthetic_resolvent_model(6, 1.0), False),
+}
+
+
+@pytest.mark.parametrize("make, real", FRACTIONAL_MODELS.values(), ids=FRACTIONAL_MODELS)
+@pytest.mark.parametrize("alpha", [0.5, 1.0 / 3.0])
+def test_fractional_power_keeps_the_field(make, real, alpha):
+    """On a real model (-A_r)^alpha is float64, taken in the real basis of
+    the deflated block, and matches the complex-basis V mu^alpha V^{-1};
+    a complex model keeps complex128."""
+    model = make()
+    F = fractional_power(model, alpha)
+    w, V, Vinv, _ = model.deflated_eig
+    ref = (V * np.power(-w, alpha)) @ Vinv
+    assert F.dtype == (np.float64 if real else np.complex128)
+    assert np.linalg.norm(F - ref) <= 1e-13 * np.linalg.norm(ref)
+    assert domain_gram(model, alpha).dtype == F.dtype
 
 
 def test_integer_power_is_exact():

@@ -8,12 +8,15 @@ growth experiment against its own lower bound, plus the detuned and
 fully damped contrasts that kill the growth.
 """
 
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from semiper import cli, forcing, operator_core, resonance_lab
 from semiper.errors import BackwardGrowthExcessive
 from semiper.forcing import duhamel_FT
 from semiper.models import (
@@ -25,6 +28,7 @@ from semiper.resonance_lab import (
     concentration_scan,
     growth_experiment,
     measured_propagation_bound,
+    orbit_norms,
     resonant_forcing,
     resonant_horizon,
     truncation_tail,
@@ -141,3 +145,40 @@ def test_damped_control_shows_no_growth():
     per_period = exp.norms / exp.n_grid
     assert per_period[-1] <= 0.05 * per_period[0]
     assert np.max(exp.norms) <= 1.0
+
+
+def test_orbit_norms_match_the_sequential_recurrence(rng):
+    n, n_max = 12, 40
+    M = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / (2 * n ** 0.5)
+    FT = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    norms, leakage = orbit_norms(M, FT, n_max)
+    u = np.zeros(n, dtype=complex)
+    ref, ref_leak = [], 0.0
+    for _ in range(n_max):
+        u = M @ u + FT
+        ref.append(np.linalg.norm(u))
+        ref_leak = max(ref_leak, np.sum(np.abs(u[-10:]) ** 2) / ref[-1] ** 2)
+    assert_allclose(norms, ref, rtol=1e-14)
+    assert leakage == pytest.approx(ref_leak, rel=1e-14)
+
+
+def test_growth_experiment_propagates_in_few_batched_calls(config_dir, monkeypatch):
+    """One growth experiment on the shipped resonance_growth block asks
+    propagate for whole arrays of times, not once per quadrature node, and
+    its backward orbits never trip the growth warning."""
+    cfg = json.loads((config_dir / "resonance_growth.json").read_text())
+    block = cli.build_bundle(cfg).sphere
+    calls = []
+    original = operator_core.propagate
+
+    def counting(model, t, x):
+        calls.append(np.size(t))
+        return original(model, t, x)
+
+    for module in (operator_core, forcing, resonance_lab):
+        monkeypatch.setattr(module, "propagate", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        growth_experiment(block, cfg["growth"]["k"], n_max=cfg["growth"]["n_max"])
+    assert 0 < len(calls) < 30
+    assert sum(calls) > 500
