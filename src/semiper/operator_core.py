@@ -487,12 +487,13 @@ def propagator_matrix(model: Model, t: float) -> np.ndarray:
 def apply_real(op, M: np.ndarray, X: np.ndarray) -> np.ndarray:
     """op(M, X) for an op linear in X, such as ``np.matmul`` or
     ``np.linalg.solve``; a real M takes a complex X's real and imaginary
-    parts as the interleaved columns of one real array."""
+    parts as the interleaved columns of one real array. A stack of states
+    x as rows times a real M^T is ``apply_real(np.matmul, M, x.T).T``."""
     if np.iscomplexobj(M) or not np.iscomplexobj(X):
         return op(M, X)
     X = np.ascontiguousarray(X)
     Y = op(M, X.view(np.float64).reshape(len(X), -1))
-    return np.ascontiguousarray(Y).view(complex).reshape(X.shape)
+    return np.ascontiguousarray(Y).view(complex).reshape(len(Y), *X.shape[1:])
 
 
 def propagated_columns(model: Model, offsets, states, weights,
@@ -529,10 +530,11 @@ def propagate(model: Model, t, x) -> np.ndarray:
     exceeds EIG_COND_LIMIT each distinct time takes one
     :func:`propagator_matrix`.
 
-    Negative times are allowed (matrix exponentials form a group); one
-    :meth:`StateSpace.row_norms` over the states at negative times
-    checks the realized backward amplification, and a warning names the
-    first time at which it exceeds ``BACKWARD_WARN_RATIO``.
+    Negative times are allowed (matrix exponentials form a group). The
+    realized backward amplification is checked by one
+    :meth:`StateSpace.row_norms` over each block's states at negative
+    times, and one warning names the first time at which it exceeds
+    ``BACKWARD_WARN_RATIO``.
     """
     x = np.asarray(x, dtype=complex)
     if not np.all(np.isfinite(x)):
@@ -549,29 +551,38 @@ def propagate(model: Model, t, x) -> np.ndarray:
         return out
     if cond > EIG_COND_LIMIT:
         mats = {s: propagator_matrix(model, s) for s in set(ts.tolist())}
-        out = np.stack([mats[s] @ x for s in ts.tolist()], axis=1)
+
+        def columns(block):
+            return np.stack([mats[s] @ x for s in block.tolist()], axis=1)
     else:
         c = (Vinv @ x)[:, None]
-        out = np.empty((len(x), ts.size), dtype=complex)
-        for i in range(0, ts.size, _PROPAGATE_BLOCK):
-            block = ts[i:i + _PROPAGATE_BLOCK]
-            out[:, i:i + block.size] = V @ (np.exp(np.outer(w, block)) * c)
-    back = ts < 0
-    if back.any():
-        _warn_on_backward_growth(model, x, ts[back], out[:, back])
+
+        def columns(block):
+            return V @ (np.exp(np.outer(w, block)) * c)
+    out = np.empty((len(x), ts.size), dtype=complex)
+    checking = True
+    for i in range(0, ts.size, _PROPAGATE_BLOCK):
+        block = ts[i:i + _PROPAGATE_BLOCK]
+        states = out[:, i:i + block.size]
+        states[...] = columns(block)
+        if checking and block.min() < 0:
+            checking = not _warn_on_backward_growth(model, x, block, states)
     return out
 
 
-def _warn_on_backward_growth(model: Model, x, times, states) -> None:
-    """Warn, naming the first of ``times`` whose column of ``states`` is
-    more than BACKWARD_WARN_RATIO times as large as x; the norms of all
-    columns come from one :meth:`StateSpace.row_norms`."""
+def _warn_on_backward_growth(model: Model, x, times, states) -> bool:
+    """Warn, naming the first negative time of ``times`` whose column of
+    ``states`` is more than BACKWARD_WARN_RATIO times as large as x, and
+    say whether it warned; the norms of those columns come from one
+    :meth:`StateSpace.row_norms`."""
+    back = times < 0
     limit = BACKWARD_WARN_RATIO * model.space.norm(x)
-    grown = np.flatnonzero(model.space.row_norms(states.T) > limit)
+    grown = np.flatnonzero(model.space.row_norms(states[:, back].T) > limit)
     if grown.size:
         warnings.warn(f"backward propagation amplified the state by more "
-                      f"than {BACKWARD_WARN_RATIO:.0e} at t = {times[grown[0]]}",
+                      f"than {BACKWARD_WARN_RATIO:.0e} at t = {times[back][grown[0]]}",
                       stacklevel=3)
+    return bool(grown.size)
 
 
 # ---------------------------------------------------------------------------
@@ -588,13 +599,14 @@ def to_block(model: Model, x) -> np.ndarray:
     if Q is None:
         return x
     x = np.asarray(x, dtype=complex)
-    return (x - x @ model.pi0.T) @ Q.conj()
+    x = x - apply_real(np.matmul, model.pi0, x.T).T
+    return apply_real(np.matmul, Q.conj().T, x.T).T
 
 
 def from_block(model: Model, x_r) -> np.ndarray:
     """The state Q x_r for reduced coordinates x_r (inverse of to_block)."""
     _, _, Q = model.deflated
-    return x_r if Q is None else Q @ x_r
+    return x_r if Q is None else apply_real(np.matmul, Q, x_r)
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +668,7 @@ def harmonic_solve(model: Model, harmonics, period: float, rhs) -> np.ndarray:
             return np.linalg.solve(M, B[..., None])[..., 0]
 
     X = solve(rhs)
-    residual = rhs - (shifts[:, None] * X - X @ A_r.T)
+    residual = rhs - (shifts[:, None] * X - apply_real(np.matmul, A_r, X.T).T)
     return X + solve(residual)
 
 

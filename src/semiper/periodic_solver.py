@@ -439,7 +439,8 @@ def _ode_residual(model, poly, structure, T, f_samples, traj) -> float:
         ks[n // 2] = 0.0       # drop the unmatched Nyquist bin from d/dt
     dtraj = np.fft.ifft(np.fft.fft(traj, axis=0) * (2j * np.pi / T * ks)[:, None],
                         axis=0)
-    rhs = traj @ model.A.T + f_samples + _nonlinear_source(model, poly, traj, structure)
+    rhs = (apply_real(np.matmul, model.A, traj.T).T + f_samples
+           + _nonlinear_source(model, poly, traj, structure))
     return float(model.space.row_norms(dtraj - rhs).max())
 
 

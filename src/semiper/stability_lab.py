@@ -4,12 +4,16 @@ The envelope h_alpha(t) is the best constant in
 |e^{tA} x|_X <= h_alpha(t) |x|_{alpha} over the deflated block, where
 |.|_alpha is the Hilbertian domain norm induced by
 G + ((-A)^alpha)* G (-A)^alpha. It is taken in the cached eigenbasis of
-the deflated block: one column scaling and one product per time, in
-real arithmetic on real models, with the largest singular value read
-from the top eigenvalue of the product's Gram; an ill-conditioned
-eigenbasis falls back to expm, the only use of scipy.linalg here, which
-is imported on that branch. Scans are plain grids of such values;
-fits extract power laws from running extrema on log-log axes.
+the deflated block, in real arithmetic on real models: the modes are
+sorted slowest first and the two factors compressed to triangular form
+once, and each time keeps only the leading modes that have not decayed
+below round-off, a leading block product checked against the dropped
+tail and recomputed over all modes when the check fails. The largest
+singular value is read from the top eigenvalue of the product's Gram.
+An ill-conditioned eigenbasis falls back to expm, the only use of
+scipy.linalg here, which is imported on that branch. Scans are plain
+grids of such values; fits extract power laws from running extrema on
+log-log axes.
 
 Two quantitative cross-checks are provided: the product of the fitted
 resolvent growth exponent and the fitted decay exponent of the smoothed
@@ -28,9 +32,17 @@ from .errors import NonMonotone, PoorFit
 from .operator_core import (
     EIG_COND_LIMIT,
     Model,
+    _real_columns,
+    _real_inverse,
     domain_inv_sqrt,
     resolvent_norm,
 )
+
+# An envelope keeps, at each time, the slowest modes whose discarded tail
+# bound is at most _TAIL_KEPT of the largest mode's bound; a value whose
+# tail exceeds _TAIL_CHECKED of it is recomputed over all modes.
+_TAIL_KEPT = 2.0 ** -60
+_TAIL_CHECKED = 2.0 ** -53
 
 
 @dataclass
@@ -76,10 +88,25 @@ def _envelope_values(model: Model, alphas, t_grid) -> np.ndarray:
     h_alpha(t) is sigma_max of S e^{tA_r} D_alpha on the deflated block,
     S = G_r^{1/2} and D_alpha = :func:`domain_inv_sqrt`. In the cached
     eigenbasis this is L e^{t Lambda} R_alpha with L = S V and
-    R_alpha = V^{-1} D_alpha built once, so each (t, alpha) costs one
-    column scaling, one product and one top eigenvalue (:func:`_sigma_max`);
-    no e^{tA} is built. When A_r and G_r are real the operator is real and
-    the product is taken as Re(L e^{t Lambda} R_alpha) in real arithmetic.
+    R_alpha = V^{-1} D_alpha; no e^{tA} is built. On a real model (A_r and
+    G_r real, eigenvalues in exact conjugate pairs j, j + 1) both factors
+    are real: L = S times the real basis of V and R_alpha = X D_alpha with
+    X from :func:`operator_core._real_inverse`, and e^{t Lambda} acts on a
+    pair's two columns as a rotation scaled by e^{t Re lambda}.
+
+    A mode group (a conjugate pair or one eigenvalue) is sorted slowest
+    first, by a stable sort on Re lambda that keeps the pairs adjacent.
+    With the triangular factors L = Q_1 T_1 and R_alpha* = Q_2 T_2, once
+    per model and alpha, sigma(L E R_alpha) = sigma(T_1 E T_2*), and the
+    leading k x k blocks hold exactly the first k modes. At each time the
+    group bounds c_g e^{t Re lambda_g}, c_g = |L's columns|_F
+    |R_alpha's rows|_F, keep the shortest prefix whose tail sums to at
+    most 2^-60 of the largest bound; e^{t Lambda} is applied to that
+    block of T_1 in O(k^2), and one k x k product goes to
+    :func:`_sigma_max`. The tail bounds |sigma - sigma_k|, so when it
+    exceeds 2^-53 sigma_k (a cancelling, non-normal envelope) the value
+    is recomputed over all modes.
+
     When cond(V) exceeds EIG_COND_LIMIT each time takes S expm(t A_r)
     D_alpha instead, which on kernel models equals S Q* e^{tA} Q D_alpha;
     scipy.linalg is imported on that branch only.
@@ -87,7 +114,8 @@ def _envelope_values(model: Model, alphas, t_grid) -> np.ndarray:
     A_r, G_r, _ = model.deflated
     S, _ = model.reduced_gram_roots
     Dis = [domain_inv_sqrt(model, a) for a in alphas]
-    values = np.empty((len(Dis), len(t_grid)))
+    t_grid = np.asarray(t_grid, dtype=float)
+    values = np.empty((len(Dis), t_grid.size))
     w, V, Vinv, cond = model.deflated_eig
     if cond > EIG_COND_LIMIT:
         import scipy.linalg
@@ -96,14 +124,60 @@ def _envelope_values(model: Model, alphas, t_grid) -> np.ndarray:
             for a, Di in enumerate(Dis):
                 values[a, i] = _sigma_max(SP @ Di)
         return values
-    real = np.isrealobj(A_r) and np.isrealobj(G_r)
-    L = S @ V
-    Rs = [Vinv @ Di for Di in Dis]
+    real = (_real_inverse(w, Vinv)
+            if np.isrealobj(A_r) and np.isrealobj(G_r) else None)
+    if real is None:
+        first, L, X = np.empty(0, dtype=int), S @ V, Vinv
+    else:
+        first, X = real
+        L = S @ _real_columns(V, first)
+    order = np.argsort(-w.real, kind="stable")
+    lead = np.ones(w.size, dtype=bool)
+    lead[first + 1] = False
+    w, lead = w[order], lead[order]
+    L = L[:, order]
+    Rs = [(X @ Di)[order] for Di in Dis]
+    n = w.size
+    starts = np.flatnonzero(lead)
+    ends = np.append(starts[1:], n)
+    pairs = starts[ends - starts == 2]
+    rates = w.real if real is not None else w
+    # kept[a, i] columns are kept for alphas[a] at t_grid[i]; rest[a, i]
+    # bounds the norm of the dropped tail
+    kept = np.empty(values.shape, dtype=int)
+    rest = np.empty(values.shape)
+    col_sq = np.add.reduceat(np.sum(np.abs(L) ** 2, axis=0), starts)
+    for a, R in enumerate(Rs):
+        c = np.sqrt(col_sq * np.add.reduceat(np.sum(np.abs(R) ** 2, axis=1), starts))
+        with np.errstate(divide="ignore"):
+            log_terms = np.log(c)[:, None] + np.outer(w.real[starts], t_grid)
+        top = log_terms.max(axis=0)
+        tail = np.cumsum(np.exp(log_terms - top)[::-1], axis=0)[::-1]
+        tail = np.vstack([tail, np.zeros(t_grid.size)])
+        groups = np.count_nonzero(tail > _TAIL_KEPT, axis=0)
+        kept[a] = ends[groups - 1]
+        rest[a] = tail[groups, np.arange(t_grid.size)] * np.exp(top)
+    L = np.linalg.qr(L, mode="r")
+    Rs = [np.linalg.qr(R.conj().T, mode="r").conj().T for R in Rs]
+
+    def propagated(k, t):
+        """The leading k x k block of T_1 e^{t Lambda}."""
+        Le = L[:k, :k] * np.exp(rates[:k] * t)
+        p = pairs[pairs < k]
+        if p.size:
+            cos, sin = np.cos(w.imag[p] * t), np.sin(w.imag[p] * t)
+            P, Q = Le[:, p], Le[:, p + 1]
+            Le[:, p], Le[:, p + 1] = P * cos - Q * sin, P * sin + Q * cos
+        return Le
+
     for i, t in enumerate(t_grid):
-        Le = L * np.exp(w * t)
+        Le = propagated(kept[:, i].max(), t)
         for a, R in enumerate(Rs):
-            M = Le.real @ R.real - Le.imag @ R.imag if real else Le @ R
-            values[a, i] = _sigma_max(M)
+            k = kept[a, i]
+            s = _sigma_max(Le[:k, :k] @ R[:k, :k])
+            if k < n and rest[a, i] > _TAIL_CHECKED * s:
+                s = _sigma_max(propagated(n, t) @ R)
+            values[a, i] = s
     return values
 
 

@@ -37,6 +37,7 @@ from semiper.models import (
     build_synthetic_resolvent_model,
 )
 from semiper.operator_core import (
+    _PROPAGATE_BLOCK,
     EIG_COND_LIMIT,
     _conjugate_pairs,
     _damped_wave_eig,
@@ -255,6 +256,20 @@ def test_batched_propagate_warns_on_backward_growth():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         propagate(model, np.array([2.0, -0.1]), x)
+
+
+def test_batched_propagate_warns_once_from_a_later_block():
+    """Each block of times is checked as it is built. Backward times in
+    the first block stay below the warning ratio (e^{13} at t = -0.65);
+    the warning names the first time past it, t = -0.8, the fourth of the
+    second block, and it is given once although later times grow more."""
+    model = build_scalar_model(-20.0)
+    ts = np.concatenate([np.linspace(-0.65, 1.0, _PROPAGATE_BLOCK),
+                         [0.5, 0.0, -0.3, -0.8, -0.7, -1.0], -np.ones(_PROPAGATE_BLOCK)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        propagate(model, ts, np.array([1.0]))
+    assert [str(c.message).rsplit(" ", 1)[-1] for c in caught] == ["-0.8"]
 
 
 # ---------------------------------------------------------------------------

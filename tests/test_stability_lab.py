@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
-from semiper import operator_core
+from semiper import operator_core, stability_lab
 from semiper.errors import NonMonotone, PoorFit
 from semiper.models import (
     DampingProfile,
@@ -21,7 +21,11 @@ from semiper.models import (
     build_heat_wave_1d,
     build_synthetic_resolvent_model,
 )
-from semiper.operator_core import domain_inv_sqrt
+from semiper.operator_core import (
+    build_model,
+    domain_inv_sqrt,
+    make_state_space,
+)
 from semiper.stability_lab import (
     ScanResult,
     bt_crosscheck,
@@ -273,6 +277,105 @@ def test_decay_envelope_real_model_matches_dense(alpha):
     scan = decay_envelope(model, alpha, t_grid)
     ref = [np.linalg.norm(S @ sla.expm(t * A_r) @ D, 2) for t in t_grid]
     assert_allclose(scan.values, ref, rtol=1e-11)
+
+
+def _bump_interval():
+    return build_damped_wave_interval(
+        60, np.pi, DampingProfile("bump", amplitude=1.0, center=np.pi / 2, width=2.0))
+
+
+def full_product_envelope(model, alpha, t_grid):
+    """sigma_max of S V e^{t Lambda} V^{-1} D_alpha over all modes, the real
+    part on a real model, as the uncompressed product takes it. On a real
+    model the second row of each conjugate pair of V^{-1} is set to the
+    conjugate of the first, which is what the real basis reads: LAPACK's
+    inverse has them conjugate only to round-off, and that alone moves
+    sigma by up to 9.4e-14 on heat_wave_1d(48, 48)."""
+    S, _ = model.reduced_gram_roots
+    w, V, Vinv, _ = model.deflated_eig
+    real = not np.iscomplexobj(model.deflated[0])
+    if real:
+        first = operator_core._conjugate_pairs(w)
+        Vinv = Vinv.copy()
+        Vinv[first + 1] = Vinv[first].conj()
+    L, R = S @ V, Vinv @ domain_inv_sqrt(model, alpha)
+    out = []
+    for t in t_grid:
+        M = (L * np.exp(w * t)) @ R
+        out.append(np.linalg.norm(M.real if real else M, 2))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("make, alpha, t_grid", [
+    (lambda: build_heat_wave_1d(48, 48), 1.0, np.geomspace(0.5, 80.0, 120)),
+    (lambda: build_heat_wave_1d(24, 24), 0.5, np.linspace(0.0, 50.0, 60)),
+    (lambda: build_heat_wave_1d(24, 24), 2.0, np.linspace(0.0, 50.0, 60)),
+    (_bump_interval, 0.5, np.linspace(0.0, 50.0, 60)),
+    (lambda: build_synthetic_resolvent_model(40, 1.0), 1.0, np.geomspace(0.5, 60.0, 120)),
+], ids=["heat_wave_48", "heat_wave_24_half", "heat_wave_24_two", "bump_interval",
+        "synthetic"])
+def test_compressed_envelope_matches_full_product(make, alpha, t_grid):
+    """Dropping the decayed modes and compressing the factors keeps every
+    value within round-off of the product over all modes."""
+    model = make()
+    scan = decay_envelope(model, alpha, t_grid)
+    assert_allclose(scan.values, full_product_envelope(model, alpha, t_grid),
+                    rtol=1e-13, atol=0)
+
+
+def test_compressed_envelope_drops_decayed_heat_modes(monkeypatch):
+    """The fast heat modes are below round-off from t = 0.5 on, so every
+    time takes a product over fewer than all 143 modes, and none falls
+    back to the full size."""
+    model = build_heat_wave_1d(48, 48)
+    n = model.deflated_eig[0].size
+    assert n == 143
+    sizes = []
+    original = stability_lab._sigma_max
+    monkeypatch.setattr(stability_lab, "_sigma_max",
+                        lambda M: sizes.append(M.shape[0]) or original(M))
+    t_grid = np.geomspace(0.5, 80.0, 120)
+    decay_envelope(model, 1.0, t_grid)
+    assert len(sizes) == t_grid.size
+    assert max(sizes) < n
+
+
+def test_compressed_envelope_full_size_fallback(monkeypatch):
+    """A nearly defective pair (cond(V) = 2e4) whose envelope cancels to
+    below 2^-7 of its mode bounds, beside a fast mode that drops below
+    2^-60 of them: where the dropped tail exceeds 2^-53 of the truncated
+    value, the value is recomputed over all three modes."""
+    A = np.array([[-1.0, 1.0, 0.0],
+                  [0.0, -1.0 - 1e-4, 0.0],
+                  [0.0, 0.0, -10.0]])
+    model = build_model(make_state_space(3, np.eye(3)), A)
+    assert model.deflated_eig[3] < operator_core.EIG_COND_LIMIT
+    sizes = []
+    original = stability_lab._sigma_max
+    monkeypatch.setattr(stability_lab, "_sigma_max",
+                        lambda M: sizes.append(M.shape[0]) or original(M))
+    t_grid = np.linspace(0.0, 6.0, 61)
+    scan = decay_envelope(model, 1.0, t_grid)
+    recomputed = [b for a, b in zip(sizes, sizes[1:]) if a == 2 and b == 3]
+    assert recomputed and len(sizes) == t_grid.size + len(recomputed)
+    D = domain_inv_sqrt(model, 1.0)
+    ref = [np.linalg.norm(sla.expm(t * A) @ D, 2) for t in t_grid]
+    assert_allclose(scan.values, ref, rtol=1e-11)
+
+
+@pytest.mark.parametrize("make", [lambda: build_heat_wave_1d(24, 24), _bump_interval],
+                         ids=["heat_wave_24", "bump_interval"])
+def test_real_pair_path_matches_complex_path(make, monkeypatch):
+    """The rotations on the conjugate pairs' real columns give what the
+    complex diagonal path gives on the same eigenbasis, so the sort
+    keeps each pair's two columns together and in order."""
+    model = make()
+    t_grid = np.linspace(0.0, 50.0, 60)
+    real = interpolation_check(model, 0.5, t_grid).extras
+    monkeypatch.setattr(stability_lab, "_real_inverse", lambda w, Vinv: None)
+    cplx = interpolation_check(model, 0.5, t_grid).extras
+    for key in ("h_alpha", "h_one"):
+        assert_allclose(real[key], cplx[key], rtol=1e-13, atol=0)
 
 
 def test_mlog_bound_tracks_decay_shape():
