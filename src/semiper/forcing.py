@@ -33,6 +33,7 @@ from .models import gauss_legendre_rule
 from .operator_core import (
     Model,
     StateSpace,
+    _sigma_max,
     from_block,
     harmonic_solve,
     propagate,
@@ -391,8 +392,8 @@ def admissibility_constant(model: Model, T: float, panels: int = 24,
     Realized on the quadrature grid: the columns sqrt(w_i) e^{A(T-s_i)} b_j,
     one for every node s_i and every column b_j of B, assemble the map
     from weighted samples, whose largest singular value in the Gram
-    geometry is returned. Each column b_j takes one array-valued
-    :func:`propagate` over all nodes.
+    geometry is returned, by :func:`operator_core._sigma_max`. Each
+    column b_j takes one array-valued :func:`propagate` over all nodes.
     """
     if model.B is None:
         raise ValueError("model has no input matrix")
@@ -400,4 +401,4 @@ def admissibility_constant(model: Model, T: float, panels: int = 24,
     root_w = np.sqrt(weights)
     cols = np.concatenate([propagate(model, T - nodes, b) * root_w for b in model.B.T],
                           axis=1)
-    return float(np.linalg.norm(model.space.sqrt_gram @ cols, 2))
+    return _sigma_max(model.space.sqrt_gram @ cols)

@@ -10,10 +10,10 @@ in real arithmetic, in its real eigenbasis (Golub & Van Loan, section
 harmonic solves and fractional powers all read one cached
 eigendecomposition per model and fall back to scaling-and-squaring,
 dense solves or ``fractional_matrix_power`` when the eigenvector basis is
-ill conditioned. A kernel-free constantly damped wave
-A = [[0, I], [L, -a I]] gets that eigendecomposition in closed form from
-one symmetric eigh of L (:func:`_damped_wave_eig`); other models take
-LAPACK's eig. Every path but the fallbacks uses numpy alone; scipy.linalg is
+ill conditioned. A constantly damped wave A = [[0, I], [L, -a I]], with
+or without a kernel, gets that eigendecomposition in closed form from one
+symmetric eigh of L (:func:`_damped_wave_eig`); other models take LAPACK's
+eig. Every path but the fallbacks uses numpy alone; scipy.linalg is
 imported only inside those fallbacks, so it stays out of startup. A
 model caches only data that depends on A alone; anything that depends
 on a time, an exponent or a period is recomputed by the call that asks
@@ -62,6 +62,19 @@ def _gram_roots(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vals, vecs = np.linalg.eigh(G)
     vals = np.sqrt(np.maximum(vals, 1e-300))
     return (vecs * vals) @ vecs.conj().T, (vecs / vals) @ vecs.conj().T
+
+
+def _sigma_max(M: np.ndarray) -> float:
+    """Largest singular value of M, as the root of the top eigenvalue of
+    M* M (the last of ``np.linalg.eigvalsh``, which returns them in
+    ascending order); M is first scaled by its largest entry, so the Gram
+    can neither underflow nor overflow."""
+    scale = float(np.max(np.abs(M)))
+    if scale == 0.0:
+        return 0.0
+    M = M / scale
+    top = np.linalg.eigvalsh(M.conj().T @ M)[-1]
+    return scale * float(np.sqrt(max(top, 0.0)))
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -187,26 +200,32 @@ class Model:
     immutable after construction. Its derived factorizations are cached
     on it, each computed on first use:
 
+    ``kernel_rows``
+        The r x dim rows K^+ pi0 (K the kernel basis as columns), so that
+        pi0 = K K^+ pi0 and ker pi0 = ker K^+ pi0; None without a kernel.
     ``deflated``
         (A_r, G_r, Q): reduced coordinates of the invariant complement
         of the kernel. Q is a Euclidean-orthonormal basis of
-        range(I - pi0): the left singular vectors of I - pi0 whose
-        singular value exceeds 1e-10 times the largest (the rule of
-        ``scipy.linalg.orth``). A_r = Q* A Q is the reduced generator and
-        G_r = Q* G Q the reduced Gram. For kernel-free models Q is None
-        and A_r, G_r are A and G.
+        range(I - pi0) = ker pi0, the orthogonal complement of the r
+        columns of (K^+ pi0)*: the last dim - r columns of their complete
+        QR. A_r = Q* A Q is the reduced generator and G_r = Q* G Q the
+        reduced Gram. For kernel-free models Q is None and A_r, G_r are
+        A and G.
     ``deflated_eig``
         (w, V, Vinv, cond): eigenvalues and eigenvectors of A_r, the
         inverse eigenvector matrix (None if singular) and cond(V). This
         is the model's one spectral factorization; it is computed in
         real arithmetic when A_r is float64, and cast to complex. cond(V) is
         then that of the real basis (below), pair columns times sqrt(2).
-        A kernel-free A = [[0, I], [L, -a I]] (L real symmetric, a a
-        scalar: the interval waves with constant damping) is factored in
+        A = [[0, I], [L, -a I]] (L real symmetric, a a scalar: the
+        interval and circle waves with constant damping) is factored in
         closed form by :func:`_damped_wave_eig`, one eigh of L and no
-        eig, inv or SVD, in the layout of LAPACK's real driver. It
-        declines to the general route when a mode is critically damped
-        to round-off or cond(V) would exceed EIG_COND_LIMIT.
+        eig, inv or SVD, in the layout of LAPACK's real driver; on a
+        kernel model its full-space factor (V, Vinv) without the kernel
+        roots enters as (Q* V, Vinv Q). It declines to the general route
+        when a mode is critically damped to round-off, when the number
+        of roots zero to round-off is not the kernel dimension, or when
+        cond(V) would exceed EIG_COND_LIMIT.
     ``eig``
         The same four fields for A on the whole space. For kernel-free
         models this is ``deflated_eig`` itself; on kernel models it is
@@ -242,21 +261,33 @@ class Model:
         return len(self.kernel_basis) > 0
 
     @cached_property
+    def kernel_rows(self) -> np.ndarray | None:
+        if not self.has_kernel:
+            return None
+        K = np.stack(self.kernel_basis, axis=1)
+        return np.linalg.lstsq(K, self.pi0, rcond=None)[0]
+
+    @cached_property
     def deflated(self) -> tuple:
         if not self.has_kernel:
             return self.A, self.space.gram, None
-        P = np.eye(self.dim) - self.pi0
-        U, s, _ = np.linalg.svd(P, full_matrices=False)
-        Q = U[:, s > 1e-10 * s[0]]
+        r = len(self.kernel_basis)
+        Q = np.linalg.qr(self.kernel_rows.conj().T, mode="complete")[0][:, r:]
         A_r = Q.conj().T @ self.A @ Q
         G_r = Q.conj().T @ self.space.gram @ Q
         return A_r, 0.5 * (G_r + G_r.conj().T), Q
 
     @cached_property
     def deflated_eig(self) -> tuple:
-        closed = None if self.has_kernel else _damped_wave_eig(self.A)
+        closed = _damped_wave_eig(self.A, len(self.kernel_basis))
         if closed is not None:
-            return closed
+            w, V, Vinv, cond = closed
+            Q = self.deflated[2]
+            if Q is None:
+                return closed
+            # Q real: Q^T V and (Q^T Vinv^T)^T in real products
+            return (w, apply_real(np.matmul, Q.T, V),
+                    apply_real(np.matmul, Q.T, Vinv.T).T, cond)
         w, V, first = _eig(self.deflated[0])
         try:
             Vinv = np.linalg.inv(V)
@@ -278,10 +309,9 @@ class Model:
         V = np.concatenate([K, Q @ V_r], axis=1)
         if Vinv_r is None:
             return w, V, None, cond
-        # pi0 = K L with L = K^+ pi0, and Q* (I - pi0) maps onto the block
-        L = np.linalg.lstsq(K, self.pi0, rcond=None)[0]
+        # pi0 = K K^+ pi0, and Q* (I - pi0) maps onto the block
         Qh = Q.conj().T
-        Vinv = np.concatenate([L, Vinv_r @ (Qh - Qh @ self.pi0)])
+        Vinv = np.concatenate([self.kernel_rows, Vinv_r @ (Qh - Qh @ self.pi0)])
         return w, V, Vinv, cond
 
     @cached_property
@@ -352,10 +382,23 @@ def _eig(M: np.ndarray) -> tuple:
     return w, V, _conjugate_pairs(w) if np.isrealobj(M) else None
 
 
-def _damped_wave_eig(A: np.ndarray) -> tuple | None:
+def _second_order_blocks(A: np.ndarray) -> tuple | None:
+    """(L, D) when A = [[0, I], [L, -D]] in n x n blocks, the first-order
+    linearization of the quadratic pencil lambda^2 + lambda D - L
+    (Tisseur & Meerbergen, SIAM Rev. 43, 2001, section 3.10), so that its
+    eigenpairs and its resolvent reduce to n x n work; None otherwise."""
+    n = len(A) // 2
+    if n == 0 or len(A) % 2 or np.any(A[:n, :n]) or not np.array_equal(A[:n, n:], np.eye(n)):
+        return None
+    return A[n:, :n], -A[n:, n:]
+
+
+def _damped_wave_eig(A: np.ndarray, r: int = 0) -> tuple | None:
     """(w, V, Vinv, cond) of A = [[0, I], [L, -a I]], L real symmetric and
-    a a scalar, in closed form from one eigh of L; None when A is not of
-    that form, when a mode is critically damped to round-off or when cond
+    a a scalar, with an r-dimensional kernel ker L x {0}, in closed form
+    from one eigh of L, without the r kernel roots. None when A is not of
+    that form, when a mode is critically damped to round-off, when the
+    number of modes with mu_k zero to round-off is not r, or when cond
     exceeds EIG_COND_LIMIT.
 
     With L = U diag(mu) U^T the eigenproblem splits into one quadratic
@@ -365,28 +408,38 @@ def _damped_wave_eig(A: np.ndarray) -> tuple | None:
     sit in adjacent columns as the real LAPACK driver lays them out: a
     complex pair has positive imaginary part first and its exact
     conjugate second. The rows of Vinv invert each mode's 2 x 2 block.
+    The r modes whose mu_k lie in the round-off band of the discriminant
+    are the kernel: their mu_k is set to zero, their roots are then 0 and
+    -a, and only -a is kept, so V is dim x (dim - r) and Vinv its left
+    inverse.
     cond is that of the real basis of ``Model.deflated_eig`` (pair
     columns Re, Im times sqrt(2)). blockdiag(U, U) is orthogonal, so it
-    is the largest over the smallest singular value of the n real 2 x 2
-    blocks. A block has Frobenius norm sqrt(2) and |det| d =
+    is the largest over the smallest singular value of the real 2 x 2
+    blocks, and a kernel mode's one unit column counts as sigma = 1. A
+    block has Frobenius norm sqrt(2) and |det| d =
     |lambda_1 - lambda_2| / (r_1 r_2), r_i = sqrt(1 + |lambda_i|^2), so
     sigma_max^2 = 1 + sqrt(1 - d^2) and sigma_min = d / sigma_max.
     """
-    n = len(A) // 2
-    if n == 0 or len(A) % 2 or np.iscomplexobj(A):
+    blocks = None if np.iscomplexobj(A) else _second_order_blocks(A)
+    if blocks is None:
         return None
-    L = A[n:, :n]
-    a = -A[n, n]
-    if (np.any(A[:n, :n]) or not np.array_equal(A[:n, n:], np.eye(n))
-            or not np.array_equal(A[n:, n:], -a * np.eye(n))
-            or not np.array_equal(L, L.T)):
+    L, D = blocks
+    n = len(L)
+    a = D[0, 0]
+    if not np.array_equal(D, a * np.eye(n)) or not np.array_equal(L, L.T):
         return None
     mu, U = np.linalg.eigh(L)
     a2 = 0.25 * a * a
-    disc = a2 + mu
     # eigh's mu_k carry an absolute error of order n eps |L|; a discriminant
-    # inside that band may be zero, a defective (critically damped) mode
-    if np.any(np.abs(disc) <= n * np.finfo(float).eps * (a2 + np.abs(mu).max())):
+    # inside that band may be zero, a defective (critically damped) mode,
+    # and a mu_k inside it a kernel mode with the root zero
+    band = n * np.finfo(float).eps * (a2 + np.abs(mu).max())
+    kernel = np.abs(mu) <= band
+    if np.count_nonzero(kernel) != r:
+        return None
+    mu[kernel] = 0.0
+    disc = a2 + mu
+    if np.any(np.abs(disc) <= band):
         return None
     s = np.sqrt(np.abs(disc))
     under = disc < 0
@@ -397,7 +450,8 @@ def _damped_wave_eig(A: np.ndarray) -> tuple | None:
     nrm = np.hypot(1.0, np.abs(np.stack([lam1, lam2])))
     d = np.abs(lam1 - lam2) / (nrm[0] * nrm[1])
     smax = np.sqrt(1.0 + np.sqrt(np.maximum(1.0 - d * d, 0.0)))
-    cond = float(smax.max() / np.min(d / smax))
+    smin = np.where(kernel, 1.0, d / smax)
+    cond = float(np.where(kernel, 1.0, smax).max() / smin.min())
     if not cond <= EIG_COND_LIMIT:
         return None
     w = np.stack([lam1, lam2], axis=1).ravel()
@@ -407,6 +461,10 @@ def _damped_wave_eig(A: np.ndarray) -> tuple | None:
     V = np.concatenate([Ur / nrm, Ur * (w / nrm)])
     c = nrm / (other - w)
     Vinv = np.concatenate([Ur.T * (c * other)[:, None], Ur.T * -c[:, None]], axis=1)
+    if r:
+        # lam2 = -mu / big = 0 is the kernel mode's second root
+        keep = ~np.stack([np.zeros(n, dtype=bool), kernel], axis=1).ravel()
+        w, V, Vinv = w[keep], V[:, keep], Vinv[keep]
     return w, V, Vinv, cond
 
 
@@ -738,10 +796,18 @@ def contour_spectral_projector(model: Model, center: complex = 0.0,
     resolvent.
 
     Used as an independent cross-check of closed-form projectors, so it
-    solves with z I - A at each node and never reads the eigenbasis. The
-    default radius is half the distance from ``center`` to the nearest
+    solves at each node and never reads the eigenbasis. The default
+    radius is half the distance from ``center`` to the nearest
     eigenvalue outside a 1e-8 neighborhood of it (the eigenvalues are
     read for that default only).
+
+    On A = [[0, I], [L, -D]] each node z solves the n x n pencil once,
+    Sigma = (z^2 I + z D - L)^{-1}; the resolvent is then
+    [[Sigma (z + D), Sigma], [z Sigma (z + D) - I, z Sigma]]. With the
+    node weights c_k = radius u_k / N (u_k the N-th roots of unity) and
+    S_p = sum_k c_k z_k^p Sigma_k, the projector is
+    [[S_1 + S_0 D, S_0], [S_2 + S_1 D, S_1]]: the identity term drops
+    because sum_k u_k = 0. Other models solve z I - A, dim x dim.
 
     When A is float64 and ``center`` is real, node N - k is the
     conjugate of node k and so is its term; only the nodes k = 0..N/2 are
@@ -759,13 +825,27 @@ def contour_spectral_projector(model: Model, center: complex = 0.0,
     theta = 2 * np.pi * np.arange(n_nodes) / n_nodes
     half = n_nodes // 2
     paired = complex(center).imag == 0 and np.isrealobj(model.A)
-    eye = np.eye(model.dim)
-    acc = np.zeros((model.dim, model.dim), dtype=complex)
-    for k in range(half + 1 if paired else n_nodes):
-        u = np.exp(1j * theta[k])
-        term = u * np.linalg.solve((center + radius * u) * eye - model.A, eye)
-        acc += 2 * term.real if paired and 0 < k < half else term
-    return radius * acc / n_nodes
+
+    def node_sums(pencil, eye, powers):
+        """sum_k c_k z_k^p pencil(z_k)^{-1} for each p of ``powers``."""
+        acc = np.zeros((len(powers), *eye.shape), dtype=complex)
+        for k in range(half + 1 if paired else n_nodes):
+            u = np.exp(1j * theta[k])
+            z = center + radius * u
+            inv = np.linalg.solve(pencil(z), eye)
+            for p, S in zip(powers, acc):
+                term = u * z**p * inv
+                S += 2 * term.real if paired and 0 < k < half else term
+        return radius * acc / n_nodes
+
+    blocks = _second_order_blocks(model.A)
+    if blocks is None:
+        eye = np.eye(model.dim)
+        return node_sums(lambda z: z * eye - model.A, eye, (0,))[0]
+    L, D = blocks
+    eye = np.eye(len(L))
+    S0, S1, S2 = node_sums(lambda z: (z * z) * eye + z * D - L, eye, (0, 1, 2))
+    return np.block([[S1 + S0 @ D, S0], [S2 + S1 @ D, S1]])
 
 
 @dataclass

@@ -34,6 +34,7 @@ from .operator_core import (
     Model,
     _real_columns,
     _real_inverse,
+    _sigma_max,
     domain_inv_sqrt,
     resolvent_norm,
 )
@@ -67,19 +68,6 @@ def _is_normal(model: Model) -> bool:
     comm = W @ W.conj().T - W.conj().T @ W
     scale = max(np.linalg.norm(W) ** 2, 1e-300)
     return bool(np.linalg.norm(comm) <= 1e-10 * scale)
-
-
-def _sigma_max(M: np.ndarray) -> float:
-    """Largest singular value of M, as the root of the top eigenvalue of
-    M* M (the last of ``np.linalg.eigvalsh``, which returns them in
-    ascending order); M is first scaled by its largest entry, so the Gram
-    can neither underflow nor overflow."""
-    scale = float(np.max(np.abs(M)))
-    if scale == 0.0:
-        return 0.0
-    M = M / scale
-    top = np.linalg.eigvalsh(M.conj().T @ M)[-1]
-    return scale * float(np.sqrt(max(top, 0.0)))
 
 
 def _envelope_values(model: Model, alphas, t_grid) -> np.ndarray:

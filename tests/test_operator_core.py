@@ -6,6 +6,7 @@ forms for Gram norms, explicit inverse plus SVD for weighted resolvent
 norms, and closed-form powers of diagonal generators.
 """
 
+import functools
 import gc
 import json
 import warnings
@@ -475,12 +476,13 @@ def _naive_contour_projector(A, center, radius, n_nodes=64):
 
 
 def _counted_solves(monkeypatch):
+    """The shape of the matrix of each np.linalg.solve call."""
     calls = []
     original = np.linalg.solve
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "solve", counting)
     return calls
@@ -488,13 +490,30 @@ def _counted_solves(monkeypatch):
 
 def test_contour_projector_pairs_conjugate_nodes_on_real_models(monkeypatch):
     """Real A and a real center: half the nodes plus the two on the real
-    axis are solved, and the sum is the all-node trapezoid rule."""
-    circle = build_damped_wave_circle(24, DampingProfile("constant", amplitude=1.0))
-    naive = _naive_contour_projector(circle.A, 0.0, 0.2)
+    axis are solved, and the sum is the all-node trapezoid rule on the
+    dim x dim resolvent. A wave A = [[0, I], [L, -D]] (the constant and
+    the bump-damped circle) solves its n x n quadratic pencil at each node
+    instead of z I - A; a first-order 3 x 3 model solves z I - A."""
+    def half_gap(model):
+        """Half the distance from 0 to the nearest nonzero eigenvalue."""
+        w = np.abs(model.eig[0])
+        return 0.5 * w[w > 1e-8].min()
+
+    constant = build_damped_wave_circle(24, DampingProfile("constant", amplitude=1.0))
+    bumped = build_damped_wave_circle(
+        24, DampingProfile("bump", amplitude=1.0, center=2.0, width=2.5))
+    first_order = kernel_model()
+    # (model, contour radius, size of each solve)
+    cases = [(constant, 0.2, 24), (bumped, half_gap(bumped), 24),
+             (first_order, half_gap(first_order), 3)]
+    naive = [_naive_contour_projector(model.A, 0.0, radius) for model, radius, _ in cases]
     calls = _counted_solves(monkeypatch)
-    P = contour_spectral_projector(circle, radius=0.2)
-    assert len(calls) == 33
-    assert_allclose(P, naive, rtol=0, atol=1e-13)
+    for (model, radius, n), ref in zip(cases, naive):
+        calls.clear()
+        P = contour_spectral_projector(model, radius=radius)
+        assert calls == [(n, n)] * 33
+        assert_allclose(P, ref, rtol=0, atol=1e-13)
+        assert_allclose(P, model.pi0, rtol=0, atol=1e-12)
 
 
 def test_contour_projector_solves_every_node_on_complex_models(monkeypatch):
@@ -505,11 +524,28 @@ def test_contour_projector_solves_every_node_on_complex_models(monkeypatch):
     naive = _naive_contour_projector(model.A, -1.0, 0.5)
     calls = _counted_solves(monkeypatch)
     P = contour_spectral_projector(model, center=-1.0, radius=0.5)
-    assert len(calls) == 64
+    assert calls == [(3, 3)] * 64
     assert_allclose(P, naive, rtol=0, atol=1e-13)
     e0 = np.array([1.0, 0.0, 0.0])
     assert_allclose(P @ P, P, atol=1e-12)
     assert_allclose(P @ e0, e0, atol=1e-12)
+
+
+def test_contour_projector_on_a_complex_quadratic_pencil(monkeypatch):
+    """A = [[0, I], [L, -D]] with a complex, non-diagonal D: every node
+    solves the 2 x 2 pencil z^2 + z D - L."""
+    L = np.array([[-2.0, 0.5], [0.5, -3.0]])
+    D = np.array([[1.0 + 0.5j, 0.2], [0.1j, 2.0]])
+    A = np.block([[np.zeros((2, 2)), np.eye(2)], [L, -D]])
+    model = build_model(make_state_space(4, np.eye(4)), A)
+    center = complex(model.eig[0][0])
+    naive = _naive_contour_projector(model.A, center, 0.1)
+    calls = _counted_solves(monkeypatch)
+    P = contour_spectral_projector(model, center=center, radius=0.1)
+    assert calls == [(2, 2)] * 64
+    assert_allclose(P, naive, rtol=0, atol=1e-13)
+    assert_allclose(P @ P, P, atol=1e-12)
+    assert np.trace(P).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_deflated_block_removes_kernel_direction():
@@ -596,7 +632,8 @@ def use_spectral_paths(model):
 
 def test_one_eig_and_no_schur_per_model(monkeypatch):
     """Every spectral path reads one eigendecomposition; the Schur form is
-    a fallback that a well-conditioned eigenbasis never builds."""
+    a fallback that a well-conditioned eigenbasis never builds. The
+    constantly damped circle takes the closed form, so no eig at all."""
     calls = Counter()
 
     def counted(name, fn):
@@ -608,14 +645,15 @@ def test_one_eig_and_no_schur_per_model(monkeypatch):
     monkeypatch.setattr(np.linalg, "eig", counted("eig", np.linalg.eig))
     monkeypatch.setattr(scipy.linalg, "schur", counted("schur", scipy.linalg.schur))
     bump = DampingProfile("bump", amplitude=1.0, center=1.5, width=1.0)
-    for model in (kernel_model(), build_heat_wave_1d(12, 10),
-                  build_damped_wave_interval(30, np.pi, bump),
-                  build_damped_wave_circle(24, DampingProfile("constant", amplitude=1.0))):
+    for model, eigs in ((kernel_model(), 1), (build_heat_wave_1d(12, 10), 1),
+                        (build_damped_wave_interval(30, np.pi, bump), 1),
+                        (build_damped_wave_circle(
+                            24, DampingProfile("constant", amplitude=1.0)), 0)):
         calls.clear()
         use_spectral_paths(model)
         use_spectral_paths(model)
         assert model.deflated_eig[3] <= 1e8
-        assert calls == {"eig": 1}
+        assert calls == Counter(eig=eigs)
 
 
 def test_kernel_model_factor_assembles_full_propagator():
@@ -804,6 +842,18 @@ CLOSED_FORM_MODELS = {
 }
 
 
+def constant_circle(n, a=1.0):
+    return build_damped_wave_circle(n, DampingProfile("constant", amplitude=a))
+
+
+# each nonzero circle mode is double (sine and cosine), so LAPACK's cond
+# depends on its basis inside each pair and is not compared on these
+CIRCLE_CLOSED_FORM_MODELS = {
+    f"circle_{n}_a{a:g}": functools.partial(constant_circle, n, a)
+    for n in (24, 96) for a in (1.0, 5.0)
+}
+
+
 def eig_route(model):
     """The general factorization: LAPACK eig, inv and cond of the real basis,
     as ``Model.deflated_eig`` computes it for every other model."""
@@ -834,26 +884,37 @@ def sine_series_propagator(n, a, t):
 
 
 def sorted_spectrum(w):
-    return w[np.lexsort((w.real, w.imag))]
+    """w by real part, rounded to 1e-9 max|w| so that round-off ties, then
+    by imaginary part; LAPACK may split a double real eigenvalue into a
+    pair with imaginary parts of order eps."""
+    key = np.round(w.real / (1e-9 * np.abs(w).max()))
+    return w[np.lexsort((w.imag, key))]
 
 
-@pytest.mark.parametrize("make", CLOSED_FORM_MODELS.values(), ids=CLOSED_FORM_MODELS)
+@pytest.mark.parametrize("make", [*CLOSED_FORM_MODELS.values(),
+                                  *CIRCLE_CLOSED_FORM_MODELS.values()],
+                         ids=[*CLOSED_FORM_MODELS, *CIRCLE_CLOSED_FORM_MODELS])
 def test_closed_form_factor_matches_the_eig_route(make, rng):
+    """On the deflated block: the circle's kernel root is dropped, and its
+    factor enters through the QR basis Q as (Q* V, Vinv Q)."""
     model, reference = make(), on_eig_route(make)
-    assert _damped_wave_eig(model.A) is not None
+    assert _damped_wave_eig(model.A, len(model.kernel_basis)) is not None
+    A_r = model.deflated[0]
     w, V, Vinv, cond = model.deflated_eig
     w_ref, *_, cond_ref = reference.deflated_eig
+    assert len(w) == model.dim - len(model.kernel_basis)
     scale = np.abs(w).max()
     assert np.abs(sorted_spectrum(w) - sorted_spectrum(w_ref)).max() <= 1e-13 * scale
-    assert np.linalg.norm(model.A @ V - V * w) <= 1e-15 * np.linalg.norm(model.A)
-    assert np.abs(Vinv @ V - np.eye(model.dim)).max() <= 1e-13
+    assert np.linalg.norm(A_r @ V - V * w) <= 1e-15 * np.linalg.norm(A_r)
+    assert np.abs(Vinv @ V - np.eye(len(w))).max() <= 1e-13
     first = _conjugate_pairs(w)
     assert first is not None and model.real_eig is not None
     assert np.all(w[first].imag > 0)
     assert cond == pytest.approx(np.linalg.cond(_real_columns(V, first, np.sqrt(2.0))),
                                  rel=1e-12)
-    assert cond == pytest.approx(cond_ref, rel=1e-12)
-    rhs = rng.standard_normal((5, model.dim)) + 1j * rng.standard_normal((5, model.dim))
+    if not model.has_kernel:
+        assert cond == pytest.approx(cond_ref, rel=1e-12)
+    rhs = rng.standard_normal((5, len(w))) + 1j * rng.standard_normal((5, len(w)))
     X = harmonic_solve(model, np.arange(-2, 3), 2.0, rhs)
     X_ref = harmonic_solve(reference, np.arange(-2, 3), 2.0, rhs)
     assert np.linalg.norm(X - X_ref) <= 1e-12 * np.linalg.norm(X_ref)
@@ -926,16 +987,49 @@ def test_critical_damping_declines_to_the_eig_route(make, takes_expm, monkeypatc
 
 
 @pytest.mark.parametrize("name", ["interval_periodic", "boundary_wave", "gain_interval",
-                                  "picard_cubic", "convergence"])
+                                  "picard_cubic", "convergence", "circle_kernel",
+                                  "circle_obstruction", "circle_spectrum"])
 def test_shipped_constant_damping_configs_take_the_closed_form(config_dir, name,
                                                                monkeypatch):
-    """A config edit that moves one of these off the closed form fails here."""
+    """A config edit that moves one of these off the closed form fails here;
+    the circles' deflation basis takes one QR and no SVD."""
     cfg = json.loads((config_dir / f"{name}.json").read_text())
     model = cli.build_bundle(cfg).model
     calls = Counter()
-    for fn in ("eig", "inv"):
+    for fn in ("eig", "inv", "svd", "cond"):
         original = getattr(np.linalg, fn)
         monkeypatch.setattr(np.linalg, fn, lambda *args, _fn=fn, _original=original,
                             **kwargs: calls.update([_fn]) or _original(*args, **kwargs))
     assert model.deflated_eig[3] <= EIG_COND_LIMIT
     assert not calls
+
+
+def second_order(mu, a=1.0):
+    n = len(mu)
+    return np.block([[np.zeros((n, n)), np.eye(n)], [np.diag(mu), -a * np.eye(n)]])
+
+
+@pytest.mark.parametrize("mu, kernel_dim", [([0.0, -1.0, -4.0], 1),
+                                            ([0.0, 0.0, -1.0, -4.0], 2),
+                                            ([-1e-15, -1.0, -4.0], 0)],
+                         ids=["one", "two", "near_zero"])
+def test_closed_form_declines_when_the_zero_roots_are_not_the_kernel(mu, kernel_dim):
+    """The closed form takes a kernel only when exactly r modes have mu zero
+    to round-off; mu = -1e-15 lies in the band n eps (a^2/4 + max|mu|)."""
+    A = second_order(mu)
+    r = np.count_nonzero(np.abs(mu) < 1e-14)
+    for k in range(3):
+        assert (_damped_wave_eig(A, k) is None) == (k != r)
+    space = make_state_space(len(A), np.eye(len(A)))
+    kernel = tuple(np.eye(len(A))[:kernel_dim])
+    model = build_model(space, A, kernel_basis=kernel)
+    w, V, Vinv, cond = model.deflated_eig
+    if kernel_dim != r:
+        w_ref, V_ref, Vinv_ref, cond_ref = eig_route(model)
+        for got, ref in ((w, w_ref), (V, V_ref), (Vinv, Vinv_ref)):
+            assert_array_equal(got, ref)
+        assert cond == cond_ref
+    else:
+        assert np.all(w != 0) and len(w) == len(A) - r
+        assert_allclose(sorted_spectrum(w), sorted_spectrum(eig_route(model)[0]),
+                        rtol=0, atol=1e-14)

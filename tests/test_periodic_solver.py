@@ -213,6 +213,54 @@ def test_w0_imaginary_part_is_round_off(config_dir, tmp_path, name):
     assert np.max(np.abs(report["w0_imag"])) <= bound
 
 
+def circle_w0_exact(model, a, f):
+    """The exact semi-discrete w0 of a constantly damped circle wave, with
+    the kernel component zero.
+
+    The 3-point periodic Laplacian has the real Fourier modes cos(m x) and
+    sin(m x) of the nodes x_j = j h, h = 2 pi / n, with the eigenvalue
+    mu_m = -(4/h^2) sin^2(m h/2) (LeVeque, Finite Difference Methods for
+    ODEs and PDEs, SIAM 2007, section 2.10), n of them, orthogonal on
+    the nodes. Each harmonic row of f is projected on these modes (u and
+    v alike), and must carry nothing on the kernel mode m = 0, since its
+    w0 has no kernel component; then each (mode, harmonic) takes one 2 x 2
+    solve (i omega_k - [[0, 1], [mu_m, -a]]) [p; q] = [alpha_u; alpha_v],
+    by its adjugate, and w0 = sum over harmonics of the modes times (p, q).
+    """
+    n = model.dim // 2
+    h = 2 * math.pi / n
+    m = np.r_[np.arange(n // 2 + 1), np.arange(1, (n + 1) // 2)]
+    F = np.hstack([np.cos(np.outer(h * np.arange(n), m[:n // 2 + 1])),
+                   np.sin(np.outer(h * np.arange(n), m[n // 2 + 1:]))])
+    mu = -(4 / h**2) * np.sin(m * h / 2) ** 2
+    C = f.coefficients
+    alpha_u, alpha_v = (C[:, blk] @ F / np.sum(F * F, axis=0)
+                        for blk in (slice(0, n), slice(n, 2 * n)))
+    assert np.abs(np.hstack([alpha_u[:, 0], alpha_v[:, 0]])).max() <= 1e-13 * np.abs(C).max()
+    s = 1j * f.omega[:, None]
+    det = s * (s + a) - mu[1:]
+    p = ((s + a) * alpha_u[:, 1:] + alpha_v[:, 1:]) / det
+    q = (mu[1:] * alpha_u[:, 1:] + s * alpha_v[:, 1:]) / det
+    return np.concatenate([p.sum(axis=0) @ F[:, 1:].T, q.sum(axis=0) @ F[:, 1:].T])
+
+
+# the Gram-norm error of w0, at most C_KAPPA * kappa * eps, kappa the
+# report's condition; fixed at twice the largest ratio (5.2) measured over
+# n = 24 to 384 before this test was written
+C_KAPPA = 10.0
+
+
+def test_circle_kernel_w0_matches_the_exact_semi_discrete_solution(config_dir):
+    cfg = json.loads((config_dir / "circle_kernel.json").read_text())
+    bundle = cli.build_bundle(cfg)
+    model = bundle.model
+    f = cli.build_forcing(bundle, cfg["forcing"])
+    exact = circle_w0_exact(model, cfg["model"]["damping"]["amplitude"], f)
+    rep = periodic_w0_direct(model, f)
+    err = model.space.norm(rep.w0 - exact) / model.space.norm(exact)
+    assert err <= C_KAPPA * rep.condition * np.finfo(float).eps
+
+
 # ---------------------------------------------------------------------------
 # kernel conventions on the circle
 # ---------------------------------------------------------------------------
