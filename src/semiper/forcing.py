@@ -34,11 +34,9 @@ from .operator_core import (
     Model,
     StateSpace,
     _sigma_max,
-    from_block,
     harmonic_solve,
     propagate,
     propagated_columns,
-    to_block,
 )
 
 _PER0_DETECT_MAX = 12
@@ -343,10 +341,10 @@ def duhamel_quadrature(model: Model, f: PeriodicForcing, panels: int | None = No
 def _duhamel_closed_form(model: Model, f: FourierForcing) -> np.ndarray:
     T = f.period
     C = f.coefficients
-    # e^{TA} commutes with pi0, so (I - e^{TA}) c_k is reduced after the product
+    # e^{TA} commutes with pi0, so (I - e^{TA}) c_k is projected after the product
     K = len(C)
-    rhs = to_block(model, C - propagated_columns(model, np.full(K, T), C, np.ones(K)).T)
-    acc = from_block(model, harmonic_solve(model, f.harmonics, T, rhs).sum(axis=0))
+    rhs = C - propagated_columns(model, np.full(K, T), C, np.ones(K)).T
+    acc = harmonic_solve(model, f.harmonics, T, rhs).sum(axis=0)
     if model.has_kernel:
         # the mean harmonic grows linearly along the kernel
         acc = acc + T * (model.pi0 @ C[f.harmonics == 0].sum(axis=0))
@@ -392,8 +390,10 @@ def admissibility_constant(model: Model, T: float, panels: int = 24,
     Realized on the quadrature grid: the columns sqrt(w_i) e^{A(T-s_i)} b_j,
     one for every node s_i and every column b_j of B, assemble the map
     from weighted samples, whose largest singular value in the Gram
-    geometry is returned, by :func:`operator_core._sigma_max`. Each
-    column b_j takes one array-valued :func:`propagate` over all nodes.
+    geometry, that of R cols for R = L* the adjoint of the Gram's
+    Cholesky factor, is returned by :func:`operator_core._sigma_max`.
+    Each column b_j takes one array-valued :func:`propagate` over all
+    nodes.
     """
     if model.B is None:
         raise ValueError("model has no input matrix")
@@ -401,4 +401,4 @@ def admissibility_constant(model: Model, T: float, panels: int = 24,
     root_w = np.sqrt(weights)
     cols = np.concatenate([propagate(model, T - nodes, b) * root_w for b in model.B.T],
                           axis=1)
-    return _sigma_max(model.space.sqrt_gram @ cols)
+    return _sigma_max(model.space.gram_cholesky.conj().T @ cols)

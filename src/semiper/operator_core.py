@@ -2,11 +2,12 @@
 
 All states live in C^dim equipped with a Hermitian positive definite Gram
 matrix G; every norm and operator norm in the package is the one induced
-by G (operator norms are computed as the largest singular value of
-G^{1/2} M G^{-1/2}). Generators are dense matrices whose dtype records
-their field: a real model stays float64 and is factored and propagated
-in real arithmetic, in its real eigenbasis (Golub & Van Loan, section
-7.4). Propagation,
+by G. A Gram is factored only as G = R* R, R its upper Cholesky factor,
+so operator norms are the largest singular value of R M R^{-1}: R is
+G^{1/2} times a unitary factor, which no singular value sees.
+Generators are dense matrices whose dtype records their field: a real
+model stays float64 and is factored and propagated in real arithmetic,
+in its real eigenbasis (Golub & Van Loan, section 7.4). Propagation,
 harmonic solves and fractional powers all read one cached
 eigendecomposition per model and fall back to scaling-and-squaring,
 dense solves or ``fractional_matrix_power`` when the eigenvector basis is
@@ -57,13 +58,6 @@ _PROPAGATE_BLOCK = 64
 _HERMITIAN_RTOL = 1e-12
 
 
-def _gram_roots(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(G^{1/2}, G^{-1/2}) of a positive definite G from one eigh."""
-    vals, vecs = np.linalg.eigh(G)
-    vals = np.sqrt(np.maximum(vals, 1e-300))
-    return (vecs * vals) @ vecs.conj().T, (vecs / vals) @ vecs.conj().T
-
-
 def _sigma_max(M: np.ndarray) -> float:
     """Largest singular value of M, as the root of the top eigenvalue of
     M* M (the last of ``np.linalg.eigvalsh``, which returns them in
@@ -96,11 +90,10 @@ class StateSpace:
         Hermitian positive definite Gram matrix, float64 or complex128;
         the squared norm of a state x is the real quadratic form x* gram x,
         taken in real arithmetic on a float64 Gram.
-    gram_roots : tuple of ndarray
-        (G^{1/2}, G^{-1/2}), cached on first use (real for a real Gram);
-        ``sqrt_gram`` and ``inv_sqrt_gram`` read it.
     gram_cholesky : ndarray
-        The Cholesky factor L of G = L L*, real for a real Gram.
+        The Cholesky factor L of G = L L*, real for a real Gram and cached
+        on first use; it is the state space's one factorization of G, and
+        its adjoint R = L* is the factor of :meth:`op_norm`.
     """
 
     dim: int
@@ -126,22 +119,15 @@ class StateSpace:
     def gram_cholesky(self) -> np.ndarray:
         return np.linalg.cholesky(self.gram)
 
-    @cached_property
-    def gram_roots(self) -> tuple[np.ndarray, np.ndarray]:
-        return _gram_roots(self.gram)
-
-    @property
-    def sqrt_gram(self) -> np.ndarray:
-        return self.gram_roots[0]
-
-    @property
-    def inv_sqrt_gram(self) -> np.ndarray:
-        return self.gram_roots[1]
-
     def op_norm(self, M) -> float:
-        """Operator norm of M as a map (X, gram) -> (X, gram)."""
-        W = self.sqrt_gram @ np.asarray(M) @ self.inv_sqrt_gram
-        return float(np.linalg.norm(W, 2))
+        """Operator norm of M as a map (X, gram) -> (X, gram), the 2-norm
+        of R M R^{-1} for R = L*."""
+        return float(np.linalg.norm(_similar(self.gram_cholesky.conj().T, M), 2))
+
+
+def _similar(R: np.ndarray, M) -> np.ndarray:
+    """R M R^{-1} for an invertible R."""
+    return R @ np.asarray(M) @ np.linalg.inv(R)
 
 
 def make_state_space(dim: int, gram) -> StateSpace:
@@ -237,11 +223,15 @@ class Model:
         (first, X) if the model is real (A is float64) and ``eig``
         has exact conjugate pairs j, j + 1 (``first`` lists each j). X
         inverts the real basis (columns Re and Im of V[:, j] at j, j + 1).
-    ``reduced_gram_roots``
-        (G_r^{1/2}, G_r^{-1/2}) on the deflated block.
+    ``reduced_gram_factor``
+        The upper Cholesky factor R of G_r = R* R, the model's one
+        factorization of its Gram: on kernel-free models the adjoint of
+        ``space.gram_cholesky``. |R x| is the Gram norm of x, and
+        R = U G_r^{1/2} with U unitary, so every norm read through R
+        is a singular value that G_r^{1/2} would give.
     ``weighted_generator``
-        W = G_r^{1/2} A_r G_r^{-1/2}, the deflated generator in
-        coordinates where the Gram norm is the Euclidean one.
+        W = R A_r R^{-1}, the deflated generator in coordinates where the
+        Gram norm is the Euclidean one.
     """
 
     space: StateSpace
@@ -320,14 +310,14 @@ class Model:
         return None if np.iscomplexobj(self.A) else _real_inverse(w, Vinv)
 
     @cached_property
-    def reduced_gram_roots(self) -> tuple:
+    def reduced_gram_factor(self) -> np.ndarray:
         _, G_r, Q = self.deflated
-        return self.space.gram_roots if Q is None else _gram_roots(G_r)
+        return (self.space.gram_cholesky if Q is None
+                else np.linalg.cholesky(G_r)).conj().T
 
     @cached_property
     def weighted_generator(self) -> np.ndarray:
-        S, Si = self.reduced_gram_roots
-        return S @ self.deflated[0] @ Si
+        return _similar(self.reduced_gram_factor, self.deflated[0])
 
 
 def build_model(space: StateSpace, A, kernel_basis=(), pi0=None, B=None,
@@ -581,7 +571,8 @@ def propagate(model: Model, t, x) -> np.ndarray:
 
     A scalar t returns the state; an array of times returns the states
     as the columns of a dim x len(t) matrix, as in
-    :func:`propagated_columns`. On the eigendecomposition path
+    :func:`propagated_columns`. A scalar takes the array path as a
+    one-time array. On the eigendecomposition path
     c = V^{-1} x is formed once and V (e^{w t} c) is built for at most
     _PROPAGATE_BLOCK times at a time, so the exponential factors and
     their products are never held for all times at once; when cond(V)
@@ -597,16 +588,11 @@ def propagate(model: Model, t, x) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     if not np.all(np.isfinite(x)):
         raise NonFiniteInput("state has non-finite entries")
-    ts = np.asarray(t, dtype=float)
-    if ts.ndim > 1:
+    t = np.asarray(t, dtype=float)
+    if t.ndim > 1:
         raise ValueError("t must be a time or a 1-d array of times")
+    ts = np.atleast_1d(t)
     w, V, Vinv, cond = model.eig
-    if ts.ndim == 0:
-        out = (V @ (np.exp(w * ts) * (Vinv @ x)) if cond <= EIG_COND_LIMIT
-               else propagator_matrix(model, float(ts)) @ x)
-        if ts < 0:
-            _warn_on_backward_growth(model, x, ts[None], out[:, None])
-        return out
     if cond > EIG_COND_LIMIT:
         mats = {s: propagator_matrix(model, s) for s in set(ts.tolist())}
 
@@ -625,7 +611,7 @@ def propagate(model: Model, t, x) -> np.ndarray:
         states[...] = columns(block)
         if checking and block.min() < 0:
             checking = not _warn_on_backward_growth(model, x, block, states)
-    return out
+    return out if t.ndim else out[:, 0]
 
 
 def _warn_on_backward_growth(model: Model, x, times, states) -> bool:
@@ -686,16 +672,18 @@ def resolvent_norm(model: Model, eta: float) -> float:
 
 
 def harmonic_solve(model: Model, harmonics, period: float, rhs) -> np.ndarray:
-    """Rows x_k solving (i omega_k I - A_r) x_k = rhs[k], omega_k = 2 pi k / T.
+    """State rows x_k in range(I - pi0) solving
+    (i omega_k I - A) x_k = (I - pi0) rhs[k], omega_k = 2 pi k / T.
 
-    All harmonics are solved together in the cached eigenbasis of the
-    deflated block, x_k = V (i omega_k - Lambda)^{-1} V^{-1} rhs[k], as
-    one broadcast over the harmonics. When cond(V) exceeds
-    EIG_COND_LIMIT they are solved by one batched dense solve of
-    (i omega_k I - A_r) over all harmonics instead. Either way one step
-    of iterative refinement is taken with the residual against A_r.
-    ``rhs`` and the result are in the reduced coordinates of
-    :func:`to_block`.
+    The rows of ``rhs`` are states; they are taken to the reduced
+    coordinates of :func:`to_block`, solved on the deflated block and
+    lifted back by :func:`from_block`. All harmonics are solved together
+    in the cached eigenbasis of the deflated block,
+    V (i omega_k - Lambda)^{-1} V^{-1} b_k, as one broadcast over the
+    harmonics. When cond(V) exceeds EIG_COND_LIMIT they are solved by
+    one batched dense solve of (i omega_k I - A_r) over all harmonics
+    instead. Either way one step of iterative refinement is taken with
+    the residual against A_r.
 
     Raises
     ------
@@ -714,7 +702,7 @@ def harmonic_solve(model: Model, harmonics, period: float, rhs) -> np.ndarray:
     if resonant.size:
         raise ResonantHarmonic(
             f"harmonic k={harmonics[resonant[0]]} hits the spectrum of the deflated block")
-    rhs = np.asarray(rhs, dtype=complex)
+    rhs = to_block(model, np.asarray(rhs, dtype=complex))
 
     if cond <= EIG_COND_LIMIT:
         def solve(B):
@@ -727,7 +715,7 @@ def harmonic_solve(model: Model, harmonics, period: float, rhs) -> np.ndarray:
 
     X = solve(rhs)
     residual = rhs - (shifts[:, None] * X - apply_real(np.matmul, A_r, X.T).T)
-    return X + solve(residual)
+    return from_block(model, (X + solve(residual)).T).T
 
 
 def fractional_power(model: Model, alpha: float) -> np.ndarray:

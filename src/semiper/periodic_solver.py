@@ -187,9 +187,8 @@ def periodic_w0_harmonic_balance(model: Model, f: FourierForcing,
     if not isinstance(f, FourierForcing):
         raise ValueError("harmonic balance needs Fourier data")
     _kernel_guard(model, _mean_harmonic(f), "mean harmonic")
-    X_r = harmonic_solve(model, f.harmonics, f.period,
-                         to_block(model, f.coefficients))
-    w0 = _strip_kernel(model, from_block(model, X_r.sum(axis=0)))
+    X = harmonic_solve(model, f.harmonics, f.period, f.coefficients)
+    w0 = _strip_kernel(model, X.sum(axis=0))
     return _finish_report(model, f, w0,
                           f"harmonic_balance(K={f.harmonics.size})",
                           n_periods)
@@ -387,8 +386,7 @@ def _picard(model: Model, f: PeriodicForcing, poly: dict, structure: str,
     def linear_periodic(samples: np.ndarray) -> np.ndarray:
         four = fourier_from_samples(T, samples, model.space)
         C, osc = four.coefficients, four.harmonics != 0
-        X = from_block(model, harmonic_solve(model, four.harmonics, T,
-                                             to_block(model, C)).T).T
+        X = harmonic_solve(model, four.harmonics, T, C)
         if model.has_kernel:
             _kernel_guard(model, _mean_harmonic(four), "mean harmonic")
             # A pi0 = 0: the kernel part of (i omega_k - A)^{-1} c_k

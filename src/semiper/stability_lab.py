@@ -3,7 +3,9 @@
 The envelope h_alpha(t) is the best constant in
 |e^{tA} x|_X <= h_alpha(t) |x|_{alpha} over the deflated block, where
 |.|_alpha is the Hilbertian domain norm induced by
-G + ((-A)^alpha)* G (-A)^alpha. It is taken in the cached eigenbasis of
+G + ((-A)^alpha)* G (-A)^alpha, and the state norm |.|_X is read
+through the upper Cholesky factor of the reduced Gram
+(``Model.reduced_gram_factor``). It is taken in the cached eigenbasis of
 the deflated block, in real arithmetic on real models: the modes are
 sorted slowest first and the two factors compressed to triangular form
 once, and each time keeps only the leading modes that have not decayed
@@ -74,7 +76,8 @@ def _envelope_values(model: Model, alphas, t_grid) -> np.ndarray:
     """Row a holds h_alpha on t_grid for alphas[a].
 
     h_alpha(t) is sigma_max of S e^{tA_r} D_alpha on the deflated block,
-    S = G_r^{1/2} and D_alpha = :func:`domain_inv_sqrt`. In the cached
+    S = ``Model.reduced_gram_factor`` (|S x| is the Gram norm of x) and
+    D_alpha = :func:`domain_inv_sqrt`. In the cached
     eigenbasis this is L e^{t Lambda} R_alpha with L = S V and
     R_alpha = V^{-1} D_alpha; no e^{tA} is built. On a real model (A_r and
     G_r real, eigenvalues in exact conjugate pairs j, j + 1) both factors
@@ -100,7 +103,7 @@ def _envelope_values(model: Model, alphas, t_grid) -> np.ndarray:
     scipy.linalg is imported on that branch only.
     """
     A_r, G_r, _ = model.deflated
-    S, _ = model.reduced_gram_roots
+    S = model.reduced_gram_factor
     Dis = [domain_inv_sqrt(model, a) for a in alphas]
     t_grid = np.asarray(t_grid, dtype=float)
     values = np.empty((len(Dis), t_grid.size))
@@ -214,7 +217,7 @@ def resolvent_scan(model: Model, eta_grid) -> ScanResult:
                       extras={"running_max": np.maximum.accumulate(values)})
 
 
-def _window_mask(x: np.ndarray, window) -> np.ndarray:
+def _window_mask(x: np.ndarray, window) -> tuple[np.ndarray, tuple]:
     if window is None:
         hi = x.max()
         lo = hi / 10.0 ** 0.5

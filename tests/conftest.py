@@ -11,6 +11,14 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO_ROOT / "configs"
 
 
+def gram_sqrt(G):
+    """The Hermitian square root G^{1/2} of a positive definite G, from one
+    eigh: an oracle for norms that the package reads through the
+    Cholesky factor R = U G^{1/2}, U unitary."""
+    vals, vecs = np.linalg.eigh(G)
+    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -47,6 +47,8 @@ from semiper.periodic_solver import (
     periodic_w0_series,
 )
 
+from conftest import gram_sqrt
+
 
 def _oracle_closed_form(model, f):
     """F_T with one dense solve per harmonic on the deflated block."""
@@ -196,6 +198,26 @@ def _harmonic_solve_against_oracle(model, monkeypatch):
     return len(schur_calls), rel_res
 
 
+def test_harmonic_solve_takes_and_returns_states():
+    """On the constant circle, whose kernel is the constant displacement,
+    the rows are states with no kernel component that solve the full
+    system against the projected right-hand side."""
+    model = build_damped_wave_circle(16, DampingProfile("constant", amplitude=0.7))
+    assert model.has_kernel
+    harmonics, T = np.arange(-3, 4), 2.0
+    rng = np.random.default_rng(11)
+    rhs = (rng.standard_normal((harmonics.size, model.dim))
+           + 1j * rng.standard_normal((harmonics.size, model.dim)))
+    X = harmonic_solve(model, harmonics, T, rhs)
+    assert X.shape == rhs.shape
+    P = np.eye(model.dim) - model.pi0
+    scale = np.linalg.norm(X, axis=1)
+    assert np.all(np.linalg.norm(X @ model.pi0.T, axis=1) <= 1e-13 * scale)
+    for k, b, x in zip(harmonics, rhs, X):
+        lhs = 2j * np.pi * k / T * x - model.A @ x
+        assert np.linalg.norm(lhs - P @ b) <= 1e-12 * np.linalg.norm(P @ b)
+
+
 def test_harmonic_solve_schur_fallback_matches_dense_oracle(near_defective, monkeypatch):
     """The fallback is a batched dense solve: no Schur form is built."""
     schur_calls, _ = _harmonic_solve_against_oracle(near_defective, monkeypatch)
@@ -217,7 +239,7 @@ def test_admissibility_constant_fallback_matches_expm(near_defective, counted_pr
     A = near_defective.A
     cols = np.stack([math.sqrt(w) * (sla.expm(A * (T - s)) @ near_defective.B[:, 0])
                      for s, w in zip(nodes, weights)], axis=1)
-    ref = np.linalg.norm(near_defective.space.sqrt_gram @ cols, 2)
+    ref = np.linalg.norm(gram_sqrt(near_defective.space.gram) @ cols, 2)
     assert value == pytest.approx(ref, rel=1e-12)
 
 

@@ -60,6 +60,8 @@ from semiper.operator_core import (
 )
 from semiper.stability_lab import resolvent_scan
 
+from conftest import gram_sqrt
+
 
 def taylor_expm(A, t, terms=80):
     """Matrix exponential by plain Taylor summation.
@@ -143,14 +145,28 @@ def test_op_norm_dominates_rayleigh_quotients(rng):
         assert space.norm(M @ x) <= bound * space.norm(x) * (1 + 1e-12)
 
 
-def test_sqrt_gram_squares_back(rng):
-    n = 4
-    B = rng.standard_normal((n, n))
-    G = B @ B.T + n * np.eye(n)
-    space = make_state_space(n, G)
-    S = space.sqrt_gram
-    assert_allclose(S @ S, G, rtol=1e-11, atol=1e-11)
-    assert_allclose(space.inv_sqrt_gram @ S, np.eye(n), atol=1e-11)
+def test_reduced_gram_factor_is_the_upper_cholesky_factor(rng):
+    """R is upper triangular with R* R = G_r, on a random Gram and on the
+    circle's reduced Gram, and the operator norm and resolvent norm read
+    through it agree with the square root G^{1/2} of one eigh."""
+    random = random_stable_model(rng)
+    circle = build_damped_wave_circle(12, DampingProfile("constant", amplitude=0.7))
+    for model in (random, circle):
+        _, G_r, _ = model.deflated
+        R = model.reduced_gram_factor
+        assert model.reduced_gram_factor is R
+        assert_array_equal(R, np.triu(R))
+        assert_allclose(R.conj().T @ R, G_r, rtol=1e-11, atol=1e-11)
+        S = gram_sqrt(G_r)
+        W = S @ model.deflated[0] @ np.linalg.inv(S)
+        for eta in (0.0, 0.9, -2.3):
+            oracle = 1.0 / np.linalg.svd(1j * eta * np.eye(len(W)) - W,
+                                          compute_uv=False)[-1]
+            assert resolvent_norm(model, eta) == pytest.approx(oracle, rel=1e-11)
+    S = gram_sqrt(random.space.gram)
+    M = rng.standard_normal((random.dim, random.dim))
+    oracle = np.linalg.norm(S @ M @ np.linalg.inv(S), 2)
+    assert random.space.op_norm(M) == pytest.approx(oracle, rel=1e-12)
 
 
 def test_gram_must_be_hermitian():
@@ -257,6 +273,16 @@ def test_batched_propagate_warns_on_backward_growth():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         propagate(model, np.array([2.0, -0.1]), x)
+
+
+@pytest.mark.parametrize("t", [-1.0, np.array([2.0, -1.0])], ids=["scalar", "array"])
+def test_backward_growth_warning_names_the_caller(t):
+    """A scalar time takes the array path, and the warning points at the
+    line that called propagate for either form of t."""
+    model = build_scalar_model(-20.0)
+    with pytest.warns(UserWarning, match="backward propagation") as caught:
+        propagate(model, t, np.array([1.0]))
+    assert [c.filename for c in caught] == [__file__]
 
 
 def test_batched_propagate_warns_once_from_a_later_block():
@@ -623,8 +649,7 @@ def use_spectral_paths(model):
     propagator_matrix(model, 0.7)
     propagated_columns(model, [0.1, 0.2], np.stack([x, 2 * x]), [1.0, -0.5])
     spectrum_report(model)
-    harmonic_solve(model, np.arange(-3, 4), 2.0,
-                   to_block(model, np.outer(np.arange(1.0, 8.0), x)))
+    harmonic_solve(model, np.arange(-3, 4), 2.0, np.outer(np.arange(1.0, 8.0), x))
     resolvent_norm(model, 1.3)
     fractional_power(model, 0.5)
     contour_spectral_projector(model)
@@ -711,7 +736,7 @@ def test_cached_model_is_freed_by_refcount():
     last reference frees it without the cycle collector."""
     model = kernel_model()
     use_spectral_paths(model)
-    model.space.sqrt_gram
+    model.reduced_gram_factor
     ref = weakref.ref(model)
     gc.disable()
     try:
@@ -914,7 +939,7 @@ def test_closed_form_factor_matches_the_eig_route(make, rng):
                                  rel=1e-12)
     if not model.has_kernel:
         assert cond == pytest.approx(cond_ref, rel=1e-12)
-    rhs = rng.standard_normal((5, len(w))) + 1j * rng.standard_normal((5, len(w)))
+    rhs = rng.standard_normal((5, model.dim)) + 1j * rng.standard_normal((5, model.dim))
     X = harmonic_solve(model, np.arange(-2, 3), 2.0, rhs)
     X_ref = harmonic_solve(reference, np.arange(-2, 3), 2.0, rhs)
     assert np.linalg.norm(X - X_ref) <= 1e-12 * np.linalg.norm(X_ref)

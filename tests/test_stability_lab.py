@@ -37,6 +37,8 @@ from semiper.stability_lab import (
     resolvent_scan,
 )
 
+from conftest import gram_sqrt
+
 
 def envelope_oracle(eigs, alpha, t):
     """max_k e^{t Re lam} / sqrt(1 + |(-lam)^alpha|^2), identity Gram."""
@@ -255,8 +257,8 @@ def test_decay_envelope_on_kernel_model_matches_dense(alpha):
     """On a model with a kernel the envelope is the norm of Q* e^{tA} Q."""
     model = build_damped_wave_circle(16, DampingProfile("constant", amplitude=0.7))
     assert model.has_kernel
-    _, _, Q = model.deflated
-    S, _ = model.reduced_gram_roots
+    _, G_r, Q = model.deflated
+    S = gram_sqrt(G_r)
     D = domain_inv_sqrt(model, alpha)
     t_grid = np.linspace(0.0, 20.0, 9)
     scan = decay_envelope(model, alpha, t_grid)
@@ -271,7 +273,7 @@ def test_decay_envelope_real_model_matches_dense(alpha):
     model = build_heat_wave_1d(8, 8)
     A_r, G_r, _ = model.deflated
     assert not (np.any(A_r.imag) or np.any(G_r.imag))
-    S, _ = model.reduced_gram_roots
+    S = gram_sqrt(G_r)
     D = domain_inv_sqrt(model, alpha)
     t_grid = np.array([0.0, 0.3, 1.0, 4.0, 10.0])
     scan = decay_envelope(model, alpha, t_grid)
@@ -291,7 +293,7 @@ def full_product_envelope(model, alpha, t_grid):
     conjugate of the first, which is what the real basis reads: LAPACK's
     inverse has them conjugate only to round-off, and that alone moves
     sigma by up to 9.4e-14 on heat_wave_1d(48, 48)."""
-    S, _ = model.reduced_gram_roots
+    S = gram_sqrt(model.deflated[1])
     w, V, Vinv, _ = model.deflated_eig
     real = not np.iscomplexobj(model.deflated[0])
     if real:
