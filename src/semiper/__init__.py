@@ -17,7 +17,6 @@ from .operator_core import (  # noqa: F401
     StateSpace,
     build_model,
     contour_spectral_projector,
-    domain_gram,
     fractional_power,
     make_state_space,
     propagate,

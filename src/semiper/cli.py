@@ -86,23 +86,25 @@ from .stability_lab import (
 _NO_MODEL_TASKS = {"concentration", "invariants"}
 
 # The config sections each task reads besides task, label and seed, each
-# with the keys it reads (None: every key the schema allows). Every one of
-# them is required but ``solver``, whose keys all have defaults. A section
-# or key a task does not read is refused.
+# with the keys it reads, True where it needs one (None: every key the
+# schema allows). Every section is required but ``solver``, whose keys all
+# have defaults. A section or key a task does not read is refused.
 _TASK_READS = {
     "spectrum": {"model": None},
     "periodic_solve": {"model": None, "forcing": None,
-                       "solver": {"method", "n_periods"}},
-    "convergence": {"model": None, "forcing": None, "solver": {"n_periods"}},
-    "decay_scan": {"model": None, "scan": {"alpha", "t_grid", "t_window"}},
+                       "solver": {"method": False, "n_periods": False}},
+    "convergence": {"model": None, "forcing": None, "solver": {"n_periods": False}},
+    "decay_scan": {"model": None,
+                   "scan": {"alpha": False, "t_grid": True, "t_window": False}},
     "bt_crosscheck": {"model": None,
-                      "scan": {"t_grid", "eta_grid", "t_window", "eta_window"}},
-    "interpolation_check": {"model": None, "scan": {"alpha", "t_grid"}},
+                      "scan": {"t_grid": True, "eta_grid": True, "t_window": False,
+                               "eta_window": False}},
+    "interpolation_check": {"model": None, "scan": {"alpha": True, "t_grid": True}},
     "gain_identity": {"model": None, "forcing": None},
     "growth": {"model": None, "growth": None},
     "concentration": {"model": None, "concentration": None},
     "picard": {"model": None, "forcing": None, "picard": None},
-    "boundary_solve": {"model": None, "forcing": None, "solver": {"n_periods"}},
+    "boundary_solve": {"model": None, "forcing": None, "solver": {"n_periods": False}},
     "invariants": {},
 }
 
@@ -134,10 +136,13 @@ def _require(cond: bool, msg: str):
         raise ValueError(msg)
 
 
-def _refuse_unread(reader: str, section: str, given: dict, keys) -> None:
-    unread = sorted(given.keys() - keys)
+def _check_keys(reader: str, section: str, given: dict, keys: dict) -> None:
+    """Refuse keys that ``keys`` does not list; require those marked True."""
+    unread = sorted(given.keys() - keys.keys())
     _require(not unread, f"{reader} does not read "
              + ", ".join(f"{section}.{key}" for key in unread))
+    for key in sorted(k for k, needed in keys.items() if needed):
+        _require(key in given, f"{reader} needs {section}.{key}")
 
 
 def validate_config(cfg: dict) -> None:
@@ -155,7 +160,7 @@ def validate_config(cfg: dict) -> None:
     for section in sorted(cfg.keys() - {"task", "label", "seed"}):
         _require(section in reads, f"task {task!r} does not read a {section!r} section")
         if reads[section] is not None:
-            _refuse_unread(f"task {task!r}", section, cfg[section], reads[section])
+            _check_keys(f"task {task!r}", section, cfg[section], reads[section])
     for section in sorted(reads.keys() - {"solver"}):
         _require(section in cfg, f"task {task!r} needs a {section!r} section")
     if task not in _NO_MODEL_TASKS:
@@ -168,19 +173,8 @@ def validate_config(cfg: dict) -> None:
         raise ValueError(f"a boundary_signal forcing drives the boundary_solve "
                          f"task only, not {task!r}")
     if fkind is not None:
-        keys = _FORCING_KEYS[fkind]
-        _refuse_unread(f"a {fkind} forcing", "forcing", cfg["forcing"],
-                       keys.keys() | {"kind"})
-        for key in sorted(k for k, needed in keys.items() if needed):
-            _require(key in cfg["forcing"], f"a {fkind} forcing needs forcing.{key}")
-    scan = cfg.get("scan", {})
-    if task in ("decay_scan", "interpolation_check"):
-        _require("t_grid" in scan, f"task {task!r} needs scan.t_grid")
-    if task == "interpolation_check":
-        _require("alpha" in scan, "interpolation_check needs scan.alpha")
-    if task == "bt_crosscheck":
-        _require("t_grid" in scan and "eta_grid" in scan,
-                 "bt_crosscheck needs scan.t_grid and scan.eta_grid")
+        _check_keys(f"a {fkind} forcing", "forcing", cfg["forcing"],
+                    {"kind": True, **_FORCING_KEYS[fkind]})
     if task == "growth":
         _require(cfg["model"]["builder"] == "sphere_block",
                  "growth task needs a sphere_block model")
@@ -196,7 +190,7 @@ def validate_config(cfg: dict) -> None:
         _require(len(p["powers"]) == len(p["coefficients"]),
                  "picard powers and coefficients must have equal length")
     for key in ("t_grid", "eta_grid"):
-        g = scan.get(key)
+        g = cfg.get("scan", {}).get(key)
         if g is None:
             continue
         _require(g["num"] >= 2, f"scan.{key} needs at least 2 points")

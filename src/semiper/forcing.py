@@ -133,11 +133,11 @@ class FourierForcing(PeriodicForcing):
 
     def norms_at(self, ts, deriv: int = 0) -> np.ndarray:
         """Norms of f^(deriv)(ts) = P C, C the coefficient rows, taken in
-        their span: the row norms of P C conj(L), where L L* is the Gram."""
+        their span: the row norms of P C R^T, where R* R is the Gram."""
         P = np.exp(1j * np.outer(ts, self.omega)) * (1j * self.omega) ** deriv
         if self._span is None:
             C = self.coefficients
-            self._span = C if self.space is None else C @ self.space.gram_cholesky.conj()
+            self._span = C if self.space is None else C @ self.space.gram_factor.T
         return np.linalg.norm(P @ self._span, axis=1)
 
     def derivative_forcing(self, order: int) -> "FourierForcing":
@@ -390,8 +390,8 @@ def admissibility_constant(model: Model, T: float, panels: int = 24,
     Realized on the quadrature grid: the columns sqrt(w_i) e^{A(T-s_i)} b_j,
     one for every node s_i and every column b_j of B, assemble the map
     from weighted samples, whose largest singular value in the Gram
-    geometry, that of R cols for R = L* the adjoint of the Gram's
-    Cholesky factor, is returned by :func:`operator_core._sigma_max`.
+    geometry, that of R cols for R = ``StateSpace.gram_factor``, is
+    returned by :func:`operator_core._sigma_max`.
     Each column b_j takes one array-valued :func:`propagate` over all
     nodes.
     """
@@ -401,4 +401,4 @@ def admissibility_constant(model: Model, T: float, panels: int = 24,
     root_w = np.sqrt(weights)
     cols = np.concatenate([propagate(model, T - nodes, b) * root_w for b in model.B.T],
                           axis=1)
-    return _sigma_max(model.space.gram_cholesky.conj().T @ cols)
+    return _sigma_max(model.space.gram_factor @ cols)

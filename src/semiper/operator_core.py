@@ -2,9 +2,12 @@
 
 All states live in C^dim equipped with a Hermitian positive definite Gram
 matrix G; every norm and operator norm in the package is the one induced
-by G. A Gram is factored only as G = R* R, R its upper Cholesky factor,
-so operator norms are the largest singular value of R M R^{-1}: R is
-G^{1/2} times a unitary factor, which no singular value sees.
+by G. A Gram is read only through an upper triangular R, G = R* R, so
+operator norms are the largest singular value of R M R^{-1}: R is
+G^{1/2} times a unitary factor, which no singular value sees. A state
+Gram's R is the Cholesky factor that validates it; a Gram M* M is never
+formed, and its R comes from the QR of M, whose condition number M* M
+would square (Golub & Van Loan, section 5.3.7).
 Generators are dense matrices whose dtype records their field: a real
 model stays float64 and is factored and propagated in real arithmetic,
 in its real eigenbasis (Golub & Van Loan, section 7.4). Propagation,
@@ -90,14 +93,14 @@ class StateSpace:
         Hermitian positive definite Gram matrix, float64 or complex128;
         the squared norm of a state x is the real quadratic form x* gram x,
         taken in real arithmetic on a float64 Gram.
-    gram_cholesky : ndarray
-        The Cholesky factor L of G = L L*, real for a real Gram and cached
-        on first use; it is the state space's one factorization of G, and
-        its adjoint R = L* is the factor of :meth:`op_norm`.
+    gram_factor : ndarray
+        The upper Cholesky factor R of G = R* R, of the Gram's dtype, taken
+        as :func:`make_state_space` validates G; |R x| is the norm of x.
     """
 
     dim: int
     gram: np.ndarray
+    gram_factor: np.ndarray
 
     def norm(self, x) -> float:
         x = np.asarray(x)
@@ -115,14 +118,10 @@ class StateSpace:
             q = sum(np.einsum("ij,ij->i", Y, Y @ G.T) for Y in (X.real, X.imag))
         return np.sqrt(np.maximum(q, 0.0))
 
-    @cached_property
-    def gram_cholesky(self) -> np.ndarray:
-        return np.linalg.cholesky(self.gram)
-
     def op_norm(self, M) -> float:
         """Operator norm of M as a map (X, gram) -> (X, gram), the 2-norm
-        of R M R^{-1} for R = L*."""
-        return float(np.linalg.norm(_similar(self.gram_cholesky.conj().T, M), 2))
+        of R M R^{-1} for R = ``gram_factor``."""
+        return float(np.linalg.norm(_similar(self.gram_factor, M), 2))
 
 
 def _similar(R: np.ndarray, M) -> np.ndarray:
@@ -131,8 +130,9 @@ def _similar(R: np.ndarray, M) -> np.ndarray:
 
 
 def make_state_space(dim: int, gram) -> StateSpace:
-    """Validate a Gram matrix and wrap it in a :class:`StateSpace`; a real
-    Gram is kept as float64, a complex one as complex128.
+    """Validate a Gram matrix by its Cholesky factor and wrap both in a
+    :class:`StateSpace`; a real Gram is kept as float64, a complex one as
+    complex128.
 
     Raises
     ------
@@ -142,7 +142,7 @@ def make_state_space(dim: int, gram) -> StateSpace:
         If it deviates from its adjoint by more than 1e-12 in relative
         Frobenius norm.
     NotPositiveDefinite
-        If the smallest eigenvalue is not strictly positive.
+        If the Cholesky factorization meets a pivot that is not positive.
     """
     G = _as_matrix(gram)
     G = G.astype(np.result_type(G, float))
@@ -154,9 +154,11 @@ def make_state_space(dim: int, gram) -> StateSpace:
     if scale == 0 or np.linalg.norm(G - G.conj().T) > _HERMITIAN_RTOL * scale:
         raise NonHermitian("gram matrix is not Hermitian to 1e-12 relative")
     G = 0.5 * (G + G.conj().T)
-    if np.linalg.eigvalsh(G)[0] <= 0:
-        raise NotPositiveDefinite("gram matrix must be positive definite")
-    return StateSpace(dim=dim, gram=G)
+    try:
+        L = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefinite("gram matrix must be positive definite") from None
+    return StateSpace(dim=dim, gram=G, gram_factor=L.conj().T)
 
 
 class Block(NamedTuple):
@@ -190,13 +192,13 @@ class Model:
         The r x dim rows K^+ pi0 (K the kernel basis as columns), so that
         pi0 = K K^+ pi0 and ker pi0 = ker K^+ pi0; None without a kernel.
     ``deflated``
-        (A_r, G_r, Q): reduced coordinates of the invariant complement
-        of the kernel. Q is a Euclidean-orthonormal basis of
+        (A_r, Q): reduced coordinates of the invariant complement of the
+        kernel. Q is a Euclidean-orthonormal basis of
         range(I - pi0) = ker pi0, the orthogonal complement of the r
         columns of (K^+ pi0)*: the last dim - r columns of their complete
-        QR. A_r = Q* A Q is the reduced generator and G_r = Q* G Q the
-        reduced Gram. For kernel-free models Q is None and A_r, G_r are
-        A and G.
+        QR. A_r = Q* A Q is the reduced generator; the reduced Gram
+        G_r = Q* G Q is never formed. For kernel-free models Q is None
+        and A_r is A.
     ``deflated_eig``
         (w, V, Vinv, cond): eigenvalues and eigenvectors of A_r, the
         inverse eigenvector matrix (None if singular) and cond(V). This
@@ -224,9 +226,9 @@ class Model:
         has exact conjugate pairs j, j + 1 (``first`` lists each j). X
         inverts the real basis (columns Re and Im of V[:, j] at j, j + 1).
     ``reduced_gram_factor``
-        The upper Cholesky factor R of G_r = R* R, the model's one
-        factorization of its Gram: on kernel-free models the adjoint of
-        ``space.gram_cholesky``. |R x| is the Gram norm of x, and
+        An upper triangular R with G_r = R* R: ``space.gram_factor`` on
+        kernel-free models, else the triangular factor of the QR of
+        ``space.gram_factor`` Q. |R x| is the Gram norm of x, and
         R = U G_r^{1/2} with U unitary, so every norm read through R
         is a singular value that G_r^{1/2} would give.
     ``weighted_generator``
@@ -260,19 +262,17 @@ class Model:
     @cached_property
     def deflated(self) -> tuple:
         if not self.has_kernel:
-            return self.A, self.space.gram, None
+            return self.A, None
         r = len(self.kernel_basis)
         Q = np.linalg.qr(self.kernel_rows.conj().T, mode="complete")[0][:, r:]
-        A_r = Q.conj().T @ self.A @ Q
-        G_r = Q.conj().T @ self.space.gram @ Q
-        return A_r, 0.5 * (G_r + G_r.conj().T), Q
+        return Q.conj().T @ self.A @ Q, Q
 
     @cached_property
     def deflated_eig(self) -> tuple:
         closed = _damped_wave_eig(self.A, len(self.kernel_basis))
         if closed is not None:
             w, V, Vinv, cond = closed
-            Q = self.deflated[2]
+            _, Q = self.deflated
             if Q is None:
                 return closed
             # Q real: Q^T V and (Q^T Vinv^T)^T in real products
@@ -293,7 +293,7 @@ class Model:
         if not self.has_kernel:
             return self.deflated_eig
         w_r, V_r, Vinv_r, cond = self.deflated_eig
-        _, _, Q = self.deflated
+        _, Q = self.deflated
         K = np.stack(self.kernel_basis, axis=1)
         w = np.concatenate([np.zeros(K.shape[1], dtype=complex), w_r])
         V = np.concatenate([K, Q @ V_r], axis=1)
@@ -311,9 +311,9 @@ class Model:
 
     @cached_property
     def reduced_gram_factor(self) -> np.ndarray:
-        _, G_r, Q = self.deflated
-        return (self.space.gram_cholesky if Q is None
-                else np.linalg.cholesky(G_r)).conj().T
+        _, Q = self.deflated
+        R = self.space.gram_factor
+        return R if Q is None else np.linalg.qr(R @ Q, mode="r")
 
     @cached_property
     def weighted_generator(self) -> np.ndarray:
@@ -639,7 +639,7 @@ def to_block(model: Model, x) -> np.ndarray:
     ``x`` is one state or a stack of states along the last axis; for
     kernel-free models it is returned unchanged.
     """
-    _, _, Q = model.deflated
+    _, Q = model.deflated
     if Q is None:
         return x
     x = np.asarray(x, dtype=complex)
@@ -649,7 +649,7 @@ def to_block(model: Model, x) -> np.ndarray:
 
 def from_block(model: Model, x_r) -> np.ndarray:
     """The state Q x_r for reduced coordinates x_r (inverse of to_block)."""
-    _, _, Q = model.deflated
+    _, Q = model.deflated
     return x_r if Q is None else apply_real(np.matmul, Q, x_r)
 
 
@@ -692,7 +692,7 @@ def harmonic_solve(model: Model, harmonics, period: float, rhs) -> np.ndarray:
         1e-10 (relative to the spectral radius) of a deflated eigenvalue.
     """
     harmonics = np.asarray(harmonics)
-    A_r, _, _ = model.deflated
+    A_r = model.deflated[0]
     w, V, Vinv, cond = model.deflated_eig
     shifts = 2j * np.pi * harmonics / float(period)
     denom = shifts[:, None] - w[None, :]
@@ -754,24 +754,17 @@ def fractional_power(model: Model, alpha: float) -> np.ndarray:
     return scipy.linalg.fractional_matrix_power(-A_r, alpha)
 
 
-def domain_gram(model: Model, alpha: float) -> np.ndarray:
-    """Hilbertian domain Gram G + ((-A)^alpha)* G ((-A)^alpha), reduced.
+def domain_inv_factor(model: Model, alpha: float) -> np.ndarray:
+    """R_d^{-1}, in reduced coordinates, for R_d the triangular factor of
+    the QR of [S; S F], S = ``Model.reduced_gram_factor``, F = (-A_r)^alpha.
 
-    The returned matrix lives in the reduced coordinates of the deflated
-    block and induces a norm equivalent to the sum norm
-    |x| + |(-A)^alpha x| (with constants between 1/sqrt(2) and 1).
+    R_d* R_d = G_r + F* G_r F is the unformed domain Gram, whose norm
+    |R_d x| is within [1/sqrt(2), 1] of |x| + |(-A)^alpha x|; R_d^{-1} is
+    G_d^{-1/2} times a unitary factor on the right.
     """
-    _, G_r, _ = model.deflated
+    S = model.reduced_gram_factor
     F = fractional_power(model, alpha)
-    Gd = G_r + F.conj().T @ G_r @ F
-    return 0.5 * (Gd + Gd.conj().T)
-
-
-def domain_inv_sqrt(model: Model, alpha: float) -> np.ndarray:
-    """Inverse square root of :func:`domain_gram`, in reduced coordinates."""
-    vals, vecs = np.linalg.eigh(domain_gram(model, alpha))
-    vals = np.maximum(vals, 1e-300)
-    return (vecs / np.sqrt(vals)) @ vecs.conj().T
+    return np.linalg.inv(np.linalg.qr(np.concatenate([S, S @ F]), mode="r"))
 
 
 # ---------------------------------------------------------------------------

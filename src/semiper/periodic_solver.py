@@ -87,7 +87,7 @@ def _fixed_point_matrix(model: Model, T: float):
     Raises SingularMonodromy when the matrix is numerically singular.
     """
     M = propagator_matrix(model, T)
-    _, _, Q = model.deflated
+    _, Q = model.deflated
     M_r = M if Q is None else Q.conj().T @ M @ Q
     fixed = np.eye(M_r.shape[0]) - M_r
     svals = np.linalg.svd(fixed, compute_uv=False)

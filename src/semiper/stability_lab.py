@@ -3,9 +3,9 @@
 The envelope h_alpha(t) is the best constant in
 |e^{tA} x|_X <= h_alpha(t) |x|_{alpha} over the deflated block, where
 |.|_alpha is the Hilbertian domain norm induced by
-G + ((-A)^alpha)* G (-A)^alpha, and the state norm |.|_X is read
-through the upper Cholesky factor of the reduced Gram
-(``Model.reduced_gram_factor``). It is taken in the cached eigenbasis of
+G + ((-A)^alpha)* G (-A)^alpha; both norms are read through triangular
+factors (``Model.reduced_gram_factor``, :func:`domain_inv_factor`),
+never through a formed Gram. It is taken in the cached eigenbasis of
 the deflated block, in real arithmetic on real models: the modes are
 sorted slowest first and the two factors compressed to triangular form
 once, and each time keeps only the leading modes that have not decayed
@@ -37,7 +37,7 @@ from .operator_core import (
     _real_columns,
     _real_inverse,
     _sigma_max,
-    domain_inv_sqrt,
+    domain_inv_factor,
     resolvent_norm,
 )
 
@@ -77,10 +77,10 @@ def _envelope_values(model: Model, alphas, t_grid) -> np.ndarray:
 
     h_alpha(t) is sigma_max of S e^{tA_r} D_alpha on the deflated block,
     S = ``Model.reduced_gram_factor`` (|S x| is the Gram norm of x) and
-    D_alpha = :func:`domain_inv_sqrt`. In the cached
+    D_alpha = :func:`domain_inv_factor`. In the cached
     eigenbasis this is L e^{t Lambda} R_alpha with L = S V and
     R_alpha = V^{-1} D_alpha; no e^{tA} is built. On a real model (A_r and
-    G_r real, eigenvalues in exact conjugate pairs j, j + 1) both factors
+    S real, eigenvalues in exact conjugate pairs j, j + 1) both factors
     are real: L = S times the real basis of V and R_alpha = X D_alpha with
     X from :func:`operator_core._real_inverse`, and e^{t Lambda} acts on a
     pair's two columns as a rotation scaled by e^{t Re lambda}.
@@ -102,9 +102,9 @@ def _envelope_values(model: Model, alphas, t_grid) -> np.ndarray:
     D_alpha instead, which on kernel models equals S Q* e^{tA} Q D_alpha;
     scipy.linalg is imported on that branch only.
     """
-    A_r, G_r, _ = model.deflated
+    A_r, _ = model.deflated
     S = model.reduced_gram_factor
-    Dis = [domain_inv_sqrt(model, a) for a in alphas]
+    Dis = [domain_inv_factor(model, a) for a in alphas]
     t_grid = np.asarray(t_grid, dtype=float)
     values = np.empty((len(Dis), t_grid.size))
     w, V, Vinv, cond = model.deflated_eig
@@ -116,7 +116,7 @@ def _envelope_values(model: Model, alphas, t_grid) -> np.ndarray:
                 values[a, i] = _sigma_max(SP @ Di)
         return values
     real = (_real_inverse(w, Vinv)
-            if np.isrealobj(A_r) and np.isrealobj(G_r) else None)
+            if np.isrealobj(A_r) and np.isrealobj(S) else None)
     if real is None:
         first, L, X = np.empty(0, dtype=int), S @ V, Vinv
     else:

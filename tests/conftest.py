@@ -19,6 +19,14 @@ def gram_sqrt(G):
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
+def reduced_gram(model):
+    """The reduced Gram G_r = Q* G Q of the deflated block, formed from the
+    state Gram as an oracle (the package reads it only through a factor)."""
+    _, Q = model.deflated
+    G = model.space.gram
+    return G if Q is None else Q.conj().T @ G @ Q
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

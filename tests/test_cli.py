@@ -413,6 +413,8 @@ def test_main_removed_kind_or_key_exit_two(tmp_path, config_dir, capsys, config,
 @pytest.mark.parametrize("config, edit, named", cases(
     ("picard_cubic.json", _drop("picard"), "picard"),
     ("interp_interval_half.json", _drop("scan", "alpha"), "alpha"),
+    ("heatwave_decay.json", _drop("scan", "t_grid"), "t_grid"),
+    ("bt_heatwave.json", _drop("scan", "eta_grid"), "eta_grid"),
     ("resonance_growth.json", _drop("model", "params", "m"), "m"),
     ("heatwave_decay.json", _drop("model", "params", "n_heat"), "n_heat"),
     ("interval_periodic.json", _drop("forcing", "period"), "period"),

@@ -53,7 +53,7 @@ from conftest import gram_sqrt
 def _oracle_closed_form(model, f):
     """F_T with one dense solve per harmonic on the deflated block."""
     T = f.period
-    A_r, _, Q = model.deflated
+    A_r, Q = model.deflated
     n = A_r.shape[0]
     mono = propagator_matrix(model, T)
     P = np.eye(model.dim) - model.pi0
@@ -71,7 +71,7 @@ def _oracle_closed_form(model, f):
 
 def _oracle_harmonic_balance(model, f):
     """Periodic start w0 = sum_k (i omega_k - A)^{-1} c_k, one solve per harmonic."""
-    A_r, _, Q = model.deflated
+    A_r, Q = model.deflated
     n = A_r.shape[0]
     P = np.eye(model.dim) - model.pi0
     w0 = np.zeros(model.dim, dtype=complex)

@@ -46,7 +46,7 @@ from semiper.operator_core import (
     _real_columns,
     build_model,
     contour_spectral_projector,
-    domain_gram,
+    domain_inv_factor,
     fractional_power,
     from_block,
     harmonic_solve,
@@ -60,7 +60,7 @@ from semiper.operator_core import (
 )
 from semiper.stability_lab import resolvent_scan
 
-from conftest import gram_sqrt
+from conftest import gram_sqrt, reduced_gram
 
 
 def taylor_expm(A, t, terms=80):
@@ -145,14 +145,15 @@ def test_op_norm_dominates_rayleigh_quotients(rng):
         assert space.norm(M @ x) <= bound * space.norm(x) * (1 + 1e-12)
 
 
-def test_reduced_gram_factor_is_the_upper_cholesky_factor(rng):
+def test_reduced_gram_factor_is_an_upper_triangular_factor(rng):
     """R is upper triangular with R* R = G_r, on a random Gram and on the
-    circle's reduced Gram, and the operator norm and resolvent norm read
-    through it agree with the square root G^{1/2} of one eigh."""
+    circle's reduced Gram (where it comes from a QR, whose diagonal may be
+    negative), and the operator norm and resolvent norm read through it
+    agree with the square root G^{1/2} of one eigh."""
     random = random_stable_model(rng)
     circle = build_damped_wave_circle(12, DampingProfile("constant", amplitude=0.7))
     for model in (random, circle):
-        _, G_r, _ = model.deflated
+        G_r = reduced_gram(model)
         R = model.reduced_gram_factor
         assert model.reduced_gram_factor is R
         assert_array_equal(R, np.triu(R))
@@ -177,6 +178,37 @@ def test_gram_must_be_hermitian():
 def test_gram_must_be_positive_definite():
     with pytest.raises(NotPositiveDefinite):
         make_state_space(2, [[1.0, 0.0], [0.0, -1.0]])
+
+
+@pytest.mark.parametrize("gram", [np.ones((2, 2)), np.ones((5, 5)), np.diag([1.0, -1e-14])],
+                         ids=["ones_2", "ones_5", "negative_1e-14"])
+def test_gram_check_refuses_at_the_margin(gram):
+    """A singular or barely indefinite Gram is refused by the Cholesky
+    factorization that validates it."""
+    with pytest.raises(NotPositiveDefinite):
+        make_state_space(len(gram), gram)
+
+
+def test_gram_check_accepts_at_the_margin_with_its_factor(rng):
+    """diag(1, 1e-14) is accepted, and so is a rank-2 B B^T in three
+    dimensions whenever round-off leaves its Cholesky pivots positive. An
+    accepted Gram carries the upper triangular factor that validated it,
+    R^T R = G, and a refused one raises NotPositiveDefinite, not LAPACK's
+    LinAlgError."""
+    assert_allclose(make_state_space(2, np.diag([1.0, 1e-14])).gram_factor,
+                    np.diag([1.0, 1e-7]), rtol=1e-15)
+    accepted = 0
+    for B in rng.standard_normal((6, 3, 2)):
+        G = B @ B.T
+        try:
+            space = make_state_space(3, G)
+        except NotPositiveDefinite:
+            continue
+        accepted += 1
+        R = space.gram_factor
+        assert_array_equal(R, np.triu(R))
+        assert_allclose(R.T @ R, space.gram, rtol=0, atol=1e-15 * np.linalg.norm(G))
+    assert accepted > 0
 
 
 def test_gram_must_be_finite():
@@ -414,7 +446,7 @@ def test_fractional_power_keeps_the_field(make, real, alpha):
     ref = (V * np.power(-w, alpha)) @ Vinv
     assert F.dtype == (np.float64 if real else np.complex128)
     assert np.linalg.norm(F - ref) <= 1e-13 * np.linalg.norm(ref)
-    assert domain_gram(model, alpha).dtype == F.dtype
+    assert domain_inv_factor(model, alpha).dtype == F.dtype
 
 
 def test_integer_power_is_exact():
@@ -446,13 +478,14 @@ def test_fractional_power_annihilates_kernel():
 
 
 def test_domain_gram_equivalent_to_sum_norm(rng):
-    """Hilbertian domain norm sits within [1/sqrt(2), 1] of the sum norm."""
+    """Hilbertian domain norm |R_d x|, R_d the inverse of the domain factor,
+    sits within [1/sqrt(2), 1] of the sum norm."""
     model = random_stable_model(rng)
-    Gd = domain_gram(model, 0.5)
+    R_d = np.linalg.inv(domain_inv_factor(model, 0.5))
     F = fractional_power(model, 0.5)
     for _ in range(20):
         x = rng.standard_normal(model.dim)
-        hilbert = np.sqrt(np.real(x @ Gd @ x))
+        hilbert = np.linalg.norm(R_d @ x)
         summed = model.space.norm(x) + model.space.norm(F @ x)
         assert hilbert <= summed * (1 + 1e-12)
         assert hilbert >= summed / np.sqrt(2) * (1 - 1e-12)
@@ -578,10 +611,10 @@ def test_deflated_block_removes_kernel_direction():
     space = make_state_space(2, np.eye(2))
     e0 = np.array([1.0, 0.0])
     model = build_model(space, np.diag([0.0, -4.0]), kernel_basis=(e0,))
-    A_r, G_r, Q = model.deflated
+    A_r, Q = model.deflated
     assert A_r.shape == (1, 1)
     assert A_r[0, 0] == pytest.approx(-4.0)
-    assert G_r[0, 0].real == pytest.approx(1.0)
+    assert reduced_gram(model)[0, 0].real == pytest.approx(1.0)
     assert Q.shape == (2, 1)
 
 
@@ -685,7 +718,7 @@ def test_kernel_model_factor_assembles_full_propagator():
     """e^{tA} = pi0 + Q e^{tA_r} Q* (I - pi0) from the deflated factor."""
     damping = DampingProfile("bump", amplitude=1.0, center=2.0, width=2.5)
     model = build_damped_wave_circle(24, damping)
-    A_r, _, Q = model.deflated
+    A_r, Q = model.deflated
     w, V, Vinv, _ = model.eig
     assert_allclose(V @ Vinv, np.eye(model.dim), atol=1e-11)
     assert_allclose(model.A @ V, V * w, atol=1e-9 * np.linalg.norm(model.A))

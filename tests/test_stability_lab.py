@@ -23,8 +23,10 @@ from semiper.models import (
 )
 from semiper.operator_core import (
     build_model,
-    domain_inv_sqrt,
+    domain_inv_factor,
+    fractional_power,
     make_state_space,
+    propagator_matrix,
 )
 from semiper.stability_lab import (
     ScanResult,
@@ -37,7 +39,7 @@ from semiper.stability_lab import (
     resolvent_scan,
 )
 
-from conftest import gram_sqrt
+from conftest import gram_sqrt, reduced_gram
 
 
 def envelope_oracle(eigs, alpha, t):
@@ -240,7 +242,7 @@ def test_envelope_builds_no_propagator(monkeypatch):
 def test_decay_envelope_expm_fallback_matches_dense(near_defective, alpha, monkeypatch):
     """cond(V) > 1e8: one expm per time, against the dense norm."""
     assert near_defective.deflated_eig[3] > 1e8
-    D = domain_inv_sqrt(near_defective, alpha)
+    D = domain_inv_factor(near_defective, alpha)
     expm_calls = []
     original = sla.expm
     monkeypatch.setattr(sla, "expm", lambda *a, **k: expm_calls.append(a) or original(*a, **k))
@@ -257,9 +259,9 @@ def test_decay_envelope_on_kernel_model_matches_dense(alpha):
     """On a model with a kernel the envelope is the norm of Q* e^{tA} Q."""
     model = build_damped_wave_circle(16, DampingProfile("constant", amplitude=0.7))
     assert model.has_kernel
-    _, G_r, Q = model.deflated
-    S = gram_sqrt(G_r)
-    D = domain_inv_sqrt(model, alpha)
+    _, Q = model.deflated
+    S = gram_sqrt(reduced_gram(model))
+    D = domain_inv_factor(model, alpha)
     t_grid = np.linspace(0.0, 20.0, 9)
     scan = decay_envelope(model, alpha, t_grid)
     ref = [np.linalg.norm(S @ Q.conj().T @ sla.expm(t * model.A) @ Q @ D, 2)
@@ -271,14 +273,59 @@ def test_decay_envelope_on_kernel_model_matches_dense(alpha):
 def test_decay_envelope_real_model_matches_dense(alpha):
     """A real generator and Gram take the real-arithmetic product."""
     model = build_heat_wave_1d(8, 8)
-    A_r, G_r, _ = model.deflated
+    A_r, _ = model.deflated
+    G_r = reduced_gram(model)
     assert not (np.any(A_r.imag) or np.any(G_r.imag))
     S = gram_sqrt(G_r)
-    D = domain_inv_sqrt(model, alpha)
+    D = domain_inv_factor(model, alpha)
     t_grid = np.array([0.0, 0.3, 1.0, 4.0, 10.0])
     scan = decay_envelope(model, alpha, t_grid)
     ref = [np.linalg.norm(S @ sla.expm(t * A_r) @ D, 2) for t in t_grid]
     assert_allclose(scan.values, ref, rtol=1e-11)
+
+
+def test_domain_factor_matches_a_40_digit_reference():
+    """sigma_max(S E D_alpha) on heat_wave_1d(8, 8) at alpha = 1 and 2,
+    against D = L^{-*} from a 40-digit Cholesky L L* of the domain Gram
+    G_d = S*S + (S F)*(S F), formed in mpmath from the float64 S and F.
+    Both sides share the float64 propagator E = e^{tA}. Through the eigh
+    of the formed G_d this read 1.1e-8 at alpha = 2."""
+    mpmath = pytest.importorskip("mpmath")
+    model = build_heat_wave_1d(8, 8)
+    S = model.reduced_gram_factor
+    SEs = [S @ propagator_matrix(model, t) for t in (0.5, 2.0, 10.0, 40.0)]
+    for alpha in (1.0, 2.0):
+        D = domain_inv_factor(model, alpha)
+        with mpmath.workdps(40):
+            Sm = mpmath.matrix(S.tolist())
+            SF = Sm * mpmath.matrix(fractional_power(model, alpha).tolist())
+            D_ref = mpmath.inverse(mpmath.cholesky(Sm.T * Sm + SF.T * SF)).T
+            refs = [np.array((mpmath.matrix(SE.tolist()) * D_ref).tolist(), dtype=float)
+                    for SE in SEs]
+        for SE, ref in zip(SEs, refs):
+            assert np.linalg.norm(SE @ D, 2) == pytest.approx(np.linalg.norm(ref, 2),
+                                                              rel=1e-11)
+
+
+def test_no_gram_is_formed_to_be_factored(monkeypatch):
+    """make_state_space validates a Gram by its Cholesky factor, with no
+    eigvalsh, and a model that takes LAPACK's eig (heat_wave_1d), built
+    and run through decay_envelope at alpha = 2, calls no eigh: its
+    state, reduced and domain Grams are read through triangular factors.
+    Only _sigma_max's eigvalsh of a product's Gram remains."""
+    calls = []
+
+    def spy(name):
+        original = getattr(np.linalg, name)
+        return lambda *a, **k: calls.append(name) or original(*a, **k)
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, spy(name))
+    make_state_space(3, np.diag([1.0, 2.0, 0.5]))
+    model = build_heat_wave_1d(8, 8)
+    assert calls == []
+    decay_envelope(model, 2.0, np.linspace(0.0, 10.0, 6))
+    assert set(calls) == {"eigvalsh"}
 
 
 def _bump_interval():
@@ -293,14 +340,14 @@ def full_product_envelope(model, alpha, t_grid):
     conjugate of the first, which is what the real basis reads: LAPACK's
     inverse has them conjugate only to round-off, and that alone moves
     sigma by up to 9.4e-14 on heat_wave_1d(48, 48)."""
-    S = gram_sqrt(model.deflated[1])
+    S = gram_sqrt(reduced_gram(model))
     w, V, Vinv, _ = model.deflated_eig
     real = not np.iscomplexobj(model.deflated[0])
     if real:
         first = operator_core._conjugate_pairs(w)
         Vinv = Vinv.copy()
         Vinv[first + 1] = Vinv[first].conj()
-    L, R = S @ V, Vinv @ domain_inv_sqrt(model, alpha)
+    L, R = S @ V, Vinv @ domain_inv_factor(model, alpha)
     out = []
     for t in t_grid:
         M = (L * np.exp(w * t)) @ R
@@ -360,7 +407,7 @@ def test_compressed_envelope_full_size_fallback(monkeypatch):
     scan = decay_envelope(model, 1.0, t_grid)
     recomputed = [b for a, b in zip(sizes, sizes[1:]) if a == 2 and b == 3]
     assert recomputed and len(sizes) == t_grid.size + len(recomputed)
-    D = domain_inv_sqrt(model, 1.0)
+    D = domain_inv_factor(model, 1.0)
     ref = [np.linalg.norm(sla.expm(t * A) @ D, 2) for t in t_grid]
     assert_allclose(scan.values, ref, rtol=1e-11)
 
