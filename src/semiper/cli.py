@@ -270,7 +270,7 @@ def build_bundle(cfg: dict) -> ModelBundle:
     name = spec["builder"]
     kwargs = dict(spec.get("params", {}))
     if "damping" in spec:
-        kwargs["damping"] = DampingProfile.from_dict(spec["damping"])
+        kwargs["damping"] = DampingProfile(**spec["damping"])
     built = _BUILDERS[name](**kwargs)
     if isinstance(built, SphereBlockModel):
         return ModelBundle(name, built.model, sphere=built)
@@ -436,10 +436,6 @@ def _gp_header(title: str) -> list:
 # tasks
 # ---------------------------------------------------------------------------
 
-def _solver_spec(cfg):
-    return cfg.get("solver", {})
-
-
 def _task_spectrum(cfg, bundle, ctx):
     model = bundle.model
     rep = spectrum_report(model)
@@ -472,7 +468,7 @@ _METHODS = {
 
 def _task_periodic_solve(cfg, bundle, ctx):
     model = bundle.model
-    sspec = _solver_spec(cfg)
+    sspec = cfg.get("solver", {})
     f = build_forcing(bundle, cfg["forcing"])
     method = sspec.get("method", "direct")
     n_periods = sspec.get("n_periods", 1)
@@ -515,7 +511,7 @@ def _task_periodic_solve(cfg, bundle, ctx):
 
 def _task_convergence(cfg, bundle, ctx):
     model = bundle.model
-    sspec = _solver_spec(cfg)
+    sspec = cfg.get("solver", {})
     f = build_forcing(bundle, cfg["forcing"])
     n_periods = sspec.get("n_periods", 60)
     w0 = periodic_w0_direct(model, f).w0
@@ -723,7 +719,7 @@ def _task_growth(cfg, bundle, ctx):
     if "control_damping" in gspec:
         # the same forcing drives the block under the control damping; only
         # the orbit norms are read
-        ctrl_damping = DampingProfile.from_dict(gspec["control_damping"])
+        ctrl_damping = DampingProfile(**gspec["control_damping"])
         control = build_sphere_schrodinger(block.Jmax, block.m, ctrl_damping,
                                            quad_nodes=block.quad_nodes).model
         norms, _ = orbit_norms(propagator_matrix(control, period),
@@ -742,7 +738,7 @@ def _task_growth(cfg, bundle, ctx):
 
 def _task_concentration(cfg, bundle, ctx):
     cspec = cfg["concentration"]
-    damping = DampingProfile.from_dict(cfg["model"]["damping"])
+    damping = DampingProfile(**cfg["model"]["damping"])
     scan = concentration_scan(cspec["js"], damping,
                               quad_nodes=cspec.get("quad_nodes"))
     payload = {
@@ -810,7 +806,7 @@ def _task_picard(cfg, bundle, ctx):
 def _task_boundary_solve(cfg, bundle, ctx):
     model = bundle.model
     fspec = cfg["forcing"]
-    sspec = _solver_spec(cfg)
+    sspec = cfg.get("solver", {})
     periods = fspec["periods"]
     rows = []
     details = {}
@@ -977,10 +973,6 @@ class RunManifest:
         return _jsonable(self.__dict__)
 
 
-def _sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def run(config_path, out_dir=None, seed=None) -> RunManifest:
     config_path = Path(config_path)
     raw = config_path.read_bytes()
@@ -1011,12 +1003,12 @@ def run(config_path, out_dir=None, seed=None) -> RunManifest:
     for name, text in sorted(ctx.files.items()):
         data = text.encode()
         outputs.append({"name": name, "bytes": len(data),
-                        "sha256": _sha256_bytes(data)})
+                        "sha256": hashlib.sha256(data).hexdigest()})
     manifest = RunManifest(
         task=task,
         label=cfg.get("label", ""),
         config_path=str(config_path),
-        config_sha256=_sha256_bytes(raw),
+        config_sha256=hashlib.sha256(raw).hexdigest(),
         seed=int(seed),
         package_version=__version__,
         numpy_version=np.__version__,

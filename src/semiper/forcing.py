@@ -21,7 +21,7 @@ boundary signal g enters as the Fourier forcing B g.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 # loaded with the package, not on first use: the Fourier coefficients
@@ -40,9 +40,7 @@ from .operator_core import (
 )
 
 _PER0_DETECT_MAX = 12
-# check_class: endpoint tolerance relative to the derivative's size, and
-# the composite rule its time norms are taken on
-_CLASS_TOL = 1e-10
+# the composite rule check_class takes its time norms on
 _CLASS_PANELS = 48
 _CLASS_ORDER = 8
 
@@ -86,11 +84,6 @@ class PeriodicForcing:
     def tag(self) -> str:
         k = self.per0_order
         return f"Wk1_per0({k})" if k >= 1 else "Wk1_per"
-
-    def _norm(self, vec: np.ndarray) -> float:
-        if self.space is not None:
-            return self.space.norm(vec)
-        return float(np.linalg.norm(vec))
 
     def norms_at(self, ts, deriv: int = 0) -> np.ndarray:
         """Norms of f^(deriv) at the times ts."""
@@ -247,46 +240,27 @@ class SemigroupPullbackForcing(PeriodicForcing):
 
 @dataclass
 class ForcingNormReport:
-    tag: str
-    order: int
     l1_norm: float
     wk1_norm: float
-    class_verified: bool
-    endpoint_residuals: list = field(default_factory=list)
 
 
 def check_class(f: PeriodicForcing, k: int) -> ForcingNormReport:
-    """Verify membership in the vanishing-trace class of index k.
+    """The L^1 and W^{k,1} norms of f in time (state-space norm in space).
 
-    Computes the L^1 and W^{k,1} norms in time (state-space norm in
-    space) by composite quadrature, and checks that derivatives of order
-    0..k-1 vanish at the period endpoints relative to the size of the
-    corresponding derivative. ``class_verified`` reflects the endpoint
-    checks only; the norms are always reported. Fourier data takes its
-    norms in the span of its coefficient rows (``FourierForcing.norms_at``),
-    with no nodes x dim x dim product.
+    Both are taken by composite quadrature. Fourier data takes its norms
+    in the span of its coefficient rows (``FourierForcing.norms_at``),
+    with no nodes x dim x dim product. Whether f has vanishing traces is
+    decided by ``per0_order`` alone.
     """
     nodes, weights = gauss_panels(f.period, _CLASS_PANELS, _CLASS_ORDER)
     l1 = 0.0
     wk1 = 0.0
-    sup_by_order = []
     for j in range(k + 1):
-        norms = f.norms_at(nodes, j)
-        contrib = float(np.dot(weights, norms))
+        contrib = float(np.dot(weights, f.norms_at(nodes, j)))
         if j == 0:
             l1 = contrib
         wk1 += contrib
-        sup_by_order.append(float(norms.max(initial=0.0)))
-    residuals = []
-    verified = True
-    for j in range(k):
-        r = f._norm(f.eval(0.0, j))
-        residuals.append(r)
-        if r > _CLASS_TOL * max(sup_by_order[j], 1e-300):
-            verified = False
-    return ForcingNormReport(tag=f.tag, order=k, l1_norm=l1, wk1_norm=wk1,
-                             class_verified=verified,
-                             endpoint_residuals=residuals)
+    return ForcingNormReport(l1_norm=l1, wk1_norm=wk1)
 
 
 # ---------------------------------------------------------------------------

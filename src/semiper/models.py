@@ -96,10 +96,6 @@ class DampingProfile:
     def is_axisymmetric(self) -> bool:
         return self.kind in ("constant", "cap")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "DampingProfile":
-        return cls(**d)
-
 
 # ---------------------------------------------------------------------------
 # damped wave on an interval
@@ -600,10 +596,9 @@ def build_synthetic_resolvent_model(n_modes: int, alpha: float) -> Model:
                        label=f"synthetic_resolvent(alpha={alpha})")
 
 
-def build_diagonal_model(eigenvalues, gram=None) -> Model:
-    """Diagonal model from an explicit eigenvalue list (test fixture)."""
+def build_diagonal_model(eigenvalues) -> Model:
+    """Diagonal model from an explicit eigenvalue list with the identity Gram."""
     eigs = np.asarray(eigenvalues, dtype=complex)
     n = eigs.size
-    gram = np.eye(n) if gram is None else gram
-    space = make_state_space(n, np.asarray(gram, dtype=complex))
+    space = make_state_space(n, np.eye(n, dtype=complex))
     return build_model(space, np.diag(eigs), label="diagonal")

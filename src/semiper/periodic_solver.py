@@ -46,6 +46,8 @@ from .operator_core import (
 )
 
 _KERNEL_TOL = 1e-10
+# periodic_w0_series stops at a term of norm SERIES_TOL * (1 + |F_T|)
+SERIES_TOL = 1e-12
 # a Picard gap ratio at or above this counts as a sweep that did not contract
 _STALL_RATIO = 1.0 - 1e-6
 
@@ -123,12 +125,12 @@ def _finish_report(model: Model, f: PeriodicForcing, w0, method, n_periods,
                                condition=condition, crosscheck_gap=gap)
 
 
-def periodic_w0_series(model: Model, f: PeriodicForcing, tol: float = 1e-12,
+def periodic_w0_series(model: Model, f: PeriodicForcing,
                        n_periods: int = 1) -> PeriodicSolveReport:
     """Sum the propagated one-period responses until they are negligible.
 
     Stops when the current term e^{N T A} F_T has norm at most
-    tol * (1 + |F_T|); raises SlowConvergence past 100000 terms.
+    SERIES_TOL * (1 + |F_T|); raises SlowConvergence past 100000 terms.
     The tail estimate extrapolates the last term geometrically.
     """
     FT = duhamel_FT(model, f)
@@ -143,7 +145,7 @@ def periodic_w0_series(model: Model, f: PeriodicForcing, tol: float = 1e-12,
     while True:
         term = apply_real(np.matmul, M, term)
         cur = model.space.norm(term)
-        if cur <= tol * scale:
+        if cur <= SERIES_TOL * scale:
             rho = cur / prev_norm if prev_norm > 0 else 0.0
             tail = cur / (1.0 - rho) if rho < 1 else np.inf
             break
@@ -152,7 +154,7 @@ def periodic_w0_series(model: Model, f: PeriodicForcing, tol: float = 1e-12,
         prev_norm = cur
         if n_terms > 100000:
             raise SlowConvergence(
-                f"series did not reach tol {tol:.1e} within 100000 terms "
+                f"series did not reach tol {SERIES_TOL:.1e} within 100000 terms "
                 f"(last term {cur:.3e}); the monodromy contracts too slowly")
     w0 = _strip_kernel(model, acc)
     return _finish_report(model, f, w0, f"series(N={n_terms})", n_periods,
@@ -307,48 +309,38 @@ def _poly_eval(poly: dict, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _nonlinear_source(model: Model, poly: dict, states: np.ndarray,
-                      structure: str) -> np.ndarray:
+def _nonlinear_source(model: Model, poly: dict, states: np.ndarray) -> np.ndarray:
     """g(u) for one state or a stack of states along the last axis.
 
-    With ``structure="wave"`` g reads the model's ``displacement`` block
-    and drives its ``velocity`` block; a model without both raises
-    ValueError.
+    g reads the model's ``displacement`` block and drives its
+    ``velocity`` block; a model without both raises ValueError.
     """
-    if structure == "identity":
-        return _poly_eval(poly, states)
-    if structure == "wave":
-        blocks = model.blocks
-        if "displacement" not in blocks or "velocity" not in blocks:
-            raise ValueError(f"structure 'wave' needs displacement and velocity "
-                             f"blocks; {model.label!r} has {sorted(blocks)}")
-        src = np.zeros_like(states)
-        src[..., blocks["velocity"].slice] = _poly_eval(
-            poly, states[..., blocks["displacement"].slice])
-        return src
-    raise ValueError(f"unknown nonlinear structure {structure!r}")
+    blocks = model.blocks
+    if "displacement" not in blocks or "velocity" not in blocks:
+        raise ValueError(f"g needs displacement and velocity "
+                         f"blocks; {model.label!r} has {sorted(blocks)}")
+    src = np.zeros_like(states)
+    src[..., blocks["velocity"].slice] = _poly_eval(
+        poly, states[..., blocks["displacement"].slice])
+    return src
 
 
 # defaults of picard_nonlinear and picard_divergence_threshold, and the
 # number of uniform time nodes every Picard solve samples
-PICARD_STRUCTURE = "wave"
 PICARD_NODES = 64
 PICARD_MAX_ITER = 30
 PICARD_TOL = 1e-10
 
 
 def picard_nonlinear(model: Model, f: PeriodicForcing, poly: dict,
-                     structure: str = PICARD_STRUCTURE,
                      max_iter: int = PICARD_MAX_ITER,
                      tol: float = PICARD_TOL) -> NonlinearSolveReport:
     """Periodic orbit of u' = A u + f + g(u) by Picard iteration.
 
     ``poly`` maps powers (>= 2) to coefficients of the superlinear
-    nonlinearity g. With ``structure="wave"`` it is applied nodewise to
-    the model's ``displacement`` block and enters the ``velocity`` block;
-    with ``structure="identity"`` it acts on the whole state. A model
-    without those two blocks, or an unknown structure, raises ValueError
-    before any solve.
+    nonlinearity g. It is applied nodewise to the model's ``displacement``
+    block and enters the ``velocity`` block; a model without those two
+    blocks raises ValueError before any solve.
 
     Each sweep is one step of alternating frequency-time (AFT) harmonic
     balance: the frozen source f + g(u_m) on the uniform grid of
@@ -365,11 +357,10 @@ def picard_nonlinear(model: Model, f: PeriodicForcing, poly: dict,
     three consecutive sweeps, and SlowConvergence when ``max_iter``
     sweeps do not reach ``tol``.
     """
-    return _picard(model, f, poly, structure, True, max_iter, tol)
+    return _picard(model, f, poly, True, max_iter, tol)
 
 
-def _picard(model: Model, f: PeriodicForcing, poly: dict, structure: str,
-            check_monodromy: bool, max_iter: int,
+def _picard(model: Model, f: PeriodicForcing, poly: dict, check_monodromy: bool, max_iter: int,
             tol: float) -> NonlinearSolveReport:
     """:func:`picard_nonlinear`, with the SingularMonodromy check of
     I - e^{TA} taken only when ``check_monodromy`` is set; an amplitude
@@ -377,9 +368,9 @@ def _picard(model: Model, f: PeriodicForcing, poly: dict, structure: str,
     for p in poly:
         if not (isinstance(p, int) and p >= 2):
             raise ValueError("nonlinearity must be superlinear: powers >= 2")
-    # a structure the model's blocks cannot carry is a config error: raise
-    # its ValueError before any solve
-    _nonlinear_source(model, poly, np.zeros(model.dim), structure)
+    # a model without the blocks g acts on is a config error: raise its
+    # ValueError before any solve
+    _nonlinear_source(model, poly, np.zeros(model.dim))
     T = f.period
     times = T * np.arange(PICARD_NODES) / PICARD_NODES
 
@@ -402,7 +393,7 @@ def _picard(model: Model, f: PeriodicForcing, poly: dict, structure: str,
     gaps, ratios, stalled = [], [], 0
     for it in range(1, max_iter + 1):
         new_traj = linear_periodic(
-            f_samples + _nonlinear_source(model, poly, traj, structure))
+            f_samples + _nonlinear_source(model, poly, traj))
         gap = float(model.space.row_norms(new_traj - traj).max())
         if not np.isfinite(gap):
             raise Diverged(f"iteration produced non-finite states at sweep {it}")
@@ -422,14 +413,14 @@ def _picard(model: Model, f: PeriodicForcing, poly: dict, structure: str,
         raise SlowConvergence(
             f"Picard iteration did not contract to {tol:.1e} in {max_iter} sweeps")
 
-    residual = _ode_residual(model, poly, structure, T, f_samples, traj)
+    residual = _ode_residual(model, poly, T, f_samples, traj)
     return NonlinearSolveReport(converged=True, iterations=it,
                                 contraction_ratios=ratios, times=times,
                                 trajectory=traj, w0=traj[0],
                                 ode_residual=residual, gap_history=gaps)
 
 
-def _ode_residual(model, poly, structure, T, f_samples, traj) -> float:
+def _ode_residual(model, poly, T, f_samples, traj) -> float:
     """max_t |u' - A u - f - g(u)| on the grid, u' by spectral differentiation."""
     n = traj.shape[0]
     ks = np.fft.fftfreq(n, d=1.0 / n)
@@ -438,18 +429,16 @@ def _ode_residual(model, poly, structure, T, f_samples, traj) -> float:
     dtraj = np.fft.ifft(np.fft.fft(traj, axis=0) * (2j * np.pi / T * ks)[:, None],
                         axis=0)
     rhs = (apply_real(np.matmul, model.A, traj.T).T + f_samples
-           + _nonlinear_source(model, poly, traj, structure))
+           + _nonlinear_source(model, poly, traj))
     return float(model.space.row_norms(dtraj - rhs).max())
 
 
 def picard_divergence_threshold(model: Model, f: PeriodicForcing, poly: dict,
-                                structure: str = PICARD_STRUCTURE,
                                 amplitudes=None,
                                 tol: float = PICARD_TOL) -> dict:
     """Scale the forcing until the Picard iteration stops converging.
 
-    Each probe is a :func:`picard_nonlinear` solve with ``structure`` and
-    ``tol``, at most PICARD_MAX_ITER sweeps. Returns the largest amplitude
+    Each probe is a :func:`picard_nonlinear` solve with ``tol``, at most PICARD_MAX_ITER sweeps. Returns the largest amplitude
     that converged and the first that failed (None when every probe
     converged). The probes share one model
     and period, so I - e^{TA} is checked for singularity once, in the
@@ -465,7 +454,7 @@ def picard_divergence_threshold(model: Model, f: PeriodicForcing, poly: dict,
         if scaled is None:
             raise ValueError("amplitude sweep needs Fourier data")
         try:
-            _picard(model, scaled, poly, structure, i == 0, PICARD_MAX_ITER, tol)
+            _picard(model, scaled, poly, i == 0, PICARD_MAX_ITER, tol)
             last_ok = amp
         except (Diverged, SlowConvergence):
             first_bad = amp

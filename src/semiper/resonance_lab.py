@@ -31,7 +31,8 @@ from .operator_core import propagate, propagator_matrix
 
 
 DEFAULT_PERIOD = 2.0 * math.pi
-DEFAULT_EXTRA_DEGREES = 60
+# concentration_scan truncates the block of order j at degree j + EXTRA_DEGREES
+EXTRA_DEGREES = 60
 
 
 def truncation_tail(block: SphereBlockModel) -> float:
@@ -61,11 +62,11 @@ class ConcentrationScan:
 
 
 def concentration_scan(j_values, damping: DampingProfile,
-                       extra_degrees: int = DEFAULT_EXTRA_DEGREES,
                        quad_nodes: int | None = None) -> ConcentrationScan:
     """Concentration norms |M_a Phi_j| across block orders.
 
-    One azimuthal block m = j per entry, truncated at Jmax = j + extra.
+    One azimuthal block m = j per entry, truncated at
+    Jmax = j + EXTRA_DEGREES.
     The exponential rate c is fitted from log |M_a Phi_j| against
     sqrt(j (j + 1)); the slope against j itself is also reported since
     it is the quantity to compare with log sin(r) for cap damping of
@@ -75,7 +76,7 @@ def concentration_scan(j_values, damping: DampingProfile,
     norms = np.empty(js.size)
     tails = np.empty(js.size)
     for i, j in enumerate(js):
-        block = build_sphere_schrodinger(j + extra_degrees, int(j), damping,
+        block = build_sphere_schrodinger(j + EXTRA_DEGREES, int(j), damping,
                                          quad_nodes=quad_nodes)
         norms[i] = float(np.linalg.norm(block.multiplier[:, 0]))
         tails[i] = truncation_tail(block)

@@ -58,7 +58,6 @@ class FitResult:
 
 @dataclass
 class ScanResult:
-    kind: str
     abscissae: np.ndarray
     values: np.ndarray
     fit: FitResult | None = None
@@ -186,8 +185,7 @@ def decay_envelope(model: Model, alpha: float, t_grid) -> ScanResult:
     running = np.minimum.accumulate(values)
     rises = np.diff(values)
     monotone = bool(np.all(rises <= 1e-10 * np.maximum(values[:-1], 1e-300)))
-    return ScanResult(kind=f"decay_envelope(alpha={alpha})",
-                      abscissae=t_grid, values=values,
+    return ScanResult(abscissae=t_grid, values=values,
                       extras={"running_min": running, "monotone": monotone,
                               "normal": _is_normal(model), "alpha": alpha})
 
@@ -213,7 +211,7 @@ def resolvent_scan(model: Model, eta_grid) -> ScanResult:
     apart = np.diff(eta_grid) > 1e-12 * np.abs(eta_grid[1:])
     eta_grid = eta_grid[np.concatenate([[True], apart])]
     values = np.array([resolvent_norm(model, e) for e in eta_grid])
-    return ScanResult(kind="resolvent_scan", abscissae=eta_grid, values=values,
+    return ScanResult(abscissae=eta_grid, values=values,
                       extras={"running_max": np.maximum.accumulate(values)})
 
 
@@ -314,8 +312,7 @@ def interpolation_check(model: Model, alpha: float, t_grid) -> ScanResult:
         h_one, = _envelope_values(model, (1.0,), t_grid / ceil_a)
     ratio = h_alpha / np.maximum(h_one ** alpha, 1e-300)
     sup_idx = int(np.argmax(ratio))
-    return ScanResult(kind=f"interpolation_ratio(alpha={alpha})",
-                      abscissae=t_grid, values=ratio,
+    return ScanResult(abscissae=t_grid, values=ratio,
                       extras={"sup": float(ratio[sup_idx]),
                               "arg_sup": float(t_grid[sup_idx]),
                               "h_alpha": h_alpha, "h_one": h_one})

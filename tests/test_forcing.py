@@ -152,16 +152,6 @@ def test_wk1_norm_adds_derivative_mass():
     assert rep.wk1_norm == pytest.approx(oracle, rel=1e-8)
 
 
-def test_class_verification_pass_and_fail():
-    bump = per0_bump_forcing(1.0, 2, [1.0])
-    assert check_class(bump, 3).class_verified
-    cos = make_fourier_forcing(1.0, {1: [0.5], -1: [0.5]})
-    rep = check_class(cos, 1)
-    assert not rep.class_verified
-    assert len(rep.endpoint_residuals) == 1
-
-
-
 def _assert_span_norms_match_dense(f, ts, deriv):
     """Span norms against the Gram norms of the evaluated values: 1e-13
     relative, or 1e-15 of the coefficients' norm where f^(deriv) cancels."""

@@ -41,6 +41,7 @@ from semiper.models import (
     build_heat_wave_1d,
     build_scalar_model,
 )
+from semiper.operator_core import Block, build_model
 from semiper.periodic_solver import (
     _nonlinear_source,
     boundary_periodic_solve,
@@ -86,7 +87,7 @@ def test_scalar_constant_orbit(solver):
 def test_series_reports_truncation():
     model = build_scalar_model(-1.0)
     f = make_fourier_forcing(2 * math.pi, {0: [1.0]}, model.space)
-    rep = periodic_w0_series(model, f, tol=1e-12)
+    rep = periodic_w0_series(model, f)
     assert rep.method.startswith("series(N=")
     assert rep.tail_estimate is not None
     assert rep.tail_estimate <= 1e-11
@@ -342,13 +343,21 @@ def test_boundary_sin_squared_signal(boundary12):
 # Picard iteration
 # ---------------------------------------------------------------------------
 
+def scalar_picard_model(lam=-1.0):
+    """u' = lam u with its one coordinate as both the displacement and the
+    velocity block, so that g(u) acts on u itself."""
+    base = build_scalar_model(lam)
+    one = Block(slice(0, 1))
+    return build_model(base.space, base.A, label=base.label,
+                       blocks={"displacement": one, "velocity": one})
+
+
 def test_picard_scalar_matches_time_integration():
     """The Picard orbit is periodic under adaptive time stepping."""
-    model = build_scalar_model(-1.0)
+    model = scalar_picard_model()
     T = 2.0
     f = make_fourier_forcing(T, {1: [0.2], -1: [0.2]}, model.space)
-    rep = picard_nonlinear(model, f, {3: -0.05}, structure="identity",
-                           tol=1e-12)
+    rep = picard_nonlinear(model, f, {3: -0.05}, tol=1e-12)
     assert rep.converged
     assert rep.ode_residual <= 1e-10
     assert all(r < 0.5 for r in rep.contraction_ratios)
@@ -364,7 +373,7 @@ def test_picard_wave_structure_converges():
     model = build_damped_wave_interval(8, 1.0,
                                        DampingProfile("constant", amplitude=1.0))
     f = bump_on_velocity(model)
-    rep = picard_nonlinear(model, f, {3: -1e-3}, structure="wave", tol=1e-12)
+    rep = picard_nonlinear(model, f, {3: -1e-3}, tol=1e-12)
     assert rep.converged
     assert rep.iterations <= 30
     assert rep.ode_residual <= 1e-6
@@ -372,32 +381,30 @@ def test_picard_wave_structure_converges():
 
 
 def test_picard_rejects_linear_powers():
-    model = build_scalar_model(-1.0)
+    model = scalar_picard_model()
     f = make_fourier_forcing(1.0, {0: [0.1]}, model.space)
     with pytest.raises(ValueError):
-        picard_nonlinear(model, f, {1: 1.0}, structure="identity")
+        picard_nonlinear(model, f, {1: 1.0})
 
 
 def test_picard_diverges_for_large_data():
-    model = build_scalar_model(-1.0)
+    model = scalar_picard_model()
     f = make_fourier_forcing(2.0, {1: [30.0], -1: [30.0]}, model.space)
     with pytest.raises(Diverged):
-        picard_nonlinear(model, f, {3: -0.05}, structure="identity")
+        picard_nonlinear(model, f, {3: -0.05})
 
 
 def test_picard_slow_convergence_raises():
-    model = build_scalar_model(-1.0)
+    model = scalar_picard_model()
     f = make_fourier_forcing(2.0, {1: [0.2], -1: [0.2]}, model.space)
     with pytest.raises(SlowConvergence):
-        picard_nonlinear(model, f, {3: -0.05}, structure="identity",
-                         max_iter=1, tol=1e-14)
+        picard_nonlinear(model, f, {3: -0.05}, max_iter=1, tol=1e-14)
 
 
 def test_divergence_threshold_brackets():
-    model = build_scalar_model(-1.0)
+    model = scalar_picard_model()
     f = make_fourier_forcing(2.0, {1: [0.2], -1: [0.2]}, model.space)
     th = picard_divergence_threshold(model, f, {3: -0.05},
-                                     structure="identity",
                                      amplitudes=[1.0, 10.0, 100.0])
     assert th["last_converged"] == 10.0
     assert th["first_diverged"] == 100.0
@@ -423,7 +430,7 @@ def test_picard_w0_matches_direct_solve_of_frozen_source(picard_cubic, amp):
     reproduces w0."""
     model, f, poly = picard_cubic
     g = scaled(f, amp)
-    rep = picard_nonlinear(model, g, poly, structure="wave", tol=1e-12)
+    rep = picard_nonlinear(model, g, poly, tol=1e-12)
     n = model.dim // 2
     src = g.eval_many(rep.times)
     src[:, n:] -= rep.trajectory[:, :n] ** 3
@@ -444,7 +451,7 @@ def test_picard_on_kernel_model_keeps_zero_kernel_component():
     vec = np.zeros(model.dim)
     vec[n:] = 1.0 + np.sin(x)
     f = make_fourier_forcing(1.0, {1: 0.1 * vec, -1: 0.1 * vec}, model.space)
-    rep = picard_nonlinear(model, f, {3: -0.5}, structure="wave", tol=1e-12)
+    rep = picard_nonlinear(model, f, {3: -0.5}, tol=1e-12)
     assert rep.converged
     w0_norm = model.space.norm(rep.w0)
     swing = model.space.row_norms(rep.trajectory @ model.pi0.T).max()
@@ -460,10 +467,10 @@ def test_picard_resonant_model_raises(harmonic, error):
     eigenvalue 2 pi i k / T beyond the grid's harmonics makes I - e^{TA}
     singular."""
     T = 1.0
-    model = build_scalar_model(2j * np.pi * harmonic / T)
+    model = scalar_picard_model(2j * np.pi * harmonic / T)
     f = make_fourier_forcing(T, {1: [0.1], -1: [0.1]}, model.space)
     with pytest.raises(error):
-        picard_nonlinear(model, f, {3: -0.05}, structure="identity")
+        picard_nonlinear(model, f, {3: -0.05})
 
 
 def test_heat_wave_source_reads_displacement_and_drives_velocity():
@@ -473,12 +480,12 @@ def test_heat_wave_source_reads_displacement_and_drives_velocity():
     blocks = model.blocks
     heat_only = np.zeros(model.dim)
     heat_only[blocks["heat"].slice] = 1.0
-    assert not np.any(_nonlinear_source(model, {3: 1.0}, heat_only, "wave"))
+    assert not np.any(_nonlinear_source(model, {3: 1.0}, heat_only))
     displacement_only = np.zeros(model.dim)
     displacement_only[blocks["displacement"].slice] = 0.5
     expected = np.zeros(model.dim)
     expected[blocks["velocity"].slice] = 0.125
-    assert_allclose(_nonlinear_source(model, {3: 1.0}, displacement_only, "wave"),
+    assert_allclose(_nonlinear_source(model, {3: 1.0}, displacement_only),
                     expected, rtol=0, atol=0)
 
 
@@ -488,7 +495,7 @@ def test_picard_converges_on_heat_wave():
     vec = np.zeros(model.dim)
     vec[model.blocks["velocity"].slice] = 1.0
     f = make_fourier_forcing(1.0, {1: 0.1 * vec, -1: 0.1 * vec}, model.space)
-    rep = picard_nonlinear(model, f, {3: -1.0}, structure="wave", tol=1e-12)
+    rep = picard_nonlinear(model, f, {3: -1.0}, tol=1e-12)
     assert rep.converged
     assert rep.ode_residual <= 1e-10
 
@@ -497,7 +504,7 @@ def test_picard_wave_structure_needs_wave_blocks():
     model = build_diagonal_model([-1.0, -2.0])
     f = make_fourier_forcing(1.0, {1: [0.1, 0.1], -1: [0.1, 0.1]}, model.space)
     with pytest.raises(ValueError, match="displacement and velocity"):
-        picard_nonlinear(model, f, {3: -0.05}, structure="wave")
+        picard_nonlinear(model, f, {3: -0.05})
 
 
 def test_divergence_threshold_checks_the_monodromy_once(picard_cubic, config_dir,
@@ -510,7 +517,7 @@ def test_divergence_threshold_checks_the_monodromy_once(picard_cubic, config_dir
     original = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd",
                         lambda *a, **k: calls.append(a) or original(*a, **k))
-    th = picard_divergence_threshold(model, f, poly, structure="wave",
+    th = picard_divergence_threshold(model, f, poly,
                                      amplitudes=pspec["amplitudes"],
                                      tol=pspec["tol"])
     probes = pspec["amplitudes"].index(th["first_diverged"]) + 1
@@ -525,7 +532,7 @@ def test_picard_stagnation_diverges_at_a_stable_sweep(picard_cubic):
     sweeps = []
     for amp in (3.0, 3.0 * (1.0 + 1e-13)):
         with pytest.raises(Diverged, match="did not contract") as info:
-            picard_nonlinear(model, scaled(f, amp), poly, structure="wave",
+            picard_nonlinear(model, scaled(f, amp), poly,
                              tol=1e-12)
         sweeps.append(re.search(r"sweep (\d+)", str(info.value)).group(1))
     assert sweeps[0] == sweeps[1]

@@ -48,8 +48,7 @@ def cap_block():
 
 def test_concentration_slope_matches_band_prediction():
     """log |M_a Phi_j| decreases ~ j log sin(r) for a cap of aperture r."""
-    scan = concentration_scan([8, 11, 14, 17, 20], CAP,
-                              extra_degrees=30, quad_nodes=1200)
+    scan = concentration_scan([8, 11, 14, 17, 20], CAP, quad_nodes=1200)
     ref = math.log(math.sqrt(1.0 - CAP.cutoff**2))
     assert scan.slope_vs_j < 0
     assert abs(scan.slope_vs_j - ref) <= 0.3 * abs(ref)
@@ -59,8 +58,7 @@ def test_concentration_slope_matches_band_prediction():
 
 
 def test_concentration_scan_sorts_orders():
-    scan = concentration_scan([14, 8, 11], CAP, extra_degrees=20,
-                              quad_nodes=1200)
+    scan = concentration_scan([14, 8, 11], CAP, quad_nodes=1200)
     assert_allclose(scan.js, [8, 11, 14])
     assert_allclose(scan.sqrt_eigenvalues,
                     np.sqrt(scan.js * (scan.js + 1.0)))

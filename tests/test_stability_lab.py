@@ -128,7 +128,7 @@ def test_wave_envelope_not_normal_uses_running_min():
 
 def test_fit_recovers_planted_power_law():
     x = np.geomspace(1.0, 100.0, 60)
-    scan = ScanResult(kind="synthetic", abscissae=x, values=3.0 * x ** -1.7)
+    scan = ScanResult(abscissae=x, values=3.0 * x ** -1.7)
     fit = fit_power_law(scan, window=(1.0, 100.0))
     assert fit.exponent == pytest.approx(-1.7, abs=1e-12)
     assert fit.constant == pytest.approx(3.0, rel=1e-12)
@@ -138,21 +138,21 @@ def test_fit_recovers_planted_power_law():
 
 def test_fit_rejects_exponential_data():
     x = np.geomspace(1.0, 100.0, 60)
-    scan = ScanResult(kind="synthetic", abscissae=x, values=np.exp(-x))
+    scan = ScanResult(abscissae=x, values=np.exp(-x))
     with pytest.raises(PoorFit):
         fit_power_law(scan, window=(1.0, 100.0))
 
 
 def test_fit_needs_enough_points():
     x = np.geomspace(1.0, 100.0, 60)
-    scan = ScanResult(kind="synthetic", abscissae=x, values=x ** -1.0)
+    scan = ScanResult(abscissae=x, values=x ** -1.0)
     with pytest.raises(PoorFit):
         fit_power_law(scan, window=(200.0, 300.0))
 
 
 def test_fit_rejects_unknown_curve_name():
     x = np.geomspace(1.0, 100.0, 60)
-    scan = ScanResult(kind="synthetic", abscissae=x, values=x ** -1.0,
+    scan = ScanResult(abscissae=x, values=x ** -1.0,
                       extras={"running_max": np.maximum.accumulate(x ** -1.0),
                               "monotone": True})
     with pytest.raises(ValueError, match=r"'running_maxx'.*\['running_max', 'values'\]"):
