@@ -481,9 +481,11 @@ def build_heat_wave_1d(n_heat: int, n_wave: int) -> Model:
     one state coordinate) and the heat flux matches the elastic flux
     through one-sided difference quotients, which are second-order
     accurate at the half-node. State layout: blocks ``heat`` (interior
-    heat values u), ``displacement`` (wave displacements w, including the
-    interface) and ``velocity`` (wave velocities v; v[0] is the shared
-    interface coordinate). The Gram is
+    heat values u at x = -1 + i h_H, coordinates i / n_heat),
+    ``displacement`` (wave displacements w at x = i h_W, coordinates
+    i / n_wave, with the interface at i = 0) and ``velocity`` (wave
+    velocities v at the same nodes; v[0] is the shared interface
+    coordinate). The Gram is
     (1/2)(|u|^2 + |grad_h w|^2 + |v|^2); with the flux closure used here
     the discrete energy identity is exact, so the free semigroup is
     contractive.
@@ -545,7 +547,7 @@ def build_heat_wave_1d(n_heat: int, n_wave: int) -> Model:
     return build_model(space, A,
                        label=f"heat_wave_1d(nH={n_heat}, nW={n_wave})",
                        blocks={"heat": heat, **_wave_blocks(
-                           np.arange(1, n_wave + 1) / (n_wave + 1), "interval", nu)})
+                           np.arange(n_wave) / n_wave, "interval", nu)})
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,45 @@ def test_blocks_are_disjoint_and_cover_the_state(name):
         assert list(model.blocks) == ["all"]
 
 
+# A spatial block's node at coordinate xi sits at x = origin + length * xi of
+# the block's domain. The operator fixes those positions independently of
+# the coordinates: the damping is sampled there, and the three-point second
+# difference there is exact on a quadratic that vanishes at the Dirichlet ends.
+_BUMP = DampingProfile("bump", amplitude=1.0, center=1.0, width=2.0)
+
+
+@pytest.mark.parametrize("build, length", [
+    (lambda: build_damped_wave_interval(7, math.pi, _BUMP), math.pi),
+    (lambda: build_boundary_forced_wave(7, math.pi, _BUMP), math.pi),
+    (lambda: build_damped_wave_circle(8, _BUMP), 2 * math.pi),
+], ids=["interval", "boundary", "circle"])
+def test_block_coordinates_are_where_the_damping_is_sampled(build, length):
+    model = build()
+    disp, vel = model.blocks["displacement"], model.blocks["velocity"]
+    assert_allclose(-np.diag(model.A[vel.slice, vel.slice]), _BUMP(length * vel.xi),
+                    rtol=1e-12, atol=1e-15)
+    assert np.array_equal(disp.xi, vel.xi)
+
+
+@pytest.mark.parametrize("build, rows, first, cols, origin, length, phi, phi2", [
+    (lambda: build_damped_wave_interval(7, math.pi, _UNIT), "velocity", 0,
+     "displacement", 0.0, math.pi, lambda x: x * (math.pi - x), -2.0),
+    (lambda: build_boundary_forced_wave(7, math.pi, _UNIT), "velocity", 0,
+     "displacement", 0.0, math.pi, lambda x: x * (math.pi - x), -2.0),
+    (lambda: build_heat_wave_1d(9, 8), "heat", 0, "heat", -1.0, 1.0,
+     lambda x: x * (x + 1.0), 2.0),
+    # v[0] is the interface node, where the flux balance replaces the stencil
+    (lambda: build_heat_wave_1d(9, 8), "velocity", 1, "displacement", 0.0, 1.0,
+     lambda x: 1.0 - x * x, -2.0),
+], ids=["interval", "boundary", "heat", "wave"])
+def test_block_coordinates_make_second_differences_exact(build, rows, first, cols,
+                                                        origin, length, phi, phi2):
+    model = build()
+    r, c = model.blocks[rows], model.blocks[cols]
+    lap = model.A[r.slice, c.slice][first:]
+    assert_allclose(lap @ phi(origin + length * c.xi), phi2, rtol=0, atol=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # damping profiles
 # ---------------------------------------------------------------------------

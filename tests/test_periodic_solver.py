@@ -262,6 +262,22 @@ def test_circle_kernel_w0_matches_the_exact_semi_discrete_solution(config_dir):
     assert err <= C_KAPPA * rep.condition * np.finfo(float).eps
 
 
+def test_heatwave_k7_w0_norm_converges_at_second_order(config_dir):
+    """heatwave_periodic_k7's w0 norm at n_heat = n_wave = 24, 48, 96: the
+    observed order log2((w24 - w48) / (w48 - w96)) is within 0.2 of the
+    scheme's 2. A velocity profile sampled off the wave nodes drops it to
+    first order."""
+    cfg = json.loads((config_dir / "heatwave_periodic_k7.json").read_text())
+    norms = []
+    for n in (24, 48, 96):
+        cfg["model"]["params"] = {"n_heat": n, "n_wave": n}
+        bundle = cli.build_bundle(cfg)
+        f = cli.build_forcing(bundle, cfg["forcing"])
+        norms.append(bundle.model.space.norm(periodic_w0_direct(bundle.model, f).w0))
+    order = math.log2((norms[0] - norms[1]) / (norms[1] - norms[2]))
+    assert abs(order - 2.0) <= 0.2
+
+
 # ---------------------------------------------------------------------------
 # kernel conventions on the circle
 # ---------------------------------------------------------------------------
