@@ -193,7 +193,6 @@ def validate_config(cfg: dict) -> None:
         g = cfg.get("scan", {}).get(key)
         if g is None:
             continue
-        _require(g["num"] >= 2, f"scan.{key} needs at least 2 points")
         if g.get("spacing", "linear") == "log":
             _require(g["start"] > 0, f"log-spaced scan.{key} needs start > 0")
         _require(g["stop"] > g["start"], f"scan.{key} needs stop > start")

@@ -454,6 +454,19 @@ def test_main_missing_or_misspelt_key_exit_two(tmp_path, config_dir, capsys, con
     assert "config error" in err and names_key(err, named)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (_set("scan", "t_grid", "num", 1), "is less than the minimum of 2"),
+    (_set("scan", "eta_grid", "start", 0.0), "log-spaced scan.eta_grid needs start > 0"),
+    (_set("scan", "t_grid", "stop", 0.5), "scan.t_grid needs stop > start"),
+], ids=["num", "log_start", "stop"])
+def test_main_bad_scan_grid_exit_two(tmp_path, config_dir, capsys, edit, message):
+    """A grid of fewer than 2 points is refused by the schema; the log start
+    and the order of start and stop by validate_config."""
+    assert run_edited(tmp_path, config_dir, "bt_synthetic_alpha1.json", edit) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+
+
 def test_main_boundary_signal_outside_boundary_solve_exit_two(tmp_path, config_dir,
                                                               capsys):
     """A boundary signal drives the boundary inputs, which only
