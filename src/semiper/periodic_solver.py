@@ -317,8 +317,8 @@ def _nonlinear_source(model: Model, poly: dict, states: np.ndarray) -> np.ndarra
     """
     blocks = model.blocks
     if "displacement" not in blocks or "velocity" not in blocks:
-        raise ValueError(f"g needs displacement and velocity "
-                         f"blocks; {model.label!r} has {sorted(blocks)}")
+        raise ValueError(f"g needs displacement and velocity blocks; "
+                         f"{model.label!r} has {sorted(blocks)}")
     src = np.zeros_like(states)
     src[..., blocks["velocity"].slice] = _poly_eval(
         poly, states[..., blocks["displacement"].slice])
@@ -360,8 +360,8 @@ def picard_nonlinear(model: Model, f: PeriodicForcing, poly: dict,
     return _picard(model, f, poly, True, max_iter, tol)
 
 
-def _picard(model: Model, f: PeriodicForcing, poly: dict, check_monodromy: bool, max_iter: int,
-            tol: float) -> NonlinearSolveReport:
+def _picard(model: Model, f: PeriodicForcing, poly: dict, check_monodromy: bool,
+            max_iter: int, tol: float) -> NonlinearSolveReport:
     """:func:`picard_nonlinear`, with the SingularMonodromy check of
     I - e^{TA} taken only when ``check_monodromy`` is set; an amplitude
     sweep on one model and period needs it once."""
