@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 # numpy loads submodules on first attribute access; every run draws a
 # Generator, so load numpy.random with the package rather than mid-run
@@ -33,7 +32,7 @@ import numpy.random
 import scipy
 
 from . import __version__
-from .errors import IoError, SemiperError
+from .errors import ConfigError, IoError, SemiperError
 from .forcing import (
     FourierForcing,
     duhamel_FT,
@@ -131,9 +130,80 @@ def load_schema() -> dict:
         return json.load(fh)
 
 
+def _refuse_constant(name: str):
+    """``json.loads`` hook for the non-JSON literals NaN, Infinity and
+    -Infinity, which Python's json would otherwise read as floats."""
+    raise ConfigError(f"config holds {name}, which is not a JSON number; "
+                      f"every number in a config must be finite")
+
+
+# draft-07 type names, as tests on a JSON value; bool is neither a number
+# nor an integer, and an integral float is an integer
+_SCHEMA_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: ((isinstance(v, int) and not isinstance(v, bool))
+                          or (isinstance(v, float) and v.is_integer())),
+}
+
+
+def check_schema(value, schema: dict, root: dict | None = None,
+                 path: str = "config") -> None:
+    """Raise ConfigError unless ``value`` meets the draft-07 ``schema``,
+    which is a node of ``root`` when ``root`` is given.
+
+    Only the keywords config_schema.json uses are read (``$schema`` and
+    ``title`` are annotations): type, enum, minimum, exclusiveMinimum,
+    items, minItems, maxItems, properties, required, additionalProperties
+    false and ``$ref`` to ``#/definitions/<name>``. A node's own keywords
+    are checked before its items and properties, and the message, after
+    the path of the value in the config, is jsonschema's wording.
+    """
+    def fail(message):
+        raise ConfigError(f"{path}: {message}")
+
+    root = schema if root is None else root
+    if "$ref" in schema:
+        name = schema["$ref"].removeprefix("#/definitions/")
+        return check_schema(value, root["definitions"][name], root, path)
+    if "type" in schema and not _SCHEMA_TYPES[schema["type"]](value):
+        fail(f"{value!r} is not of type {schema['type']!r}")
+    if "enum" in schema and value not in schema["enum"]:
+        fail(f"{value!r} is not one of {schema['enum']!r}")
+    if _SCHEMA_TYPES["number"](value):
+        if "minimum" in schema and value < schema["minimum"]:
+            fail(f"{value!r} is less than the minimum of {schema['minimum']!r}")
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            fail(f"{value!r} is less than or equal to the minimum of "
+                 f"{schema['exclusiveMinimum']!r}")
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            fail(f"{value!r} " + ("should be non-empty" if schema["minItems"] == 1
+                                  else "is too short"))
+        if "maxItems" in schema and len(value) > schema["maxItems"]:
+            fail(f"{value!r} is too long")
+        for i, item in enumerate(value):
+            check_schema(item, schema.get("items", {}), root, f"{path}[{i}]")
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                fail(f"{key!r} is a required property")
+        props = schema.get("properties", {})
+        extra = sorted(value.keys() - props.keys())
+        if extra and schema.get("additionalProperties", True) is False:
+            verb = "was" if len(extra) == 1 else "were"
+            fail(f"Additional properties are not allowed "
+                 f"({', '.join(map(repr, extra))} {verb} unexpected)")
+        for key, sub in props.items():
+            if key in value:
+                check_schema(value[key], sub, root, f"{path}.{key}")
+
+
 def _require(cond: bool, msg: str):
     if not cond:
-        raise ValueError(msg)
+        raise ConfigError(msg)
 
 
 def _check_keys(reader: str, section: str, given: dict, keys: dict) -> None:
@@ -151,10 +221,7 @@ def validate_config(cfg: dict) -> None:
     The schema itself is checked against the draft-07 meta-schema by the
     test suite, not on every run.
     """
-    error = jsonschema.exceptions.best_match(
-        jsonschema.Draft7Validator(load_schema()).iter_errors(cfg))
-    if error is not None:
-        raise error
+    check_schema(cfg, load_schema())
     task = cfg["task"]
     reads = _TASK_READS[task]
     for section in sorted(cfg.keys() - {"task", "label", "seed"}):
@@ -170,8 +237,8 @@ def validate_config(cfg: dict) -> None:
         _require(fkind == "boundary_signal",
                  "boundary_solve needs a boundary_signal forcing")
     elif fkind == "boundary_signal":
-        raise ValueError(f"a boundary_signal forcing drives the boundary_solve "
-                         f"task only, not {task!r}")
+        raise ConfigError(f"a boundary_signal forcing drives the boundary_solve "
+                          f"task only, not {task!r}")
     if fkind is not None:
         _check_keys(f"a {fkind} forcing", "forcing", cfg["forcing"],
                     {"kind": True, **_FORCING_KEYS[fkind]})
@@ -975,7 +1042,7 @@ class RunManifest:
 def run(config_path, out_dir=None, seed=None) -> RunManifest:
     config_path = Path(config_path)
     raw = config_path.read_bytes()
-    cfg = json.loads(raw)
+    cfg = json.loads(raw, parse_constant=_refuse_constant)
     validate_config(cfg)
 
     task = cfg["task"]
@@ -1036,7 +1103,7 @@ def main(argv=None) -> int:
 
     try:
         manifest = run(args.config, out_dir=args.out, seed=args.seed)
-    except (jsonschema.ValidationError, json.JSONDecodeError, ValueError) as e:
+    except ValueError as e:     # ConfigError and json.JSONDecodeError too
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except FileNotFoundError as e:

@@ -10,6 +10,13 @@ class SemiperError(Exception):
     """Base class for all package errors."""
 
 
+# ---- configs ----
+
+class ConfigError(ValueError):
+    """A config the CLI refuses: not JSON, against the schema, or a key
+    or section its task, builder or forcing kind does not read."""
+
+
 # ---- state space / model construction ----
 
 class NonHermitian(SemiperError):

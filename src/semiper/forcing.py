@@ -113,6 +113,7 @@ class FourierForcing(PeriodicForcing):
         self.dim = C.shape[1]
         self._per0 = None
         self._span = None
+        self._class_norms = {}
 
     @property
     def omega(self) -> np.ndarray:
@@ -238,7 +239,7 @@ class SemigroupPullbackForcing(PeriodicForcing):
 # class membership and norms
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class ForcingNormReport:
     l1_norm: float
     wk1_norm: float
@@ -249,18 +250,22 @@ def check_class(f: PeriodicForcing, k: int) -> ForcingNormReport:
 
     Both are taken by composite quadrature. Fourier data takes its norms
     in the span of its coefficient rows (``FourierForcing.norms_at``),
-    with no nodes x dim x dim product. Whether f has vanishing traces is
-    decided by ``per0_order`` alone.
+    with no nodes x dim x dim product, once per order k: each solver's
+    report asks for them again. Whether f has vanishing traces is decided
+    by ``per0_order`` alone.
     """
-    nodes, weights = gauss_panels(f.period, _CLASS_PANELS, _CLASS_ORDER)
-    l1 = 0.0
-    wk1 = 0.0
-    for j in range(k + 1):
-        contrib = float(np.dot(weights, f.norms_at(nodes, j)))
-        if j == 0:
-            l1 = contrib
-        wk1 += contrib
-    return ForcingNormReport(l1_norm=l1, wk1_norm=wk1)
+    cache = f._class_norms if isinstance(f, FourierForcing) else {}
+    if k not in cache:
+        nodes, weights = gauss_panels(f.period, _CLASS_PANELS, _CLASS_ORDER)
+        l1 = 0.0
+        wk1 = 0.0
+        for j in range(k + 1):
+            contrib = float(np.dot(weights, f.norms_at(nodes, j)))
+            if j == 0:
+                l1 = contrib
+            wk1 += contrib
+        cache[k] = ForcingNormReport(l1_norm=l1, wk1_norm=wk1)
+    return cache[k]
 
 
 # ---------------------------------------------------------------------------

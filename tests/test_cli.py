@@ -6,6 +6,7 @@ import hashlib
 import importlib.util
 import inspect
 import json
+import math
 import os
 import re
 import shutil
@@ -19,7 +20,8 @@ from numpy.testing import assert_allclose
 
 import semiper
 from semiper import cli
-from semiper.errors import KernelObstruction, SingularMonodromy
+from semiper.errors import ConfigError, KernelObstruction, SingularMonodromy
+from semiper.forcing import FourierForcing
 from semiper.models import DampingProfile
 
 
@@ -130,6 +132,27 @@ def test_seed_override_changes_sampled_outputs(tmp_path, config_dir):
     assert any(h1[name] != h2[name] for name in h1)
 
 
+def test_all_methods_take_the_class_norms_once(tmp_path, config_dir, monkeypatch):
+    """Each solver's report reads the forcing's W^{k,1} norm; with
+    ``"method": "all"`` the three reports share one quadrature of it, so the
+    run evaluates as many norms as a single direct solve does."""
+    calls = []
+    norms_at = FourierForcing.norms_at
+
+    def counted(self, ts, deriv=0):
+        calls.append(deriv)
+        return norms_at(self, ts, deriv)
+    monkeypatch.setattr(FourierForcing, "norms_at", counted)
+    counts = {}
+    for method in ("all", "direct"):
+        calls.clear()
+        assert run_edited(tmp_path, config_dir, "interval_periodic.json",
+                          _set("solver", "method", method)) == 0
+        counts[method] = list(calls)
+    assert counts["all"] == counts["direct"] == list(range(len(counts["all"])))
+    assert len(counts["all"]) >= 2
+
+
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -147,14 +170,12 @@ def test_cross_field_checks():
 
 
 def test_schema_rejects_unknown_fields():
-    import jsonschema
-
     cfg = {"task": "decay_scan", "mystery": 1}
-    with pytest.raises(jsonschema.ValidationError):
+    with pytest.raises(ConfigError):
         cli.validate_config(cfg)
     # every forcing a config can build is Fourier data, so no quadrature knobs
     cfg = {"task": "boundary_solve", "solver": {"n_periods": 2, "panels": 64}}
-    with pytest.raises(jsonschema.ValidationError, match="panels"):
+    with pytest.raises(ConfigError, match="panels"):
         cli.validate_config(cfg)
 
 
@@ -288,6 +309,25 @@ def test_main_schema_violation_exit_two(tmp_path, capsys):
     code = cli.main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, literal", [(math.nan, "NaN"), (math.inf, "Infinity"),
+                                            (-math.inf, "-Infinity")])
+@pytest.mark.parametrize("config, path", [
+    ("interp_interval_half.json", ("model", "damping", "width")),
+    ("interval_periodic.json", ("forcing", "period")),
+    ("picard_cubic.json", ("model", "params", "length")),
+], ids=["damping_width", "forcing_period", "free_params"])
+def test_main_non_finite_number_exit_two(tmp_path, config_dir, capsys, config, path,
+                                         value, literal):
+    """Python's json reads NaN, Infinity and -Infinity, which JSON does not
+    have and which pass every schema bound (NaN < 0 is False) or no bound at
+    all (model.params); the run refuses them and names the literal."""
+    def edit(cfg):
+        _walk(cfg, path[:-1])[path[-1]] = value
+    assert run_edited(tmp_path, config_dir, config, edit) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"holds {literal}," in err
 
 
 def test_main_picard_gauss_order_exit_two(tmp_path, config_dir, capsys):
@@ -696,10 +736,16 @@ def fresh_python(code, *args):
     return out.stdout.strip()
 
 
-def test_cli_import_leaves_scipy_optimize_out():
-    code = ("import sys, semiper.cli; print(*(name in sys.modules for name in "
-            "('scipy.optimize', 'scipy.special', 'scipy.linalg')))")
-    assert fresh_python(code) == "False False False"
+def test_cli_import_leaves_scipy_optimize_out(config_dir):
+    """A run starts by importing the CLI, loading the schema and checking
+    its config; none of that loads jsonschema or scipy's optimize, special
+    and linalg."""
+    code = ("import json, sys, semiper.cli as cli; cli.load_schema(); "
+            "cli.validate_config(json.loads(open(sys.argv[1]).read())); "
+            "print(*(name in sys.modules for name in "
+            "('jsonschema', 'scipy.optimize', 'scipy.special', 'scipy.linalg')))")
+    assert (fresh_python(code, config_dir / "interval_periodic.json")
+            == "False False False False")
 
 
 def test_runs_load_no_module_beyond_the_import(config_dir, tmp_path):
