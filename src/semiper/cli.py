@@ -201,6 +201,21 @@ def check_schema(value, schema: dict, root: dict | None = None,
                 check_schema(value[key], sub, root, f"{path}.{key}")
 
 
+def _check_finite(value, path: str = "config") -> None:
+    """Refuse NaN and +-inf anywhere in a config, naming their path. JSON
+    has no such numbers, but a config built in memory can hold them, and
+    they pass every schema bound (NaN < 0 is False)."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{path}: {value!r} is not finite; "
+                          f"every number in a config must be finite")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _check_finite(item, f"{path}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _check_finite(item, f"{path}[{i}]")
+
+
 def _require(cond: bool, msg: str):
     if not cond:
         raise ConfigError(msg)
@@ -216,11 +231,13 @@ def _check_keys(reader: str, section: str, given: dict, keys: dict) -> None:
 
 
 def validate_config(cfg: dict) -> None:
-    """Schema validation plus the cross-field checks the schema cannot say.
+    """Schema validation plus the checks the schema cannot say: every
+    number finite, and the cross-field rules.
 
     The schema itself is checked against the draft-07 meta-schema by the
     test suite, not on every run.
     """
+    _check_finite(cfg)
     check_schema(cfg, load_schema())
     task = cfg["task"]
     reads = _TASK_READS[task]

@@ -134,6 +134,18 @@ class FourierForcing(PeriodicForcing):
             self._span = C if self.space is None else C @ self.space.gram_factor.T
         return np.linalg.norm(P @ self._span, axis=1)
 
+    @property
+    def real_valued(self) -> bool:
+        """Whether f(t) is real at every t, read off the data exactly: the
+        harmonics are distinct and symmetric, and the row for -k is the
+        conjugate of the row for k."""
+        rows = {k: i for i, k in enumerate(self.harmonics.tolist())}
+        if len(rows) != self.harmonics.size or any(-k not in rows for k in rows):
+            return False
+        mirror = [rows[-k] for k in self.harmonics.tolist()]
+        return bool(np.array_equal(self.coefficients[mirror],
+                                   self.coefficients.conj()))
+
     def derivative_forcing(self, order: int) -> "FourierForcing":
         factors = (1j * self.omega) ** order
         return FourierForcing(self.period, self.harmonics,

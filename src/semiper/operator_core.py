@@ -109,13 +109,17 @@ class StateSpace:
 
     def row_norms(self, X) -> np.ndarray:
         """Norm of each row of the state stack X, in one contraction; with
-        a real Gram, x* G x = a^T G a + b^T G b for x = a + ib."""
+        a real Gram, x* G x = a^T G a + b^T G b for x = a + ib, and a real
+        X is contracted alone. The parts are contracted contiguous, so a
+        real X and its complex cast give the same bits."""
         X = np.asarray(X)
         G = self.gram
         if np.iscomplexobj(G):
             q = np.einsum("ij,ij->i", X.conj(), X @ G.T).real
         else:
-            q = sum(np.einsum("ij,ij->i", Y, Y @ G.T) for Y in (X.real, X.imag))
+            parts = (X.real, X.imag) if np.iscomplexobj(X) else (X,)
+            q = sum(np.einsum("ij,ij->i", Y, Y @ G.T)
+                    for Y in map(np.ascontiguousarray, parts))
         return np.sqrt(np.maximum(q, 0.0))
 
     def op_norm(self, M) -> float:

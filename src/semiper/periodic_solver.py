@@ -15,6 +15,13 @@ a w0 with zero kernel component by convention (any kernel offset yields
 another periodic orbit; this pins the representative). A forcing whose
 one-period response has a kernel component cannot have a periodic orbit
 at all and raises KernelObstruction.
+
+The nonlinear orbit of u' = A u + f + g(u) is a Picard iteration of
+harmonic-balance sweeps on a uniform time grid (:func:`picard_nonlinear`).
+A real problem (real A, real coefficients of g, real-valued Fourier data
+f) has a real orbit, and its sweeps run in real arithmetic on the
+harmonics 0..n/2 of ``rfft``; any other problem sweeps all harmonics in
+complex arithmetic.
 """
 
 from __future__ import annotations
@@ -32,7 +39,6 @@ from .forcing import (
     check_class,
     control_duhamel,
     duhamel_FT,
-    fourier_from_samples,
 )
 from .operator_core import (
     Model,
@@ -292,6 +298,9 @@ def boundary_periodic_solve(model: Model, g: FourierForcing,
 
 @dataclass
 class NonlinearSolveReport:
+    """A converged Picard solve: ``trajectory`` holds the orbit at
+    ``times``, one state per row, and ``w0`` is its first row. Both are
+    float64 on a real problem and complex128 otherwise."""
     converged: bool
     iterations: int
     contraction_ratios: list
@@ -344,12 +353,17 @@ def picard_nonlinear(model: Model, f: PeriodicForcing, poly: dict,
 
     Each sweep is one step of alternating frequency-time (AFT) harmonic
     balance: the frozen source f + g(u_m) on the uniform grid of
-    PICARD_NODES times becomes its trigonometric interpolant
+    n = PICARD_NODES times becomes its trigonometric interpolant
     sum_k c_k e^{i omega_k t} (one FFT), whose periodic response
     sum_k (i omega_k - A)^{-1} c_k e^{i omega_k t} is exact: one
-    :func:`harmonic_solve` of all harmonics (ResonantHarmonic) and one
-    inverse DFT back to the grid. On kernel models the mean harmonic must
-    not pump the kernel (KernelObstruction), the others add
+    :func:`harmonic_solve` (ResonantHarmonic) and one inverse transform
+    back to the grid. When A is real, every coefficient of g is real and
+    f is real-valued Fourier data (``FourierForcing.real_valued``), the
+    orbit is real and the sweep solves only the harmonics 0..n/2 of
+    ``rfft``, returning to the grid by ``irfft``. Otherwise it solves all
+    n + 1 harmonics of ``fft``, the Nyquist bin split evenly between -n/2
+    and n/2, and returns to the grid by ``ifft``. On kernel models the mean
+    harmonic must not pump the kernel (KernelObstruction), the others add
     pi0 c_k / (i omega_k), and w0 is shifted to zero kernel component.
     I - e^{TA} is checked once (SingularMonodromy).
 
@@ -364,29 +378,61 @@ def _picard(model: Model, f: PeriodicForcing, poly: dict, check_monodromy: bool,
             max_iter: int, tol: float) -> NonlinearSolveReport:
     """:func:`picard_nonlinear`, with the SingularMonodromy check of
     I - e^{TA} taken only when ``check_monodromy`` is set; an amplitude
-    sweep on one model and period needs it once."""
+    sweep on one model and period needs it once.
+
+    The path is chosen from the inputs alone. On a real problem ``rfft``
+    gives the rows k = 0..n/2 and ``irfft`` keeps only the real part of
+    the mean and Nyquist rows: exact for a real orbit, and on the Nyquist
+    row equal to the complex path's split of that bin between +-n/2."""
     for p in poly:
         if not (isinstance(p, int) and p >= 2):
             raise ValueError("nonlinearity must be superlinear: powers >= 2")
     # a model without the blocks g acts on is a config error: raise its
-    # ValueError before any solve
-    _nonlinear_source(model, poly, np.zeros(model.dim))
+    # ValueError before any solve (a complex probe, as g may be complex)
+    _nonlinear_source(model, poly, np.zeros(model.dim, dtype=complex))
     T = f.period
-    times = T * np.arange(PICARD_NODES) / PICARD_NODES
+    n = PICARD_NODES
+    times = T * np.arange(n) / n
+    f_samples = f.eval_many(times)
+    if (not np.iscomplexobj(model.A) and isinstance(f, FourierForcing)
+            and f.real_valued and not any(map(np.iscomplexobj, poly.values()))):
+        # the samples of real-valued data are real up to round-off
+        f_samples = f_samples.real
+        ks = np.arange(n // 2 + 1)
+
+        def to_rows(samples):
+            return np.fft.rfft(samples, axis=0) / n
+
+        def to_grid(X):
+            return np.fft.irfft(n * X, n=n, axis=0)
+    else:
+        # fft's harmonics 0..n/2-1, -n/2..-1 and a last row n/2: the
+        # Nyquist bin is split evenly between -n/2 and n/2
+        ks = np.append(np.fft.fftfreq(n, d=1.0 / n).astype(int), n // 2)
+
+        def to_rows(samples):
+            C = np.fft.fft(samples, axis=0) / n
+            C[n // 2] *= 0.5
+            return np.vstack([C, C[n // 2]])
+
+        def to_grid(X):
+            # e^{+-i pi j} agree at the nodes: both halves land in bin n/2
+            X[n // 2] += X[n]
+            return np.fft.ifft(n * X[:n], axis=0)
+    # row 0 is the mean harmonic on both paths
+    omega = 2.0 * np.pi * ks[1:] / T
 
     def linear_periodic(samples: np.ndarray) -> np.ndarray:
-        four = fourier_from_samples(T, samples, model.space)
-        C, osc = four.coefficients, four.harmonics != 0
-        X = harmonic_solve(model, four.harmonics, T, C)
+        C = to_rows(samples)
+        X = harmonic_solve(model, ks, T, C)
         if model.has_kernel:
-            _kernel_guard(model, _mean_harmonic(four), "mean harmonic")
+            _kernel_guard(model, C[0], "mean harmonic")
             # A pi0 = 0: the kernel part of (i omega_k - A)^{-1} c_k
-            X[osc] += (C[osc] @ model.pi0.T) / (1j * four.omega[osc, None])
-        traj = np.exp(1j * np.outer(times, four.omega)) @ X
+            X[1:] += (C[1:] @ model.pi0.T) / (1j * omega[:, None])
+        traj = to_grid(X)
         # shift along the kernel so that w0 has zero kernel component
         return traj - traj[0] @ model.pi0.T if model.has_kernel else traj
 
-    f_samples = f.eval_many(times)
     traj = linear_periodic(f_samples)
     if check_monodromy:
         _fixed_point_matrix(model, T)       # raises SingularMonodromy
@@ -438,11 +484,11 @@ def picard_divergence_threshold(model: Model, f: PeriodicForcing, poly: dict,
                                 tol: float = PICARD_TOL) -> dict:
     """Scale the forcing until the Picard iteration stops converging.
 
-    Each probe is a :func:`picard_nonlinear` solve with ``tol``, at most PICARD_MAX_ITER sweeps. Returns the largest amplitude
-    that converged and the first that failed (None when every probe
-    converged). The probes share one model
-    and period, so I - e^{TA} is checked for singularity once, in the
-    first probe.
+    Each probe is a :func:`picard_nonlinear` solve with ``tol``, at most
+    PICARD_MAX_ITER sweeps. Returns the largest amplitude that converged
+    and the first that failed (None when every probe converged). The
+    probes share one model and period, so I - e^{TA} is checked for
+    singularity once, in the first probe.
     """
     if amplitudes is None:
         amplitudes = [10.0 ** e for e in range(-3, 4)]

@@ -330,6 +330,24 @@ def test_main_non_finite_number_exit_two(tmp_path, config_dir, capsys, config, p
     assert "config error" in err and f"holds {literal}," in err
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("config, path, where", [
+    ("interp_interval_half.json", ("model", "damping", "width"),
+     "config.model.damping.width"),
+    ("interval_periodic.json", ("forcing", "period"), "config.forcing.period"),
+    ("picard_cubic.json", ("picard", "amplitudes", 2), "config.picard.amplitudes[2]"),
+], ids=["damping_width", "forcing_period", "list_item"])
+def test_validate_config_refuses_non_finite_numbers(config_dir, config, path, where,
+                                                   value):
+    """A config built in memory skips run's parse hook; validate_config
+    itself refuses a non-finite number and names where it sits."""
+    cfg = json.loads((config_dir / config).read_text())
+    _walk(cfg, path[:-1])[path[-1]] = value
+    with pytest.raises(ConfigError, match=re.escape(f"{where}: {value!r} is not finite")):
+        cli.validate_config(cfg)
+
+
 def test_main_picard_gauss_order_exit_two(tmp_path, config_dir, capsys):
     """Picard no longer steps with a Gauss rule, so its order is an unknown key."""
     cfg = json.loads((config_dir / "picard_cubic.json").read_text())

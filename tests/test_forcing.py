@@ -87,6 +87,17 @@ def test_fourier_derivative_is_analytic():
     assert_allclose(g.eval_many(ts)[:, 0], -om**2 * np.cos(om * ts), atol=1e-12)
 
 
+@pytest.mark.parametrize("harmonics, coefficients, real", [
+    ([-1, 0, 1], [0.5 - 0.2j, 1.0, 0.5 + 0.2j], True),
+    ([-1, 0, 1], [0.5 - 0.2j, 1.0 + 1e-17j, 0.5 + 0.2j], False),
+    ([-1, 1], [0.5, 0.5 + 1e-16j], False),
+    ([0, 1], [1.0, 0.5], False),
+    ([1, -1, 1], [0.5, 0.5, 0.5], False),
+], ids=["conjugate", "complex_mean", "off_by_round_off", "one_sided", "repeated"])
+def test_fourier_real_valued_reads_the_data_exactly(harmonics, coefficients, real):
+    assert FourierForcing(1.0, harmonics, coefficients).real_valued is real
+
+
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_bump_profile_is_sin_power(order):
     T = 1.5

@@ -127,6 +127,20 @@ def test_row_norms_match_complex_contraction(rng, field):
     assert_allclose([space.norm(x) for x in X], np.sqrt(q), rtol=1e-14)
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_row_norms_of_a_real_stack_match_its_complex_cast_bit_for_bit(rng, field):
+    """A real stack, such as a Picard trajectory of a real problem, is
+    contracted alone; the zero imaginary part of its complex cast adds
+    nothing, so both give the same bits. Sized as picard_cubic's grid."""
+    n = 120
+    B = rng.standard_normal((n, n))
+    if field == "complex":
+        B = B + 1j * rng.standard_normal((n, n))
+    space = make_state_space(n, B @ B.conj().T + n * np.eye(n))
+    X = rng.standard_normal((64, n))
+    assert np.array_equal(space.row_norms(X), space.row_norms(X.astype(complex)))
+
+
 def test_op_norm_diagonal_identity_gram():
     space = make_state_space(3, np.eye(3))
     M = np.diag([0.5, -2.0, 1.5])

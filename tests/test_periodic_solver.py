@@ -17,7 +17,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
-from semiper import cli
+from semiper import cli, periodic_solver
 from semiper.errors import (
     Diverged,
     KernelObstruction,
@@ -43,6 +43,7 @@ from semiper.models import (
 )
 from semiper.operator_core import Block, build_model
 from semiper.periodic_solver import (
+    PICARD_NODES,
     _nonlinear_source,
     boundary_periodic_solve,
     convergence_gap,
@@ -410,6 +411,18 @@ def test_picard_diverges_for_large_data():
         picard_nonlinear(model, f, {3: -0.05})
 
 
+@pytest.mark.parametrize("lam", [-1.0, -1.0 + 0.5j], ids=["real", "complex"])
+def test_picard_overflow_raises_diverged(lam):
+    """States that overflow within three sweeps end either sweep as
+    Diverged, which the divergence threshold counts, not as an error of
+    building a forcing from non-finite samples."""
+    model = scalar_picard_model(lam)
+    f = make_fourier_forcing(2.0, {1: [1e6], -1: [1e6]}, model.space)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(Diverged, match="non-finite states"):
+            picard_nonlinear(model, f, {3: -0.05})
+
+
 def test_picard_slow_convergence_raises():
     model = scalar_picard_model()
     f = make_fourier_forcing(2.0, {1: [0.2], -1: [0.2]}, model.space)
@@ -447,12 +460,47 @@ def test_picard_w0_matches_direct_solve_of_frozen_source(picard_cubic, amp):
     model, f, poly = picard_cubic
     g = scaled(f, amp)
     rep = picard_nonlinear(model, g, poly, tol=1e-12)
+    # a real problem sweeps in real arithmetic and returns a real orbit
+    assert rep.trajectory.dtype == rep.w0.dtype == np.float64
     n = model.dim // 2
     src = g.eval_many(rep.times)
     src[:, n:] -= rep.trajectory[:, :n] ** 3
     w0 = periodic_w0_direct(model, fourier_from_samples(g.period, src,
                                                          model.space)).w0
     assert model.space.norm(w0 - rep.w0) <= 1e-10 * model.space.norm(rep.w0)
+
+
+@pytest.mark.parametrize("lam, rows", [(-1.0, PICARD_NODES // 2 + 1),
+                                       (-1.0 + 0.5j, PICARD_NODES + 1)],
+                         ids=["real", "complex"])
+def test_picard_sweep_solves_half_the_harmonics_of_a_real_problem(monkeypatch,
+                                                                  lam, rows):
+    """A real problem solves the harmonics 0..n/2 per sweep; a complex A
+    keeps all n + 1, the Nyquist bin split between -n/2 and n/2."""
+    model = scalar_picard_model(lam)
+    f = make_fourier_forcing(2.0, {1: [0.2], -1: [0.2]}, model.space)
+    sizes = []
+    original = periodic_solver.harmonic_solve
+
+    def counted(model, harmonics, period, rhs):
+        sizes.append(len(harmonics))
+        return original(model, harmonics, period, rhs)
+    monkeypatch.setattr(periodic_solver, "harmonic_solve", counted)
+    rep = picard_nonlinear(model, f, {3: -0.05}, tol=1e-12)
+    assert sizes == [rows] * (rep.iterations + 1)
+    assert rep.trajectory.dtype == (np.float64 if rows < PICARD_NODES else np.complex128)
+
+
+def test_picard_real_path_needs_every_input_real():
+    """Complex coefficients of g or forcing data that is not real-valued
+    keep the complex sweep, though A is real."""
+    model = scalar_picard_model()
+    real_f = make_fourier_forcing(2.0, {1: [0.2], -1: [0.2]}, model.space)
+    not_real = make_fourier_forcing(2.0, {1: [0.2], -1: [0.2j]}, model.space)
+    assert real_f.real_valued and not not_real.real_valued
+    assert picard_nonlinear(model, real_f, {3: -0.05}).w0.dtype == np.float64
+    for f, poly in ((real_f, {3: -0.05 + 0j}), (not_real, {3: -0.05})):
+        assert picard_nonlinear(model, f, poly).w0.dtype == np.complex128
 
 
 def test_picard_on_kernel_model_keeps_zero_kernel_component():
@@ -468,7 +516,7 @@ def test_picard_on_kernel_model_keeps_zero_kernel_component():
     vec[n:] = 1.0 + np.sin(x)
     f = make_fourier_forcing(1.0, {1: 0.1 * vec, -1: 0.1 * vec}, model.space)
     rep = picard_nonlinear(model, f, {3: -0.5}, tol=1e-12)
-    assert rep.converged
+    assert rep.converged and rep.trajectory.dtype == np.float64
     w0_norm = model.space.norm(rep.w0)
     swing = model.space.row_norms(rep.trajectory @ model.pi0.T).max()
     assert swing >= 1e-2 * w0_norm
@@ -512,7 +560,7 @@ def test_picard_converges_on_heat_wave():
     vec[model.blocks["velocity"].slice] = 1.0
     f = make_fourier_forcing(1.0, {1: 0.1 * vec, -1: 0.1 * vec}, model.space)
     rep = picard_nonlinear(model, f, {3: -1.0}, tol=1e-12)
-    assert rep.converged
+    assert rep.converged and rep.trajectory.dtype == np.float64
     assert rep.ode_residual <= 1e-10
 
 
@@ -536,6 +584,7 @@ def test_divergence_threshold_checks_the_monodromy_once(picard_cubic, config_dir
     th = picard_divergence_threshold(model, f, poly,
                                      amplitudes=pspec["amplitudes"],
                                      tol=pspec["tol"])
+    assert th == {"last_converged": 1.0, "first_diverged": 3.0}
     probes = pspec["amplitudes"].index(th["first_diverged"]) + 1
     assert probes > 1
     assert len(calls) == 1
